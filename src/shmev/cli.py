@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -458,15 +458,7 @@ def cmd_fit(
         for idx, rec in enumerate(selected):
             blocks = events_by_station[rec.station]
             site_seed = _site_seed(seed, idx)
-            site_cfg = SamplerConfig(
-                n_chains=sampler_cfg.n_chains,
-                n_iterations=sampler_cfg.n_iterations,
-                warmup_fraction=sampler_cfg.warmup_fraction,
-                leapfrog_steps=sampler_cfg.leapfrog_steps,
-                target_accept=sampler_cfg.target_accept,
-                step_jitter=sampler_cfg.step_jitter,
-                seed=site_seed,
-            )
+            site_cfg = replace(sampler_cfg, seed=site_seed)
             if section.model == "gev":
                 maxima = np.array([b.max() for b in blocks if b.size])
                 if maxima.size < 2:

@@ -143,6 +143,11 @@ class SamplerSection:
         for key in ("warmup_fraction", "target_accept", "step_jitter"):
             if key in m:
                 kwargs[key] = _as_float(m[key], f"{context}.{key}")
+        for key in ("warmup_fraction", "target_accept"):
+            if key in kwargs and not 0.0 < kwargs[key] < 1.0:
+                raise ConfigError(f"{context}.{key}: must lie in (0, 1)")
+        if "step_jitter" in kwargs and not 0.0 <= kwargs["step_jitter"] < 1.0:
+            raise ConfigError(f"{context}.step_jitter: must lie in [0, 1)")
         if kwargs.get("leapfrog_steps", 1) < 1:
             raise ConfigError(f"{context}.leapfrog_steps: must be >= 1")
         return cls(**kwargs)

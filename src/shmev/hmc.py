@@ -52,7 +52,7 @@ class SamplerConfig:
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
         if not 0.0 <= self.step_jitter < 1.0:
-            raise ValueError("step_jitter must lie is [0, 1)")
+            raise ValueError("step_jitter must lie in [0, 1)")
 
     @property
     def n_warmup(self) -> int:
@@ -182,7 +182,11 @@ def _run_chain(target, config: SamplerConfig, q0: np.ndarray, rng: np.random.Gen
         q1, p1, logp1, grad1 = _leapfrog(target, q, p0, grad, eps, n_steps, mass)
 
         h0 = -logp + 0.5 * np.sum(p0 * p0 / mass)
-        h1 = -logp1 + 0.5 * np.sum(p1 * p1 / mass) if np.isfinite(logp1) else np.inf
+        # a diverging trajectory can overflow the kinetic energy to inf,
+        # which the delta_h check below marks divergent
+        with np.errstate(over="ignore"):
+            kinetic1 = 0.5 * np.sum(p1 * p1 / mass)
+        h1 = -logp1 + kinetic1 if np.isfinite(logp1) else np.inf
         delta_h = h1 - h0
         divergent = not np.isfinite(delta_h) or delta_h > config.max_energy_error
         if divergent:

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import bisect
 from scipy.special import gammaln, logit
 
 from .data import Dataset, SiteCovariates, StandardizationSnapshot
@@ -214,9 +213,12 @@ def read_covariate_file(path: str | Path) -> tuple[list[str], dict[str, dict[str
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: wrong field count")
             try:
-                table[row[0].strip()] = {n: float(v) for n, v in zip(names, row[1:])}
+                values = {n: float(v) for n, v in zip(names, row[1:])}
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric covariate") from exc
+            if not all(np.isfinite(v) for v in values.values()):
+                raise DataError(f"{path}:{lineno}: non-finite covariate")
+            table[row[0].strip()] = values
     return names, table
 
 
@@ -407,6 +409,30 @@ def _log_cv2_plus_one(shape: float) -> float:
     return float(gammaln(1.0 + 2.0 / shape) - 2.0 * gammaln(1.0 + 1.0 / shape))
 
 
+_BISECT_RTOL = 4.0 * float(np.finfo(float).eps)
+
+
+def _bisect(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of ``f`` on a sign-changing bracket ``[xa, xb]``, halving for
+    halving as ``scipy.optimize.bisect`` (relative tolerance 4 eps, at most
+    100 halvings)."""
+    fa, fb = f(xa), f(xb)
+    if fa == 0.0:
+        return xa
+    if fb == 0.0:
+        return xb
+    dm = xb - xa
+    for _ in range(100):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise ConvergenceError("bisection did not converge in 100 halvings")
+
+
 def weibull_mom(sample) -> WeibullParams:
     """Weibull parameters matching the sample mean and coefficient of variation.
 
@@ -430,7 +456,7 @@ def weibull_mom(sample) -> WeibullParams:
             f"sample CV {sd / mean:.4f} outside the Weibull range bracketed by "
             f"shape in [{lo}, {hi}]"
         )
-    shape = float(bisect(lambda g: _log_cv2_plus_one(g) - target, lo, hi, xtol=1e-13))
+    shape = _bisect(lambda g: _log_cv2_plus_one(g) - target, lo, hi, xtol=1e-13)
     residual = abs(_log_cv2_plus_one(shape) - target)
     if residual >= 1e-10:
         raise ConvergenceError(f"moment equation residual {residual:.2e} >= 1e-10")

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "EvalResult",
@@ -46,13 +45,27 @@ class EvalResult:
     n_maxima: int
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with ties sharing their mean rank, all NaN when ``x`` holds
+    a NaN; equal to ``scipy.stats.rankdata(x, method="average")``."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(starts, append=x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2.0, counts)
+    if np.isnan(x).any():
+        ranks[:] = np.nan
+    return ranks
+
+
 def empirical_return_times(maxima) -> tuple[np.ndarray, np.ndarray]:
     """Plotting positions ``p = rank/(M+1)`` (average ranks on ties) and the
     corresponding return times ``T = 1/(1-p)``."""
     maxima = np.asarray(maxima, dtype=float)
     if maxima.size < 1:
         raise ValueError("need at least one test maximum")
-    ranks = rankdata(maxima, method="average")
+    ranks = _average_ranks(maxima)
     p = ranks / (maxima.size + 1.0)
     return p, 1.0 / (1.0 - p)
 

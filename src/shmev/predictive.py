@@ -5,11 +5,16 @@ from the regression coefficients and covariates, a batch of future blocks
 is simulated (latent Weibull parameters from positivity-truncated Gumbel
 draws, counts from the binomial layer), and the maxima cdf is the average
 of ``F(y)^n`` over those blocks.  Pooling averages the per-draw curves.
+
+The cdf on the evaluation grid is computed on demand: quantile inversion
+evaluates the simulated blocks exactly and reads only the grid's upper end,
+which seeds the bisection bracket.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -166,12 +171,14 @@ def simulate_future_blocks(
 
 @dataclass(eq=False)
 class MaximaCdfEstimate:
-    """Posterior-predictive maxima cdf on a grid plus the simulated blocks
-    that allow exact off-grid evaluation."""
+    """Posterior-predictive maxima cdf: the simulated blocks that allow exact
+    evaluation at any point, plus an evaluation grid ``y``.
+
+    The grid values ``per_draw`` (B, len(y)) and ``pooled`` are computed when
+    first read; quantile inversion reads only ``y[-1]``.
+    """
 
     y: np.ndarray
-    per_draw: np.ndarray  # (B, len(y))
-    pooled: np.ndarray
     blocks: BlockDraws
     config: PredictiveConfig
     zero_event_blocks: int = 0
@@ -179,7 +186,30 @@ class MaximaCdfEstimate:
 
     @property
     def n_draws(self) -> int:
-        return self.per_draw.shape[0]
+        return self.blocks.n_draws
+
+    @cached_property
+    def per_draw(self) -> np.ndarray:
+        """Per-draw cdf on the grid, (B, len(y)), filled in draw chunks."""
+        blocks, b = self.blocks, self.blocks.n_draws
+        per_draw = np.empty((b, self.y.size))
+        logy = np.log(self.y)
+        for start in range(0, b, _CHUNK):
+            sl = slice(start, min(start + _CHUNK, b))
+            with np.errstate(over="ignore", under="ignore"):
+                f = -np.expm1(
+                    -np.exp(
+                        blocks.gamma[sl][:, :, None]
+                        * (logy[None, None, :] - np.log(blocks.delta[sl])[:, :, None])
+                    )
+                )
+            per_draw[sl] = np.power(f, blocks.n[sl][:, :, None]).mean(axis=1)
+        return per_draw
+
+    @cached_property
+    def pooled(self) -> np.ndarray:
+        """Posterior-predictive cdf on the grid: the mean of the draw curves."""
+        return self.per_draw.mean(axis=0)
 
     def cdf_at(self, y) -> np.ndarray:
         """Per-draw cdf at a common scalar point or per-draw points (B,)."""
@@ -253,7 +283,8 @@ def predictive_cdf(
     config: PredictiveConfig,
     rng: np.random.Generator,
 ) -> MaximaCdfEstimate:
-    """Posterior-predictive maxima cdf on ``y_grid`` for one site.
+    """Posterior-predictive maxima cdf for one site, with ``y_grid`` as its
+    evaluation grid; no grid values are computed here.
 
     Blocks with a zero event count contribute ``F^0 = 1`` to the average
     (no events means the block maximum is degenerate); their number is
@@ -263,25 +294,10 @@ def predictive_cdf(
     if y_grid.ndim != 1 or y_grid.size < 2 or np.any(np.diff(y_grid) <= 0.0) or y_grid[0] <= 0.0:
         raise ValueError("y grid must be a positive strictly increasing vector")
     blocks = simulate_future_blocks(params, config, rng)
-    b = blocks.n_draws
-    per_draw = np.empty((b, y_grid.size))
-    logy = np.log(y_grid)
-    for start in range(0, b, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, b))
-        with np.errstate(over="ignore", under="ignore"):
-            f = -np.expm1(
-                -np.exp(
-                    blocks.gamma[sl][:, :, None]
-                    * (logy[None, None, :] - np.log(blocks.delta[sl])[:, :, None])
-                )
-            )
-        per_draw[sl] = np.power(f, blocks.n[sl][:, :, None]).mean(axis=1)
     zero_blocks = int((blocks.n == 0).sum())
     all_dry = int(np.all(blocks.n == 0, axis=1).sum())
     return MaximaCdfEstimate(
         y=y_grid,
-        per_draw=per_draw,
-        pooled=per_draw.mean(axis=0),
         blocks=blocks,
         config=config,
         zero_event_blocks=zero_blocks,

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import shmev
 from shmev.cli import load_fit, main, run_command
 from shmev.errors import ConfigError
 
@@ -186,6 +190,46 @@ class TestValidation:
         assert err["error"] == "ConfigError"
         assert not (out / "p" / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("warmup_fraction", 1.5),
+            ("warmup_fraction", 0.0),
+            ("target_accept", 1.0),
+            ("step_jitter", 1.0),
+            ("step_jitter", -0.1),
+        ],
+    )
+    def test_sampler_range_is_config_error(self, tmp_path, capsys, key, value):
+        out = tmp_path / "runs"
+        body = yaml.safe_load(tiny_study_config(tmp_path, out).read_text())
+        body["fit"]["sampler"][key] = value
+        bad = write_config(tmp_path / "bad.yaml", body)
+        code = main(["fit", "--config", str(bad), "--out", str(out / "fit")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["exit_code"] == 2
+        assert err["command"] == "fit"
+        assert f"fit.sampler.{key}" in err["message"]
+        assert not (out / "fit" / "manifest.json").exists()
+
+    def test_non_finite_covariate_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        config = tiny_study_config(tmp_path, out)
+        run_command("simulate", config, out / "simulate")
+        covariates = out / "simulate" / "covariates.csv"
+        header, first, *rest = covariates.read_text().splitlines()
+        station = first.split(",")[0]
+        covariates.write_text("\n".join([header, f"{station},nan,0.5", *rest]) + "\n")
+        code = main(["fit", "--config", str(config), "--out", str(out / "fit")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError"
+        assert err["exit_code"] == 3
+        assert "non-finite covariate" in err["message"]
+        assert not (out / "fit" / "manifest.json").exists()
+
     def test_unknown_keys_rejected(self, tmp_path):
         config = write_config(
             tmp_path / "c.yaml",
@@ -248,3 +292,15 @@ class TestManifest:
             a = (out / "simulate" / artifact["path"]).read_bytes()
             b = (tmp_path / "again" / artifact["path"]).read_bytes()
             assert a == b, artifact["path"]
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    src = str(Path(shmev.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, shmev.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

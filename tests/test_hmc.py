@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,19 @@ class TestRunHmc:
         config = SamplerConfig(n_chains=1, n_iterations=40, seed=3)
         with pytest.raises(NumericError, match="diverged"):
             run_hmc(spike, config, np.zeros((1, 2)))
+
+    def test_kinetic_energy_overflow_is_a_silent_divergence(self):
+        from shmev.errors import NumericError
+
+        def steep(v):
+            # finite density whose gradient drives the momentum past sqrt(max float)
+            return 0.0, np.full(v.size, 1e200)
+
+        config = SamplerConfig(n_chains=1, n_iterations=2, seed=3)  # one warmup step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match="all 1 warmup iterations diverged"):
+                run_hmc(steep, config, np.zeros((1, 2)))
 
 
 class TestLeapfrogProperties:

@@ -3,13 +3,17 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from scipy.optimize import bisect
 from scipy.special import gammaln
 
 from shmev.data import Dataset, SiteCovariates
 from shmev.errors import ConvergenceError, DataError
 from shmev.ingest import (
+    _MOM_BRACKET,
     ElicitationRules,
     QcPolicy,
+    _bisect,
+    _log_cv2_plus_one,
     build_dataset,
     convert_ghcn_dly,
     dataset_to_rows,
@@ -219,6 +223,17 @@ class TestWeibullMom:
         with pytest.raises(ConvergenceError):
             weibull_mom(sample)
 
+    def test_bisection_matches_scipy_bit_for_bit(self):
+        # CV targets across the whole shape bracket, both ends included
+        lo, hi = _MOM_BRACKET
+        for shape in np.geomspace(lo, hi, 301):
+            target = _log_cv2_plus_one(shape)
+
+            def f(g):
+                return _log_cv2_plus_one(g) - target
+
+            assert _bisect(f, lo, hi, xtol=1e-13) == bisect(f, lo, hi, xtol=1e-13), shape
+
     def test_moment_roundtrip(self, rng):
         sample = 4.0 * rng.weibull(1.3, size=5_000)
         mom = weibull_mom(sample)
@@ -312,6 +327,13 @@ class TestFileFormats:
         names, parsed = read_covariate_file(path)
         assert names == ["lat", "lon"]
         assert parsed == table
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_covariate_rejected(self, tmp_path, bad):
+        path = tmp_path / "c.csv"
+        path.write_text(f"station,lat,lon\nA,35.1,-80.2\nB,{bad},-78.5\n")
+        with pytest.raises(DataError, match="c.csv:3: non-finite covariate"):
+            read_covariate_file(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

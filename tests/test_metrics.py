@@ -2,9 +2,11 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from shmev.metrics import (
     EvalResult,
+    _average_ranks,
     bias_and_width,
     empirical_return_times,
     evaluate_site,
@@ -45,6 +47,23 @@ class TestEmpiricalReturnTimes:
     def test_ties_get_average_ranks(self):
         p, _ = empirical_return_times([3.0, 3.0, 5.0])
         assert p[0] == p[1] == pytest.approx(1.5 / 4.0)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [12.0],
+            [5.0, 9.0, 7.0],
+            [3.0, 3.0, 5.0, 1.0, 3.0, 5.0],
+            np.random.default_rng(8).gamma(2.0, 20.0, 200),
+            np.round(np.random.default_rng(9).gamma(2.0, 20.0, 200)),  # many ties
+            [2.0, np.inf, 1.0, np.inf],
+            [2.0, np.nan, 1.0],
+        ],
+    )
+    def test_average_ranks_equal_scipy_rankdata(self, values):
+        x = np.asarray(values, dtype=float)
+        expected = rankdata(x, method="average")
+        assert np.array_equal(_average_ranks(x), expected, equal_nan=True)
 
 
 class TestFse:

@@ -35,13 +35,9 @@ def degenerate_params(n_draws, shape=0.86, scale=10.5, event_prob=0.283):
 
 
 def estimate_from_blocks(gamma, delta, n, y, trials=366):
-    blocks = BlockDraws(gamma=gamma, delta=delta, n=n, trials=trials)
-    per_draw = np.stack([blocks.cdf_at(np.full(blocks.n_draws, yy)) for yy in y], axis=1)
     return MaximaCdfEstimate(
         y=y,
-        per_draw=per_draw,
-        pooled=per_draw.mean(axis=0),
-        blocks=blocks,
+        blocks=BlockDraws(gamma=gamma, delta=delta, n=n, trials=trials),
         config=PredictiveConfig(blocks_per_draw=gamma.shape[1], trials_per_block=trials),
     )
 
@@ -242,6 +238,37 @@ class TestInvariants:
         periods = np.array([2.0, 5.0, 10.0, 25.0, 50.0, 100.0])
         q = est.per_draw_quantiles(1.0 - 1.0 / periods)
         assert np.all(np.diff(q, axis=1) >= 0.0)
+
+    def test_grid_is_filled_only_when_read(self, rng):
+        params = SitePredictiveParams(
+            mu_gamma=0.8 + 0.05 * rng.standard_normal(150),
+            sigma_gamma=np.full(150, 0.05),
+            mu_delta=10.0 + rng.standard_normal(150),
+            sigma_delta=np.full(150, 1.5),
+            event_prob=np.full(150, 0.3),
+        )
+        y = np.geomspace(0.5, 500.0, 96)
+        est = predictive_cdf(params, y, PredictiveConfig(blocks_per_draw=30), rng)
+        est.per_draw_quantiles([0.5, 0.9])
+        assert "per_draw" not in est.__dict__
+        assert "pooled" not in est.__dict__
+
+        # the eager fill predictive_cdf used to run, 64 draws per chunk
+        blocks, b = est.blocks, est.blocks.n_draws
+        expected = np.empty((b, y.size))
+        logy = np.log(y)
+        for start in range(0, b, 64):
+            sl = slice(start, min(start + 64, b))
+            with np.errstate(over="ignore", under="ignore"):
+                f = -np.expm1(
+                    -np.exp(
+                        blocks.gamma[sl][:, :, None]
+                        * (logy[None, None, :] - np.log(blocks.delta[sl])[:, :, None])
+                    )
+                )
+            expected[sl] = np.power(f, blocks.n[sl][:, :, None]).mean(axis=1)
+        assert est.per_draw.tobytes() == expected.tobytes()
+        assert est.pooled.tobytes() == expected.mean(axis=0).tobytes()
 
     def test_default_grid_spans_observations(self):
         mags = np.array([0.5, 3.0, 80.0])
