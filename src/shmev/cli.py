@@ -642,9 +642,12 @@ def _read_test_maxima(path: Path) -> dict[str, np.ndarray]:
             if len(row) != 3:
                 raise DataError(f"{path}:{lineno}: wrong field count")
             try:
-                per_station.setdefault(row[0].strip(), []).append(float(row[2]))
+                value = float(row[2])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric maximum") from exc
+            if not np.isfinite(value):
+                raise DataError(f"{path}:{lineno}: non-finite maximum")
+            per_station.setdefault(row[0].strip(), []).append(value)
     return {k: np.asarray(v, dtype=float) for k, v in per_station.items()}
 
 

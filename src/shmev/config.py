@@ -102,7 +102,7 @@ class SimulateSection:
 
     @classmethod
     def from_mapping(cls, m: Mapping, context: str = "simulate") -> "SimulateSection":
-        _check_keys(m, {f.name for f in cls.__dataclass_fields__.values()} if False else set(cls.__dataclass_fields__), context)
+        _check_keys(m, set(cls.__dataclass_fields__), context)
         kwargs: dict[str, Any] = {}
         if "scenario" in m:
             scenario = _as_str(m["scenario"], f"{context}.scenario")

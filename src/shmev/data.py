@@ -177,13 +177,3 @@ class Dataset:
                 if mags.size:
                     out[s, j] = mags.max()
         return out
-
-    def restrict_site(self, index: int) -> "Dataset":
-        """Single-site view used by the per-site benchmark fits."""
-        return Dataset(
-            sites=[self.sites[index]],
-            blocks=self.blocks,
-            events=[self.events[index]],
-            trials_per_block=self.trials_per_block,
-            snapshot=self.snapshot,
-        )

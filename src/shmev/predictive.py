@@ -6,9 +6,12 @@ is simulated (latent Weibull parameters from positivity-truncated Gumbel
 draws, counts from the binomial layer), and the maxima cdf is the average
 of ``F(y)^n`` over those blocks.  Pooling averages the per-draw curves.
 
-The cdf on the evaluation grid is computed on demand: quantile inversion
-evaluates the simulated blocks exactly and reads only the grid's upper end,
-which seeds the bisection bracket.
+Quantiles invert each draw's exact mixture cdf by safeguarded Newton in
+log y, using its analytic slope, inside a bracket that only shrinks: the
+grid's upper end (doubled as needed) above and the previous, smaller
+probability's solution below, so per-draw quantile curves are nondecreasing
+in the probability.  The cdf on the evaluation grid is computed only when
+read; inversion reads just the grid's two ends.
 """
 from __future__ import annotations
 
@@ -137,17 +140,43 @@ class BlockDraws:
     def n_draws(self) -> int:
         return self.gamma.shape[0]
 
-    def cdf_members(self, y: np.ndarray) -> np.ndarray:
-        """``F(y_b)^{n_bj}`` for per-draw evaluation points ``y`` (B,) -> (B, M)."""
+    def cdf_kernel(
+        self, y: np.ndarray, rows=slice(None), slope: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Exact maxima cdf ``G_b(y_b) = mean_j F(y_b; gamma_bj, delta_bj)^n_bj``
+        of the draws ``rows`` at one point per row, and with ``slope`` also
+        ``dG_b/dlog y = mean_j n F^(n-1) e^(-t) t gamma`` with
+        ``t = (y/delta)^gamma``; otherwise the second entry is None."""
         y = np.asarray(y, dtype=float)[:, None]
+        gamma, n = self.gamma[rows], self.n[rows]
+        # in place: at thousands of draws each fresh (rows, M) temporary
+        # costs page faults comparable to its arithmetic
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logy = np.where(y > 0.0, np.log(np.maximum(y, 1e-300)), -np.inf)
-            f = -np.expm1(-np.exp(self.gamma * (logy - np.log(self.delta))))
-        return np.power(f, self.n)
+            z = np.log(self.delta[rows])
+            np.subtract(logy, z, out=z)
+            z *= gamma
+            t = np.exp(z)
+            f = np.negative(t)
+            np.expm1(f, out=f)
+            np.negative(f, out=f)
+        members = np.power(f, n)
+        cdf = members.mean(axis=1)
+        if not slope:
+            return cdf, None
+        # n F^n / F stands for n F^(n-1): where F < 1e-300, t < 1e-300 and the
+        # e^(-t) t = exp(z - t) factor makes the member slope vanish anyway
+        np.subtract(z, t, out=z)
+        np.exp(z, out=z)
+        z *= gamma
+        members *= n
+        members /= np.maximum(f, 1e-300, out=f)
+        members *= z
+        return cdf, members.mean(axis=1)
 
     def cdf_at(self, y: np.ndarray) -> np.ndarray:
         """Exact per-draw maxima cdf at per-draw points ``y`` (B,) -> (B,)."""
-        return self.cdf_members(y).mean(axis=1)
+        return self.cdf_kernel(y)[0]
 
 
 def simulate_future_blocks(
@@ -175,7 +204,7 @@ class MaximaCdfEstimate:
     evaluation at any point, plus an evaluation grid ``y``.
 
     The grid values ``per_draw`` (B, len(y)) and ``pooled`` are computed when
-    first read; quantile inversion reads only ``y[-1]``.
+    first read; quantile inversion reads only ``y[0]`` and ``y[-1]``.
     """
 
     y: np.ndarray
@@ -219,22 +248,29 @@ class MaximaCdfEstimate:
         return self.blocks.cdf_at(y)
 
     def per_draw_quantiles(self, probs, tol: float | None = None) -> np.ndarray:
-        """Invert each draw's cdf at every probability by monotone bisection.
+        """Invert each draw's cdf at every probability; (k,) -> (B, k).
 
-        Probabilities are processed in increasing order and each solution
-        seeds the lower bracket of the next, so per-draw quantile curves are
-        nondecreasing in the probability by construction.  Returns (B, k).
+        Safeguarded Newton in log y on the exact mixture cdf: a draw stops
+        once ``|G - p| < tol`` or its bracket is narrower than 1e-12
+        relative, and converged draws drop out of the evaluation.  A Newton
+        step is taken only when it lands strictly inside the draw's bracket;
+        otherwise the bracket is bisected.  The distinct probabilities are
+        solved in increasing order, each starting from the previous solution,
+        which is also its lower bracket, so per-draw quantile curves are
+        nondecreasing in the probability by construction; the upper bracket
+        is the grid's upper end, doubled until it reaches the largest
+        probability.  Equal probabilities get identical columns.
         """
         probs = np.atleast_1d(np.asarray(probs, dtype=float))
         if np.any(probs <= 0.0) or np.any(probs >= 1.0):
             raise ValueError("probabilities must lie in (0, 1)")
         tol = self.config.cdf_tol if tol is None else tol
-        order = np.argsort(probs)
+        levels, inverse = np.unique(probs, return_inverse=True)
         b = self.n_draws
-        out = np.empty((b, probs.size))
+        out = np.empty((b, levels.size))
 
         hi_global = np.full(b, float(self.y[-1]))
-        pmax = float(probs.max())
+        pmax = float(levels[-1])
         for _ in range(self.config.max_extensions):
             short = self.cdf_at(hi_global) < pmax
             if not short.any():
@@ -247,23 +283,29 @@ class MaximaCdfEstimate:
             )
 
         lo = np.zeros(b)
-        for idx in order:
-            p = probs[idx]
+        # the smallest probability starts midway, in log y, inside the grid
+        x = np.sqrt(self.y[0] * hi_global)
+        g, dg = self.blocks.cdf_kernel(x, slope=True)
+        for k, p in enumerate(levels):
             hi = hi_global.copy()
-            mid = 0.5 * (lo + hi)
+            act = np.arange(b)
             for _ in range(200):
-                c = self.cdf_at(mid)
-                done = np.abs(c - p) < tol
-                width_ok = (hi - lo) <= 1e-12 * np.maximum(hi, 1.0)
-                if np.all(done | width_ok):
+                below = g[act] < p
+                lo[act] = np.where(below, x[act], lo[act])
+                hi[act] = np.where(below, hi[act], x[act])
+                stop = np.abs(g[act] - p) < tol
+                stop |= (hi[act] - lo[act]) <= 1e-12 * np.maximum(hi[act], 1.0)
+                act = act[~stop]
+                if act.size == 0:
                     break
-                low_side = c < p
-                lo = np.where(low_side & ~done, mid, lo)
-                hi = np.where(~low_side & ~done, mid, hi)
-                mid = np.where(done, mid, 0.5 * (lo + hi))
-            out[:, idx] = mid
-            lo = mid.copy()
-        return out
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    step = x[act] * np.exp((p - g[act]) / dg[act])
+                inside = (lo[act] < step) & (step < hi[act])
+                x[act] = np.where(inside, step, 0.5 * (lo[act] + hi[act]))
+                g[act], dg[act] = self.blocks.cdf_kernel(x[act], act, slope=True)
+            out[:, k] = x
+            lo = x.copy()  # the next, larger probability's lower bracket
+        return out[:, inverse]
 
 
 def default_y_grid(magnitudes, config: PredictiveConfig = PredictiveConfig()) -> np.ndarray:

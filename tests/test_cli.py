@@ -230,6 +230,24 @@ class TestValidation:
         assert "non-finite covariate" in err["message"]
         assert not (out / "fit" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_test_maximum_is_data_error(self, tmp_path, capsys, value):
+        out = tmp_path / "runs"
+        config = tiny_study_config(tmp_path, out)
+        run_command("simulate", config, out / "simulate")
+        maxima = out / "simulate" / "test_maxima.csv"
+        header, first, *rest = maxima.read_text().splitlines()
+        station, block, _ = first.split(",")
+        maxima.write_text("\n".join([header, f"{station},{block},{value}", *rest]) + "\n")
+        code = main(["evaluate", "--config", str(config), "--out", str(out / "evaluate")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError"
+        assert err["exit_code"] == 3
+        assert err["command"] == "evaluate"
+        assert f"{maxima}:2: non-finite maximum" in err["message"]
+        assert not (out / "evaluate" / "manifest.json").exists()
+
     def test_unknown_keys_rejected(self, tmp_path):
         config = write_config(
             tmp_path / "c.yaml",

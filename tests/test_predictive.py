@@ -97,6 +97,43 @@ class TestPredictiveCdf:
             shmev_site_params(draws, layout, np.array([1.0, 0.5]))
 
 
+def kernel_blocks():
+    """Rows mixing shapes 0.3..3, scales 0.1..1e3 and counts 0..366; the
+    last two rows are all dry."""
+    pick = np.random.default_rng(8).choice
+    gamma = pick([0.3, 0.7, 1.0, 2.0, 3.0], size=(10, 6))
+    delta = pick([0.1, 1.0, 10.0, 100.0, 1e3], size=(10, 6))
+    n = pick([0, 1, 17, 100, 366], size=(10, 6))
+    n[-2:] = 0
+    return BlockDraws(gamma=gamma, delta=delta, n=n, trials=366)
+
+
+class TestCdfKernel:
+    @pytest.mark.parametrize("y", [0.05, 0.5, 3.0, 30.0, 300.0, 3e3, 3e4])
+    def test_slope_matches_central_difference(self, y):
+        blocks = kernel_blocks()
+        x = np.full(blocks.n_draws, y)
+        h = 1e-5
+        cdf, slope = blocks.cdf_kernel(x, slope=True)
+        up, _ = blocks.cdf_kernel(x * np.exp(h), slope=True)
+        down, _ = blocks.cdf_kernel(x * np.exp(-h), slope=True)
+        fd = (up - down) / (2.0 * h)
+        assert np.all(np.isfinite(slope)) and np.all(slope >= 0.0)
+        assert np.allclose(slope, fd, rtol=1e-5, atol=1e-9)
+        # all-dry rows: the cdf is exactly 1 and its slope exactly 0
+        assert np.all(cdf[-2:] == 1.0)
+        assert np.all(slope[-2:] == 0.0)
+
+    def test_cdf_at_is_the_kernel_cdf_byte_for_byte(self):
+        blocks = kernel_blocks()
+        x = np.geomspace(0.01, 1e4, blocks.n_draws)
+        full = blocks.cdf_at(x)
+        assert full.tobytes() == blocks.cdf_kernel(x)[0].tobytes()
+        assert full.tobytes() == blocks.cdf_kernel(x, slope=True)[0].tobytes()
+        rows = np.array([1, 4, 8])
+        assert full[rows].tobytes() == blocks.cdf_kernel(x[rows], rows, slope=True)[0].tobytes()
+
+
 class TestPredictiveQuantile:
     def test_roundtrip_through_cdf(self, rng):
         params = degenerate_params(50)
@@ -238,6 +275,24 @@ class TestInvariants:
         periods = np.array([2.0, 5.0, 10.0, 25.0, 50.0, 100.0])
         q = est.per_draw_quantiles(1.0 - 1.0 / periods)
         assert np.all(np.diff(q, axis=1) >= 0.0)
+
+    def test_newton_needs_few_kernel_calls_per_probability(self, rng, monkeypatch):
+        params = SitePredictiveParams(
+            mu_gamma=0.8 + 0.05 * rng.standard_normal(60),
+            sigma_gamma=np.full(60, 0.05),
+            mu_delta=10.0 + rng.standard_normal(60),
+            sigma_delta=np.full(60, 1.5),
+            event_prob=np.full(60, 0.3),
+        )
+        y = np.geomspace(0.5, 500.0, 128)
+        est = predictive_cdf(params, y, PredictiveConfig(blocks_per_draw=80), rng)
+        calls = []
+        kernel = BlockDraws.cdf_kernel
+        monkeypatch.setattr(BlockDraws, "cdf_kernel", lambda *a, **k: calls.append(1) or kernel(*a, **k))
+        probs = 1.0 - 1.0 / np.array([2.0, 5.0, 10.0, 25.0, 50.0, 100.0])
+        est.per_draw_quantiles(probs)
+        # bisection from the global upper bracket needs about 20
+        assert len(calls) / probs.size < 10
 
     def test_grid_is_filled_only_when_read(self, rng):
         params = SitePredictiveParams(
