@@ -731,7 +731,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the YAML run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker count for chains and per-site fits")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker processes for a fit's chains (serial where fork is unavailable)")
     parser.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
     args = parser.parse_args(argv)
 

@@ -6,11 +6,17 @@ warmup, estimates a diagonal mass matrix from a mid-warmup window, and
 freezes both after warmup.  Chains own independent random streams spawned
 deterministically from the seed, so results are reproducible regardless of
 worker count.
+
+With more than one worker, chains run in worker processes forked from the
+caller, which inherit the target, configuration, initial points and each
+chain's random stream; only a chain's result dict (draws, acceptance,
+divergences, step size) is sent back.  Where the ``fork`` start method does
+not exist, chains run one after another in the calling process.
 """
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -25,6 +31,10 @@ __all__ = ["SamplerConfig", "PosteriorDraws", "run_hmc", "rhat_ess", "trace_expo
 _DA_GAMMA = 0.05
 _DA_T0 = 10.0
 _DA_KAPPA = 0.75
+
+# (target, config, init, streams) of the run_hmc call whose workers are being
+# forked; the workers inherit it, so nothing of it is pickled
+_FORKED_RUN = None
 
 
 @dataclass(frozen=True)
@@ -239,6 +249,12 @@ def _run_chain(target, config: SamplerConfig, q0: np.ndarray, rng: np.random.Gen
     }
 
 
+def _forked_chain(c: int) -> dict:
+    """Run chain ``c`` of the run_hmc call a worker process was forked from."""
+    target, config, init, streams = _FORKED_RUN
+    return _run_chain(target, config, init[c], streams[c])
+
+
 def run_hmc(
     target: Callable[[np.ndarray], tuple[float, np.ndarray]],
     config: SamplerConfig,
@@ -251,10 +267,12 @@ def run_hmc(
 
     ``target`` maps an unconstrained vector to ``(log_density, gradient)``;
     a ``-inf`` value is treated as a rejected state.  ``init`` supplies one
-    starting vector per chain.  Chains may execute concurrently
-    (``n_workers`` > 1); each owns a private random stream spawned from
-    ``config.seed`` and the merged result is identical either way.
+    starting vector per chain.  With ``n_workers`` > 1 chains run in up to
+    ``n_workers`` forked processes; each chain owns a private random stream
+    spawned from ``config.seed`` and the merged result is identical either
+    way.  A chain's exception reaches the caller as it would in serial.
     """
+    global _FORKED_RUN
     init = np.atleast_2d(np.asarray(init, dtype=float))
     if init.shape[0] != config.n_chains:
         raise ValueError(f"need {config.n_chains} initial vectors, got {init.shape[0]}")
@@ -265,14 +283,18 @@ def run_hmc(
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.n_chains)]
 
-    def job(c):
-        return _run_chain(target, config, init[c], streams[c])
-
-    if n_workers > 1 and config.n_chains > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(job, range(config.n_chains)))
+    n_procs = min(n_workers, config.n_chains)
+    if n_procs > 1 and "fork" in multiprocessing.get_all_start_methods():
+        _FORKED_RUN = (target, config, init, streams)
+        try:
+            # Pool forks its workers before it starts its helper threads;
+            # leaving the with block terminates and joins them
+            with multiprocessing.get_context("fork").Pool(n_procs) as pool:
+                results = pool.map(_forked_chain, range(config.n_chains), chunksize=1)
+        finally:
+            _FORKED_RUN = None
     else:
-        results = [job(c) for c in range(config.n_chains)]
+        results = [_run_chain(target, config, init[c], streams[c]) for c in range(config.n_chains)]
 
     draws = np.concatenate([r["draws"] for r in results], axis=0)
     chain = np.repeat(np.arange(config.n_chains), config.n_kept)
@@ -350,25 +372,17 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
     var_plus_safe = np.where(var_plus <= 0.0, 1.0, var_plus)
     rho = 1.0 - (w - tau_t) / var_plus_safe     # (half, dim)
     rho[0] = 1.0
-    ess = np.empty(dim)
     total = m * n
+    # Geyer pair sums up to the first negative pair (a NaN pair does not end
+    # them), each capped by the pairs before it; cumsum adds left to right
+    # from 0.0, so ESS does not depend on numpy's summation order
     max_pairs = (n_half - 1) // 2
-    for k in range(dim):
-        if degenerate[k]:
-            ess[k] = np.nan
-            continue
-        pair_sum = 0.0
-        prev = np.inf
-        for t in range(max_pairs):
-            p = rho[2 * t, k] + rho[2 * t + 1, k]
-            if p < 0.0:
-                break
-            p = min(p, prev)
-            pair_sum += p
-            prev = p
-        tau = max(-1.0 + 2.0 * pair_sum, 1.0 / total)
-        ess[k] = total / tau
-    ess = np.where(degenerate, np.nan, ess)
+    pairs = rho[0:2 * max_pairs:2] + rho[1:2 * max_pairs:2]   # (max_pairs, dim)
+    kept = np.logical_and.accumulate(~(pairs < 0.0), axis=0)
+    terms = np.where(kept, np.minimum.accumulate(pairs, axis=0), 0.0)
+    pair_sum = np.cumsum(np.vstack([np.zeros(dim), terms]), axis=0)[-1]
+    tau = np.maximum(-1.0 + 2.0 * pair_sum, 1.0 / total)
+    ess = np.where(degenerate, np.nan, total / tau)
     return rhat, ess, degenerate
 
 

@@ -27,7 +27,6 @@ log_mu_delta, log_sigma_delta, logit_lambda]`` followed by ``log_gamma``
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -379,9 +378,10 @@ class _CompiledShmev:
     """Event data flattened into arrays for vectorized likelihood passes.
 
     Events are concatenated in block order (site-major), so per-block sums
-    reduce to segment sums over precomputed boundaries.  Scratch buffers are
-    per-thread: evaluation stays safe for concurrent chains while avoiding
-    large allocations in the sampler's hot loop.
+    reduce to segment sums over precomputed boundaries.  One pair of scratch
+    buffers, allocated on first use, keeps large allocations out of the
+    sampler's hot loop; chains that run concurrently do so in separate
+    processes, each with its own copy.
     """
 
     def __init__(self, dataset: Dataset):
@@ -420,14 +420,12 @@ class _CompiledShmev:
         self.binom_const = float(
             np.sum(gammaln(N + 1.0) - gammaln(n + 1.0) - gammaln(N - n + 1.0))
         )
-        self._scratch = threading.local()
+        self._buffers: tuple[np.ndarray, np.ndarray] | None = None
 
     def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        buf = getattr(self._scratch, "buf", None)
-        if buf is None:
-            buf = (np.empty(self.logx.size), np.empty(self.logx.size))
-            self._scratch.buf = buf
-        return buf
+        if self._buffers is None:
+            self._buffers = (np.empty(self.logx.size), np.empty(self.logx.size))
+        return self._buffers
 
     def block_sums(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Sum per-event values into per-block totals (empty blocks get 0)."""

@@ -1,10 +1,12 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -176,6 +178,23 @@ class TestDeterminism:
                 else:
                     assert (out / sub / rel).read_bytes() == (alt / sub / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("model", ["shmev", "hmev", "gev"])
+    def test_worker_count_does_not_change_fit_artifacts(self, study, tmp_path, model):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        body["fit"]["model"] = model
+        if model == "gev":
+            body["fit"].pop("covariates")
+            body["fit"].pop("covariate_columns")
+        model_config = write_config(tmp_path / f"{model}.yaml", body)
+        manifests = []
+        for threads in ("1", "2"):
+            fit_dir = tmp_path / f"fit_{threads}"
+            code = main(["fit", "--config", str(model_config), "--out", str(fit_dir), "--threads", threads])
+            assert code == 0
+            manifests.append((fit_dir / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+
 
 class TestValidation:
     def test_negative_blocks_per_draw_fails_before_any_work(self, tmp_path, capsys):
@@ -247,6 +266,22 @@ class TestValidation:
         assert err["command"] == "evaluate"
         assert f"{maxima}:2: non-finite maximum" in err["message"]
         assert not (out / "evaluate" / "manifest.json").exists()
+
+    def test_chain_error_in_a_worker_is_numeric_error(self, study, tmp_path, capsys, monkeypatch):
+        from shmev.model import GevTarget
+
+        base, out, config = study
+        # a finite density with an overflowing gradient: every warmup trajectory diverges
+        monkeypatch.setattr(GevTarget, "__call__", lambda self, v: (0.0, np.full(v.size, 1e200)))
+        code = main(["fit", "--config", str(base / "gev.yaml"), "--out", str(tmp_path / "fit"), "--threads", "2"])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "NumericError"
+        assert err["exit_code"] == 4
+        assert err["command"] == "fit"
+        assert "warmup iterations diverged" in err["message"]
+        assert not (tmp_path / "fit" / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
 
     def test_unknown_keys_rejected(self, tmp_path):
         config = write_config(

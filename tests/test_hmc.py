@@ -1,10 +1,20 @@
 import csv
+import multiprocessing
 import warnings
 
 import numpy as np
 import pytest
 
-from shmev.hmc import PosteriorDraws, SamplerConfig, _leapfrog, rhat_ess, run_hmc, trace_export
+from shmev.hmc import (
+    PosteriorDraws,
+    SamplerConfig,
+    _autocovariance,
+    _leapfrog,
+    _split_chains,
+    rhat_ess,
+    run_hmc,
+    trace_export,
+)
 
 NORMAL_5_2_Q975 = 8.919927969080108  # 5 + 2 * Phi^-1(0.975)
 
@@ -29,6 +39,37 @@ def make_draws(draws, n_chains, names=None):
         divergences=np.zeros(n_chains, dtype=int),
         step_sizes=np.full(n_chains, 0.5),
     )
+
+
+def loop_ess(x):
+    """The per-parameter Geyer loop that ``rhat_ess`` replaced, as a reference."""
+    m, n, dim = x.shape
+    s = _split_chains(x)
+    n_half = s.shape[1]
+    w = s.var(axis=1, ddof=1).mean(axis=0)
+    b = n_half * s.mean(axis=1).var(axis=0, ddof=1)
+    degenerate = w <= 0.0
+    var_plus = (n_half - 1.0) / n_half * w + b / n_half
+    tau_t = _autocovariance(s).mean(axis=0)
+    rho = 1.0 - (w - tau_t) / np.where(var_plus <= 0.0, 1.0, var_plus)
+    rho[0] = 1.0
+    ess = np.empty(dim)
+    total = m * n
+    for k in range(dim):
+        if degenerate[k]:
+            ess[k] = np.nan
+            continue
+        pair_sum = 0.0
+        prev = np.inf
+        for t in range((n_half - 1) // 2):
+            p = rho[2 * t, k] + rho[2 * t + 1, k]
+            if p < 0.0:
+                break
+            p = min(p, prev)
+            pair_sum += p
+            prev = p
+        ess[k] = total / max(-1.0 + 2.0 * pair_sum, 1.0 / total)
+    return ess
 
 
 class TestRunHmc:
@@ -71,8 +112,18 @@ class TestRunHmc:
         config = SamplerConfig(n_chains=4, n_iterations=200, seed=5)
         init = np.ones((4, 3))
         serial = run_hmc(target, config, init, n_workers=1)
-        threaded = run_hmc(target, config, init, n_workers=4)
-        assert np.array_equal(serial.draws, threaded.draws)
+        for n_workers in (2, 4):
+            forked = run_hmc(target, config, init, n_workers=n_workers)
+            for field in ("draws", "step_sizes", "accept_prob", "divergences"):
+                assert np.array_equal(getattr(serial, field), getattr(forked, field)), (n_workers, field)
+            assert multiprocessing.active_children() == []
+
+    def test_forked_workers_emit_no_warning(self):
+        target, _ = std_normal_target(3)
+        config = SamplerConfig(n_chains=2, n_iterations=40, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_hmc(target, config, np.ones((2, 3)), n_workers=2)
 
     def test_chain_count_invariance_of_pooled_mean(self):
         target, _ = std_normal_target(10)
@@ -99,6 +150,24 @@ class TestRunHmc:
         config = SamplerConfig(n_chains=1, n_iterations=40, seed=3)
         with pytest.raises(NumericError, match="diverged"):
             run_hmc(spike, config, np.zeros((1, 2)))
+
+    def test_chain_error_in_a_worker_reaches_the_caller_as_in_serial(self):
+        from shmev.errors import NumericError
+
+        def steep(v):
+            return 0.0, np.full(v.size, 1e200)
+
+        config = SamplerConfig(n_chains=2, n_iterations=20, seed=3)
+        messages = []
+        for n_workers in (1, 2):
+            with pytest.raises(NumericError) as info:
+                run_hmc(steep, config, np.zeros((2, 2)), n_workers=n_workers)
+            assert type(info.value) is NumericError
+            messages.append(str(info.value))
+            assert multiprocessing.active_children() == []
+        assert messages[0] == messages[1] == (
+            "all 10 warmup iterations diverged; the target may be ill-conditioned or the gradient wrong"
+        )
 
     def test_kinetic_energy_overflow_is_a_silent_divergence(self):
         from shmev.errors import NumericError
@@ -182,6 +251,27 @@ class TestRhatEss:
     def test_too_few_draws_rejected(self):
         with pytest.raises(ValueError):
             rhat_ess(np.zeros((2, 3, 1)))
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 40, 301])
+    def test_ess_equals_the_per_parameter_loop(self, n):
+        rng = np.random.default_rng(n)
+        x = np.empty((3, n, 7))
+        x[..., 0] = rng.standard_normal((3, n))
+        for k, phi in ((1, 0.95), (2, -0.7), (3, 0.5)):  # AR(1) chains
+            e = rng.standard_normal((3, n))
+            x[:, 0, k] = e[:, 0]
+            for t in range(1, n):
+                x[:, t, k] = phi * x[:, t - 1, k] + e[:, t]
+        x[..., 4] = 2.5  # degenerate
+        x[..., 5] = np.repeat([[0.0], [1.0], [2.0]], n, axis=1)  # constant chains at different levels
+        x[..., 6] = rng.standard_normal((3, n))
+        x[1, n // 2, 6] = np.nan  # the loop keeps a NaN pair: NaN ESS
+        _, ess, degenerate = rhat_ess(x)
+        expected = loop_ess(x)
+        assert np.array_equal(ess, expected, equal_nan=True)
+        assert list(degenerate) == [False, False, False, False, True, True, False]
+        # one parameter alone: its pair sums lie along the contiguous axis
+        assert np.array_equal(rhat_ess(x[..., 1:2])[1], loop_ess(x[..., 1:2]))
 
 
 class TestTraceExport:
