@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -135,7 +136,7 @@ class ArtifactSession:
                 {"path": rel, "sha256": _sha256(self.out_dir / rel)} for rel in artifacts
             ],
         }
-        path = self.out_dir / "manifest.json"
+        path = self.path("manifest.json")
         path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
         return path
 
@@ -376,6 +377,16 @@ def _magnitude_ranges(events_by_station: Mapping[str, list[np.ndarray]]) -> dict
     return ranges
 
 
+@contextmanager
+def _elicitation(context: str):
+    """Report the ``ValueError`` a prior elicitation raises on degenerate data
+    (equal magnitudes or maxima, too few events) as a ``DataError``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(f"{context}: {exc}") from exc
+
+
 def cmd_fit(
     section: FitSection,
     session: ArtifactSession,
@@ -430,7 +441,8 @@ def cmd_fit(
         if section.priors.mode == "explicit":
             prior = ShmevPriorSpec.from_dict(section.priors.explicit)
         else:
-            prior = elicit_priors(dataset, _elicitation_rules(section))
+            with _elicitation("prior elicitation"):
+                prior = elicit_priors(dataset, _elicitation_rules(section))
         target = ShmevTarget(dataset, prior)
         init = _chain_inits(target, sampler_cfg, seed)
         post = run_hmc(target, sampler_cfg, init, target.layout.param_names(), n_workers=threads)
@@ -463,11 +475,15 @@ def cmd_fit(
                 maxima = np.array([b.max() for b in blocks if b.size])
                 if maxima.size < 2:
                     raise DataError(f"station {rec.station}: too few block maxima for a GEV fit")
-                prior = GevPriorSpec.from_maxima(maxima)
+                with _elicitation(f"station {rec.station}"):
+                    prior = GevPriorSpec.from_maxima(maxima)
                 target = GevTarget(maxima, prior)
                 names = list(GevTarget.layout_names)
             else:
-                prior = elicit_hmev_priors(blocks, section.trials_per_block, _elicitation_rules(section))
+                with _elicitation(f"station {rec.station}"):
+                    prior = elicit_hmev_priors(
+                        blocks, section.trials_per_block, _elicitation_rules(section)
+                    )
                 target = HmevTarget(blocks, section.trials_per_block, prior)
                 names = target.layout.param_names()
             init = _chain_inits(target, site_cfg, site_seed)
@@ -713,10 +729,10 @@ def run_command(command: str, config_path: str | Path, out_dir: str | Path | Non
             cmd_evaluate(section, session, seed, base_dir)
         else:
             raise ConfigError(f"unknown command {command!r}")
+        session.write_manifest(command, seed, _resolved_config(raw, command, seed))
     except BaseException:
         session.cleanup()
         raise
-    session.write_manifest(command, seed, _resolved_config(raw, command, seed))
     return out
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericError
+from .special import gammaln
 
 __all__ = [
     "WeibullParams",

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logit
 
 from .data import Dataset, SiteCovariates, StandardizationSnapshot
 from .distributions import WeibullParams
@@ -37,6 +36,7 @@ from .model import (
     NormalPrior,
     ShmevPriorSpec,
 )
+from .special import gammaln, logit
 
 __all__ = [
     "QcPolicy",
@@ -556,10 +556,14 @@ def elicit_priors(dataset: Dataset, rules: ElicitationRules = ElicitationRules()
     counts = dataset.counts()
     n_days = dataset.n_blocks * dataset.trials_per_block
     for s in range(dataset.n_sites):
+        station = dataset.sites[s].station
         pooled = np.concatenate([m for m in dataset.events[s] if m.size]) if counts[s].sum() else np.zeros(0)
         if pooled.size < 2:
-            raise ValueError(f"station {dataset.sites[s].station} has too few events to elicit from")
-        mom = weibull_mom(pooled)
+            raise ValueError(f"station {station} has too few events to elicit from")
+        try:
+            mom = weibull_mom(pooled)
+        except ValueError as exc:
+            raise ValueError(f"station {station}: {exc}") from exc
         gam_hat.append(float(mom.shape))
         dlt_hat.append(float(mom.scale))
         rate = counts[s].sum() / n_days

@@ -28,12 +28,13 @@ log_mu_delta, log_sigma_delta, logit_lambda]`` followed by ``log_gamma``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaln, expit, gammaln, log_expit, logit
 
 from .data import Dataset
+from .special import betaln, expit, gammaln, log_expit, log_expit_pair, logit
 
 __all__ = [
     "NormalPrior",
@@ -76,9 +77,13 @@ class NormalPrior:
         if self.sd <= 0.0 or not np.isfinite(self.sd) or not np.isfinite(self.mean):
             raise ValueError("normal prior needs finite mean and positive sd")
 
+    @cached_property
+    def _log_norm(self) -> float:
+        return -0.5 * np.log(2.0 * np.pi) - np.log(self.sd)
+
     def logpdf(self, x: float) -> float:
         z = (x - self.mean) / self.sd
-        return -0.5 * np.log(2.0 * np.pi) - np.log(self.sd) - 0.5 * z * z
+        return self._log_norm - 0.5 * z * z
 
     def score(self, x: float) -> float:
         return -(x - self.mean) / self.sd**2
@@ -106,14 +111,13 @@ class InverseGammaPrior:
             raise ValueError("target mean must be positive")
         return cls(shape=shape, scale=mean * (shape - 1.0))
 
+    @cached_property
+    def _log_norm(self) -> float:
+        return self.shape * np.log(self.scale) - gammaln(self.shape)
+
     def log_density_unconstrained(self, u: float) -> float:
         """Density over u = log(x), transform Jacobian included."""
-        return (
-            self.shape * np.log(self.scale)
-            - gammaln(self.shape)
-            - self.shape * u
-            - self.scale * np.exp(-u)
-        )
+        return self._log_norm - self.shape * u - self.scale * np.exp(-u)
 
     def score_unconstrained(self, u: float) -> float:
         return -self.shape + self.scale * np.exp(-u)
@@ -150,9 +154,13 @@ class BetaPrior:
         if self.a <= 0.0 or self.b <= 0.0:
             raise ValueError("beta prior parameters must be positive")
 
+    @cached_property
+    def _log_beta(self) -> float:
+        return betaln(self.a, self.b)
+
     def log_density_unconstrained(self, u: float) -> float:
         """Density over u = logit(x), transform Jacobian included."""
-        return self.a * log_expit(u) + self.b * log_expit(-u) - betaln(self.a, self.b)
+        return self.a * log_expit(u) + self.b * log_expit(-u) - self._log_beta
 
     def score_unconstrained(self, u: float) -> float:
         return self.a - (self.a + self.b) * expit(u)
@@ -484,9 +492,9 @@ def _shmev_value_grad(
 
         # binomial counts, logit-linked success probability
         N = float(c.trials)
+        log_lam, log_1m_lam = log_expit_pair(ell)
         binom = float(
-            np.sum(c.sum_n_s * log_expit(ell) + (c.J * N - c.sum_n_s) * log_expit(-ell))
-            + c.binom_const
+            np.sum(c.sum_n_s * log_lam + (c.J * N - c.sum_n_s) * log_1m_lam) + c.binom_const
         )
 
         prior_terms = (

@@ -22,12 +22,12 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .data import SiteCovariates, StandardizationSnapshot
 from .distributions import GumbelParams, gumbel_sample_positive
 from .errors import ConvergenceError
 from .model import HmevLayout, ShmevLayout
+from .special import expit
 
 __all__ = [
     "PredictiveConfig",

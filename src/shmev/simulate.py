@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, SiteCovariates, StandardizationSnapshot
 from .distributions import GumbelParams, gumbel_sample_positive
 from .errors import NumericError
+from .special import expit
 
 __all__ = [
     "ScenarioConfig",

@@ -283,6 +283,48 @@ class TestValidation:
         assert not (tmp_path / "fit" / "manifest.json").exists()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("model", ["gev", "hmev", "shmev"])
+    def test_equal_magnitudes_are_data_error(self, tmp_path, capsys, model):
+        # every wet day of every station at 10 mm: all block maxima are equal
+        # too, so no Weibull or GEV prior can be elicited from the data
+        out = tmp_path / "runs"
+        config = tiny_study_config(tmp_path, out)
+        run_command("simulate", config, out / "simulate")
+        events = out / "simulate" / "events.csv"
+        header, *rows = events.read_text().splitlines()
+        first_station = rows[0].split(",")[0]
+        rewritten = []
+        for row in rows:
+            station, date, _, flag = row.split(",")
+            rewritten.append(f"{station},{date},10.0,{flag}")
+        events.write_text("\n".join([header, *rewritten]) + "\n")
+        body = yaml.safe_load(config.read_text())
+        body["fit"]["model"] = model
+        model_config = write_config(tmp_path / f"{model}.yaml", body)
+        code = main(["fit", "--config", str(model_config), "--out", str(out / "fit")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError"
+        assert err["exit_code"] == 3
+        assert err["command"] == "fit"
+        assert f"station {first_station}: " in err["message"]
+        spread = "zero spread" if model == "gev" else "positive variance"
+        assert spread in err["message"]
+        assert not (out / "fit" / "manifest.json").exists()
+
+    def test_manifest_failure_removes_partial_outputs(self, tmp_path, monkeypatch):
+        from shmev.cli import ArtifactSession
+
+        def fail(self, *args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ArtifactSession, "write_manifest", fail)
+        out = tmp_path / "runs"
+        config = tiny_study_config(tmp_path, out)
+        with pytest.raises(OSError, match="disk full"):
+            run_command("simulate", config, out / "simulate")
+        assert [p for p in (out / "simulate").rglob("*") if p.is_file()] == []
+
     def test_unknown_keys_rejected(self, tmp_path):
         config = write_config(
             tmp_path / "c.yaml",
@@ -357,3 +399,57 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+
+import shmev.cli
+
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"{name} is not importable in this process")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+codes = [shmev.cli.main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps({"scipy_modules": loaded, "exit_codes": codes}))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    out = tmp_path / "runs"
+    config = tiny_study_config(tmp_path, out)
+    (tmp_path / "grid.csv").write_text("z1,z2\n0.2,0.3\n0.7,0.6\n")
+    per_site = {}
+    for model in ("hmev", "gev"):
+        site_body = yaml.safe_load(config.read_text())
+        site_body["fit"]["model"] = model
+        per_site[model] = write_config(tmp_path / f"{model}.yaml", site_body)
+    runs = [
+        ["simulate", "--config", str(config)],
+        ["fit", "--config", str(config), "--threads", "2"],
+        ["fit", "--config", str(per_site["hmev"]), "--out", str(out / "fit_hmev")],
+        ["fit", "--config", str(per_site["gev"]), "--out", str(out / "fit_gev"), "--threads", "2"],
+        ["diagnose", "--config", str(config)],
+        ["predict", "--config", str(config)],
+        ["map", "--config", str(config)],
+        ["evaluate", "--config", str(config)],
+    ]
+    src = str(Path(shmev.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["scipy_modules"] == []
+    assert report["exit_codes"] == [0] * len(runs)
+    for command in ("simulate", "fit", "fit_hmev", "fit_gev", "diagnose", "predict", "map", "evaluate"):
+        assert (out / command / "manifest.json").exists()
