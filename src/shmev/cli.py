@@ -402,6 +402,15 @@ def cmd_fit(
     if not records:
         raise DataError("no stations survive quality control")
     ledger.save(session.path("qc_ledger.csv"))
+    if ledger.rejects:
+        # the file as the config names it, so the bytes do not depend on
+        # where the config lives
+        _write_csv(
+            session.path("rejects.csv"),
+            ["file", "line", "reason", "row"],
+            ([section.events, r["line"], r["reason"], r["row"]] for r in ledger.rejects),
+        )
+        print(f"fit: {len(ledger.rejects)} malformed rows rejected; see rejects.csv", file=sys.stderr)
     selected = _select_records(records, section.stations)
     sampler_cfg = _sampler_config(section, seed)
 

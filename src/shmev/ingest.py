@@ -61,6 +61,7 @@ logger = logging.getLogger(__name__)
 
 EVENT_HEADER = ["station", "date", "prcp_mm", "qflag"]
 _MISSING = {"", "NA", "NaN", "nan"}
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 # normal 95% central interval half-width in standard deviations
 _Z95 = 1.96
@@ -139,16 +140,60 @@ class QcLedger:
 # File IO
 # ---------------------------------------------------------------------------
 
+class _ParseCache(dict):
+    """Text -> parsed value, calling ``parse`` once per distinct text."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str):
+        value = self[text] = self.parse(text)
+        return value
+
+
+def _parse_day(text: str) -> int | None:
+    """Days since 1970-01-01, or None for an unparseable date."""
+    try:
+        return dt.date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
+    except ValueError:
+        return None
+
+
+def _parse_prcp(text: str) -> float | str:
+    """Precipitation in mm (NaN for a missing day), or the reject reason."""
+    if text in _MISSING:
+        return np.nan
+    try:
+        value = float(text)
+    except ValueError:
+        return "unparseable precipitation"
+    if value < 0.0:
+        return "negative precipitation"
+    if value == np.inf:
+        return "non-finite precipitation"
+    return value
+
+
 def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger | None = None):
     """Parse canonical event files into per-station day series.
 
     Returns ``{station: (dates, values, flags)}`` with missing values as NaN.
     Malformed rows go to the ledger's rejects report.
+
+    A daily archive repeats few distinct texts (one date string per day for
+    every station, mostly ``0.0`` values), so each distinct date and
+    precipitation text is parsed once per call and looked up in a cache
+    afterwards; rows append to per-station day, value and flag columns,
+    sorted only for a station whose days do not already increase.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     ledger = ledger if ledger is not None else QcLedger()
-    per_station: dict[str, list[tuple[dt.date, float, str]]] = {}
+    day_of = _ParseCache(_parse_day)
+    value_of = _ParseCache(_parse_prcp)
+    columns: dict[str, tuple[list[int], list[float], list[str]]] = {}
+    current = None
     for path in paths:
         path = Path(path)
         if not path.exists():
@@ -159,38 +204,40 @@ def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger |
             if header is None or [h.strip() for h in header] != EVENT_HEADER:
                 raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
             for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
                 if len(row) != 4:
-                    ledger.reject(str(path), lineno, "wrong field count", ",".join(row))
+                    if any(c.strip() for c in row):
+                        ledger.reject(str(path), lineno, "wrong field count", ",".join(row))
                     continue
-                station, date_s, prcp_s, qflag = (c.strip() for c in row)
-                try:
-                    date = dt.date.fromisoformat(date_s)
-                except ValueError:
+                station, date_s, prcp_s, qflag = row
+                station, date_s, prcp_s, qflag = station.strip(), date_s.strip(), prcp_s.strip(), qflag.strip()
+                if not (station or date_s or prcp_s or qflag):
+                    continue
+                day = day_of[date_s]
+                if day is None:
                     ledger.reject(str(path), lineno, "unparseable date", ",".join(row))
                     continue
-                if prcp_s in _MISSING:
-                    value = np.nan
-                else:
-                    try:
-                        value = float(prcp_s)
-                    except ValueError:
-                        ledger.reject(str(path), lineno, "unparseable precipitation", ",".join(row))
-                        continue
-                    if value < 0.0:
-                        ledger.reject(str(path), lineno, "negative precipitation", ",".join(row))
-                        continue
-                per_station.setdefault(station, []).append((date, value, qflag))
+                value = value_of[prcp_s]
+                if isinstance(value, str):
+                    ledger.reject(str(path), lineno, value, ",".join(row))
+                    continue
+                if station != current:
+                    current = station
+                    days, values, flags = columns.setdefault(station, ([], [], []))
+                days.append(day)
+                values.append(value)
+                flags.append(qflag)
     out = {}
-    for station in sorted(per_station):
-        rows = sorted(per_station[station], key=lambda r: r[0])
-        for (d1, *_), (d2, *_) in zip(rows, rows[1:]):
-            if d1 == d2:
-                raise DataError(f"station {station}: duplicate date {d1}")
-        dates = np.array([r[0] for r in rows], dtype="datetime64[D]")
-        values = np.array([r[1] for r in rows], dtype=float)
-        flags = [r[2] for r in rows]
+    for station in sorted(columns):
+        days, values, flags = columns[station]
+        days = np.array(days, dtype=np.int64)
+        values = np.array(values, dtype=float)
+        if np.any(np.diff(days) <= 0):
+            order = np.argsort(days, kind="stable")
+            days, values, flags = days[order], values[order], [flags[i] for i in order]
+        dates = days.astype("datetime64[D]")
+        repeated = np.flatnonzero(np.diff(days) == 0)
+        if repeated.size:
+            raise DataError(f"station {station}: duplicate date {dates[repeated[0]]}")
         out[station] = (dates, values, flags)
     return out, ledger
 

@@ -4,7 +4,15 @@ Everything here is a straight-line re-implementation with scalar ``math``
 loops over every observation, deliberately sharing no code with the
 vectorized package internals.
 """
+import csv
+import datetime as dt
 import math
+from pathlib import Path
+
+import numpy as np
+
+from shmev.errors import DataError
+from shmev.ingest import QcLedger
 
 
 def _normal_logpdf(x, mean, sd):
@@ -139,3 +147,63 @@ def central_difference(value_fn, v, step=1e-5):
         vm[k] -= step
         fd[k] = (value_fn(vp) - value_fn(vm)) / (2.0 * step)
     return fd
+
+
+_EVENT_HEADER = ["station", "date", "prcp_mm", "qflag"]
+_MISSING = {"", "NA", "NaN", "nan"}
+
+
+def naive_read_event_file(paths, ledger=None):
+    """Row-by-row event-file parser: one ``dt.date`` and ``float`` per row,
+    (date, value, flag) tuples sorted per station in Python."""
+    if isinstance(paths, (str, Path)):
+        paths = [paths]
+    ledger = ledger if ledger is not None else QcLedger()
+    per_station = {}
+    for path in paths:
+        path = Path(path)
+        if not path.exists():
+            raise DataError(f"event file not found: {path}")
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != _EVENT_HEADER:
+                raise DataError(f"{path}: expected header {','.join(_EVENT_HEADER)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != 4:
+                    ledger.reject(str(path), lineno, "wrong field count", ",".join(row))
+                    continue
+                station, date_s, prcp_s, qflag = (c.strip() for c in row)
+                try:
+                    date = dt.date.fromisoformat(date_s)
+                except ValueError:
+                    ledger.reject(str(path), lineno, "unparseable date", ",".join(row))
+                    continue
+                if prcp_s in _MISSING:
+                    value = np.nan
+                else:
+                    try:
+                        value = float(prcp_s)
+                    except ValueError:
+                        ledger.reject(str(path), lineno, "unparseable precipitation", ",".join(row))
+                        continue
+                    if value < 0.0:
+                        ledger.reject(str(path), lineno, "negative precipitation", ",".join(row))
+                        continue
+                    if value == math.inf:
+                        ledger.reject(str(path), lineno, "non-finite precipitation", ",".join(row))
+                        continue
+                per_station.setdefault(station, []).append((date, value, qflag))
+    out = {}
+    for station in sorted(per_station):
+        rows = sorted(per_station[station], key=lambda r: r[0])
+        for (d1, *_), (d2, *_) in zip(rows, rows[1:]):
+            if d1 == d2:
+                raise DataError(f"station {station}: duplicate date {d1}")
+        dates = np.array([r[0] for r in rows], dtype="datetime64[D]")
+        values = np.array([r[1] for r in rows], dtype=float)
+        flags = [r[2] for r in rows]
+        out[station] = (dates, values, flags)
+    return out, ledger

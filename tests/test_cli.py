@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -311,6 +312,34 @@ class TestValidation:
         spread = "zero spread" if model == "gev" else "positive variance"
         assert spread in err["message"]
         assert not (out / "fit" / "manifest.json").exists()
+
+    def test_malformed_rows_are_written_to_rejects_csv(self, study, tmp_path, capsys):
+        base, out, config = study
+        assert not (out / "fit" / "rejects.csv").exists()  # a clean input writes none
+        header, first, *rows = (out / "simulate" / "events.csv").read_text().splitlines()
+        station, date, _, flag = first.split(",")
+        bad = [f"{station},{date},inf,{flag}", "S9,2001-01-01,1.0", "S9,2001-13-01,1.0,"]
+        events = tmp_path / "events.csv"
+        events.write_text("\n".join([header, bad[0], *rows, *bad[1:]]) + "\n")
+        body = yaml.safe_load(config.read_text())
+        body["fit"].update(model="gev", events="events.csv")  # relative to the config
+        body["fit"].pop("covariates")
+        body["fit"].pop("covariate_columns")
+        gev_config = write_config(tmp_path / "gev.yaml", body)
+        code = main(["fit", "--config", str(gev_config), "--out", str(tmp_path / "fit")])
+        assert code == 0
+        assert "fit: 3 malformed rows rejected; see rejects.csv" in capsys.readouterr().err
+        rejects = tmp_path / "fit" / "rejects.csv"
+        with open(rejects, newline="") as fh:
+            assert list(csv.reader(fh)) == [
+                ["file", "line", "reason", "row"],
+                ["events.csv", "2", "non-finite precipitation", bad[0]],
+                ["events.csv", str(len(rows) + 3), "wrong field count", bad[1]],
+                ["events.csv", str(len(rows) + 4), "unparseable date", bad[2]],
+            ]
+        manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text())
+        hashes = {a["path"]: a["sha256"] for a in manifest["artifacts"]}
+        assert hashes["rejects.csv"] == hashlib.sha256(rejects.read_bytes()).hexdigest()
 
     def test_manifest_failure_removes_partial_outputs(self, tmp_path, monkeypatch):
         from shmev.cli import ArtifactSession
