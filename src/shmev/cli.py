@@ -446,6 +446,7 @@ def cmd_fit(
             section.covariate_columns,
             section.wet_day_threshold,
             section.trials_per_block,
+            events=list(events_by_station.values()),
         )
         if section.priors.mode == "explicit":
             prior = ShmevPriorSpec.from_dict(section.priors.explicit)
@@ -616,15 +617,15 @@ def _read_grid_file(path: Path, snapshot: StandardizationSnapshot) -> GridCovari
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: wrong field count")
+                raise DataError(f"{path}:{reader.line_num}: wrong field count")
             try:
                 rows.append([float(v) for v in row])
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric grid value") from exc
+                raise DataError(f"{path}:{reader.line_num}: non-numeric grid value") from exc
     if tuple(header) != tuple(snapshot.names):
         raise DataError(
             f"grid columns {header} must match the training snapshot {list(snapshot.names)}"
@@ -661,17 +662,17 @@ def _read_test_maxima(path: Path) -> dict[str, np.ndarray]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["station", "block", "max_mm"]:
             raise DataError(f"{path}: expected header station,block,max_mm")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: wrong field count")
+                raise DataError(f"{path}:{reader.line_num}: wrong field count")
             try:
                 value = float(row[2])
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric maximum") from exc
+                raise DataError(f"{path}:{reader.line_num}: non-numeric maximum") from exc
             if not np.isfinite(value):
-                raise DataError(f"{path}:{lineno}: non-finite maximum")
+                raise DataError(f"{path}:{reader.line_num}: non-finite maximum")
             per_station.setdefault(row[0].strip(), []).append(value)
     return {k: np.asarray(v, dtype=float) for k, v in per_station.items()}
 

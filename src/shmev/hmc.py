@@ -16,6 +16,7 @@ not exist, chains run one after another in the calling process.
 from __future__ import annotations
 
 import csv
+import io
 import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
@@ -386,21 +387,31 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
     return rhat, ess, degenerate
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row (quoted when needed)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", text])
+    return buf.getvalue()[1:-2]  # without the leading comma and the "\r\n"
+
+
 def trace_export(draws: PosteriorDraws, path: str | Path) -> Path:
     """Write the draws as columnar text with schema ``iter,chain,param,value``.
 
-    Values use ``repr`` so a round trip through the file is bit-identical.
+    The file is the one ``csv.writer`` would write (``\r\n`` line ends,
+    names quoted where needed); values use ``repr`` so a round trip through
+    the file is bit-identical.  Each name is quoted once and each draw's rows
+    are joined into one write.
     """
     if draws.n_draws == 0:
         raise ValueError("draws are empty")
     path = Path(path)
     per_chain = draws.by_chain()
+    names = [_csv_field(name) for name in draws.param_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "chain", "param", "value"])
+        fh.write("iter,chain,param,value\r\n")
         for c in range(draws.n_chains):
             for it in range(draws.n_kept_per_chain):
-                row = per_chain[c, it]
-                for k, name in enumerate(draws.param_names):
-                    writer.writerow([it, c, name, repr(float(row[k]))])
+                lead = f"{it},{c},"
+                values = per_chain[c, it].tolist()
+                fh.write("".join([f"{lead}{name},{value!r}\r\n" for name, value in zip(names, values)]))
     return path

@@ -179,7 +179,8 @@ def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger |
     """Parse canonical event files into per-station day series.
 
     Returns ``{station: (dates, values, flags)}`` with missing values as NaN.
-    Malformed rows go to the ledger's rejects report.
+    Malformed rows go to the ledger's rejects report, each with the
+    physical line on which its record ends (a quoted field may span lines).
 
     A daily archive repeats few distinct texts (one date string per day for
     every station, mostly ``0.0`` values), so each distinct date and
@@ -203,10 +204,10 @@ def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger |
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != EVENT_HEADER:
                 raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if len(row) != 4:
                     if any(c.strip() for c in row):
-                        ledger.reject(str(path), lineno, "wrong field count", ",".join(row))
+                        ledger.reject(str(path), reader.line_num, "wrong field count", ",".join(row))
                     continue
                 station, date_s, prcp_s, qflag = row
                 station, date_s, prcp_s, qflag = station.strip(), date_s.strip(), prcp_s.strip(), qflag.strip()
@@ -214,11 +215,11 @@ def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger |
                     continue
                 day = day_of[date_s]
                 if day is None:
-                    ledger.reject(str(path), lineno, "unparseable date", ",".join(row))
+                    ledger.reject(str(path), reader.line_num, "unparseable date", ",".join(row))
                     continue
                 value = value_of[prcp_s]
                 if isinstance(value, str):
-                    ledger.reject(str(path), lineno, value, ",".join(row))
+                    ledger.reject(str(path), reader.line_num, value, ",".join(row))
                     continue
                 if station != current:
                     current = station
@@ -254,17 +255,17 @@ def read_covariate_file(path: str | Path) -> tuple[list[str], dict[str, dict[str
             raise DataError(f"{path}: first covariate column must be 'station'")
         names = header[1:]
         table: dict[str, dict[str, float]] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: wrong field count")
+                raise DataError(f"{path}:{reader.line_num}: wrong field count")
             try:
                 values = {n: float(v) for n, v in zip(names, row[1:])}
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric covariate") from exc
+                raise DataError(f"{path}:{reader.line_num}: non-numeric covariate") from exc
             if not all(np.isfinite(v) for v in values.values()):
-                raise DataError(f"{path}:{lineno}: non-finite covariate")
+                raise DataError(f"{path}:{reader.line_num}: non-finite covariate")
             table[row[0].strip()] = values
     return names, table
 
@@ -310,8 +311,8 @@ def load_and_qc(
     records: list[StationRecord] = []
     for station in sorted(series):
         dates, values, flags = series[station]
-        flagged = np.array([bool(f) for f in flags])
-        if policy.drop_flagged and flagged.any():
+        if policy.drop_flagged and any(flags):
+            flagged = np.array(flags, dtype=object).astype(bool)
             n_flagged = int(flagged.sum())
             ledger.add(station, "FLAGGED_VALUE", f"{n_flagged} flagged values removed")
             values = values.copy()
@@ -352,12 +353,15 @@ def build_dataset(
     covariate_names: Sequence[str],
     wet_day_threshold: float = 0.0,
     trials_per_block: int = 366,
+    events: Sequence[list[np.ndarray]] | None = None,
 ) -> Dataset:
     """Assemble the training dataset from each station's first K retained years.
 
     Ordinary events are the strictly positive daily values (above the wet-day
     threshold); counts are per calendar year; covariates are standardized
     over the training stations and the snapshot is attached to the dataset.
+    ``events`` takes each record's ``training_events`` when the caller has
+    already computed them.
     """
     if not records:
         raise DataError("no stations to build a dataset from")
@@ -378,11 +382,12 @@ def build_dataset(
 
     # training years are each station's first K retained years; a common
     # block axis is required, so block labels are per-station year indices
-    events: list[list[np.ndarray]] = []
-    sites: list[SiteCovariates] = []
-    for idx, rec in enumerate(records):
-        events.append(training_events(rec, train_blocks, wet_day_threshold))
-        sites.append(SiteCovariates(rec.station, z_rows[idx], dict(rec.covariates)))
+    if events is None:
+        events = [training_events(rec, train_blocks, wet_day_threshold) for rec in records]
+    sites = [
+        SiteCovariates(rec.station, z_rows[idx], dict(rec.covariates))
+        for idx, rec in enumerate(records)
+    ]
     return Dataset(
         sites=sites,
         blocks=list(range(train_blocks)),
@@ -417,12 +422,12 @@ def training_events(
     record: StationRecord, train_blocks: int, wet_day_threshold: float = 0.0
 ) -> list[np.ndarray]:
     """Per-block ordinary events from the station's first K retained years."""
-    years = sorted(set(int(y) for y in record.years()))
+    year_arr = record.years()
+    years = np.unique(year_arr).tolist()
     if len(years) < train_blocks:
         raise DataError(
             f"station {record.station}: {len(years)} retained years < train window {train_blocks}"
         )
-    year_arr = record.years()
     out = []
     for year in years[:train_blocks]:
         vals = record.values[year_arr == year]

@@ -385,11 +385,14 @@ class ShmevParams:
 class _CompiledShmev:
     """Event data flattened into arrays for vectorized likelihood passes.
 
-    Events are concatenated in block order (site-major), so per-block sums
-    reduce to segment sums over precomputed boundaries.  One pair of scratch
-    buffers, allocated on first use, keeps large allocations out of the
-    sampler's hot loop; chains that run concurrently do so in separate
-    processes, each with its own copy.
+    Events are concatenated in block order (site-major), so each block's
+    events form one contiguous run of ``event_counts[b]`` entries: a
+    per-block value reaches its events by ``np.repeat`` over the runs, and
+    per-block sums reduce to segment sums over the runs' boundaries.  One
+    pair of scratch buffers, allocated on first use, holds the per-event
+    terms in the sampler's hot loop, so a call allocates only the two
+    repeated per-block values; chains that run concurrently do so in
+    separate processes, each with its own copy.
     """
 
     def __init__(self, dataset: Dataset):
@@ -398,29 +401,21 @@ class _CompiledShmev:
         self.trials = dataset.trials_per_block
         self.Z = dataset.design_matrix()
         counts = dataset.counts()  # (S, J)
-        self.n_b = counts.ravel().astype(float)  # site-major flat blocks
+        self.event_counts = counts.ravel()  # site-major flat blocks
+        self.n_b = self.event_counts.astype(float)
         self.site_of_block = np.repeat(np.arange(S), J)
-        logs, block_ids, slx = [], [], np.zeros(S * J)
+        logs, slx = [], np.zeros(S * J)
         for s in range(S):
             for j in range(J):
                 mags = dataset.events[s][j]
                 if mags.size:
                     lx = np.log(mags)
                     logs.append(lx)
-                    block_ids.append(np.full(mags.size, s * J + j, dtype=np.int64))
                     slx[s * J + j] = lx.sum()
         self.logx = np.concatenate(logs) if logs else np.zeros(0)
-        self.block_of_event = (
-            np.concatenate(block_ids) if block_ids else np.zeros(0, dtype=np.int64)
-        )
-        # segment boundaries of the (sorted) block ids, for np.add.reduceat
-        if self.block_of_event.size:
-            change = np.nonzero(np.diff(self.block_of_event))[0] + 1
-            self.seg_starts = np.concatenate([[0], change])
-            self.seg_blocks = self.block_of_event[self.seg_starts]
-        else:
-            self.seg_starts = np.zeros(0, dtype=np.int64)
-            self.seg_blocks = np.zeros(0, dtype=np.int64)
+        # start of each non-empty block's run, for np.add.reduceat
+        self.seg_blocks = np.flatnonzero(self.event_counts)
+        self.seg_starts = (np.cumsum(self.event_counts) - self.event_counts)[self.seg_blocks]
         self.slx_b = slx
         self.sum_n_s = counts.sum(axis=1).astype(float)
         n = self.n_b
@@ -468,12 +463,11 @@ def _shmev_value_grad(
         lam = expit(ell)
 
         # Weibull magnitudes: per-event (x/delta)^gamma via exp of logs,
-        # computed in reusable scratch to keep the sampler loop allocation-free
+        # computed in reusable scratch; each block's log delta and gamma reach
+        # its run of events by np.repeat, far cheaper than a per-event gather
         t_e, work = c.buffers()
-        np.take(ud, c.block_of_event, out=t_e)
-        np.subtract(c.logx, t_e, out=t_e)
-        np.take(gam, c.block_of_event, out=work)
-        np.multiply(t_e, work, out=t_e)
+        np.subtract(c.logx, np.repeat(ud, c.event_counts), out=t_e)
+        np.multiply(t_e, np.repeat(gam, c.event_counts), out=t_e)
         np.exp(t_e, out=t_e)
         T1 = c.block_sums(t_e, np.empty(c.S * c.J))
         np.multiply(t_e, c.logx, out=work)

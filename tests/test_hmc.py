@@ -16,6 +16,8 @@ from shmev.hmc import (
     trace_export,
 )
 
+from .oracles import csv_writer_trace_export
+
 NORMAL_5_2_Q975 = 8.919927969080108  # 5 + 2 * Phi^-1(0.975)
 
 
@@ -302,6 +304,18 @@ class TestTraceExport:
         with open(path, newline="") as fh:
             header_params = {row[2] for row in list(csv.reader(fh))[1:]}
         assert header_params == set(names)
+
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    def test_equals_csv_writer_reference(self, tmp_path, n_chains):
+        names = ["plain", "beta_gamma[0]", "a,b", 'say "hi"', '"', "", " padded ", "two\nlines", "cr\r"]
+        rng = np.random.default_rng(n_chains)
+        draws = rng.standard_normal((4 * n_chains, len(names))) * 10.0 ** rng.integers(-300, 300, (1, len(names)))
+        draws[0, :3] = [-0.0, 5e-324, 1e308]
+        draws[-1, -3:] = [-5e-324, -1e308, 0.0]
+        post = make_draws(draws, n_chains=n_chains, names=names)
+        ours = trace_export(post, tmp_path / "trace.csv").read_bytes()
+        ref = csv_writer_trace_export(post, tmp_path / "ref.csv").read_bytes()
+        assert ours == ref
 
     def test_empty_draws_rejected(self, tmp_path):
         post = make_draws(np.zeros((2, 1)), n_chains=2)

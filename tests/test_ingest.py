@@ -91,6 +91,18 @@ class TestQualityControl:
         # flagged days count as missing afterward
         assert records[0].dates.size == 366 - 5
 
+    def test_any_nonblank_flag_is_removed(self, tmp_path):
+        rows = daily_rows("A", 2000)
+        flagged_days = (3, 40, 41, 365)
+        for i, flag in zip(flagged_days, ("Q", "0", "a", "X")):
+            rows[i] = (*rows[i][:3], flag)
+        path = write_events(tmp_path / "e.csv", rows)
+        records, ledger = load_and_qc(path, PERMISSIVE)
+        details = [e["detail"] for e in ledger.entries if e["code"] == "FLAGGED_VALUE"]
+        assert details == ["4 flagged values removed"]
+        assert records[0].dates.size == 366 - 4
+        assert not set(records[0].dates.tolist()) & {rows[i][1] for i in flagged_days}
+
     def test_malformed_rows_collected_not_skipped(self, tmp_path):
         path = tmp_path / "e.csv"
         with open(path, "w", newline="") as fh:
@@ -176,6 +188,15 @@ class TestBuildDataset:
         records = self._records(tmp_path, n_stations=3, n_years=3)
         with pytest.raises(DataError, match="train window"):
             build_dataset(records, 10, ["lat"])
+
+    def test_precomputed_training_events_give_the_same_dataset(self, tmp_path):
+        records = self._records(tmp_path, n_stations=4, n_years=5)
+        events = [training_events(rec, 4) for rec in records]
+        given = build_dataset(records, 4, ["lat", "alt_m"], events=events)
+        built = build_dataset(records, 4, ["lat", "alt_m"])
+        assert given.design_matrix().tobytes() == built.design_matrix().tobytes()
+        for given_row, built_row in zip(given.events, built.events, strict=True):
+            assert [m.tobytes() for m in given_row] == [m.tobytes() for m in built_row]
 
     def test_simulated_roundtrip_is_identity(self, tmp_path):
         synth = simulate_scenario(ScenarioConfig(n_sites=4, train_blocks=3, test_blocks=2, seed=13))

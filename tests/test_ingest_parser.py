@@ -7,8 +7,16 @@ import math
 import numpy as np
 import pytest
 
+from shmev.cli import _read_grid_file, _read_test_maxima
+from shmev.data import StandardizationSnapshot
 from shmev.errors import DataError
-from shmev.ingest import QcPolicy, load_and_qc, read_event_file, write_event_file
+from shmev.ingest import (
+    QcPolicy,
+    load_and_qc,
+    read_covariate_file,
+    read_event_file,
+    write_event_file,
+)
 
 from .oracles import naive_read_event_file
 
@@ -124,3 +132,44 @@ def test_negative_infinity_stays_negative_and_nan_stays_missing(tmp_path):
     series, ledger = read_event_file(path)
     assert [r["reason"] for r in ledger.rejects] == ["negative precipitation"]
     assert all(math.isnan(v) for v in series["A"][1])
+
+
+def test_rejects_give_the_physical_line(tmp_path):
+    # the quoted flag spans lines 2-3, so the malformed rows are on lines 4 and 5
+    path = write_files(tmp_path, ['A,2001-01-01,1.0,"multi\nline"\noops\nA,2001-01-02,bad,\n'])[0]
+    series, ledger = read_event_file(path)
+    assert [(r["line"], r["reason"], r["row"]) for r in ledger.rejects] == [
+        (4, "wrong field count", "oops"),
+        (5, "unparseable precipitation", "A,2001-01-02,bad,"),
+    ]
+    assert series["A"][2] == ["multi\nline"]
+    assert_same_parse(path)
+
+
+SNAPSHOT = StandardizationSnapshot(("lat", "alt_m"), np.zeros(2), np.ones(2))
+LINE_ERRORS = {
+    "covariates": (
+        read_covariate_file,
+        'station,lat\n"A\nB",1.0\n\nC,oops\n',
+        ":5: non-numeric covariate",
+    ),
+    "grid": (
+        lambda path: _read_grid_file(path, SNAPSHOT),
+        'lat,alt_m\n1.0,"2.0\n"\n1.0\n',
+        ":4: wrong field count",
+    ),
+    "test maxima": (
+        _read_test_maxima,
+        'station,block,max_mm\n"A\n",1,3.0\nA,2,inf\n',
+        ":4: non-finite maximum",
+    ),
+}
+
+
+@pytest.mark.parametrize("read, body, message", LINE_ERRORS.values(), ids=LINE_ERRORS.keys())
+def test_data_errors_give_the_physical_line(tmp_path, read, body, message):
+    path = tmp_path / "table.csv"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(DataError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path}{message}"

@@ -24,6 +24,7 @@ from .oracles import (
     naive_gev_log_posterior,
     naive_hmev_log_posterior,
     naive_shmev_log_posterior,
+    take_shmev_value_grad,
 )
 
 
@@ -126,6 +127,50 @@ class TestShmevLogPosterior:
         params = ShmevParams.from_vector(layout, np.zeros(layout.dim))
         with pytest.raises(ValueError, match="do not match"):
             shmev_log_posterior(params, wei_small.train, wei_small_prior)
+
+
+def _without_blocks(dataset, empty):
+    """``dataset`` with the (site, block) pairs in ``empty`` holding no events."""
+    events = [
+        [np.zeros(0) if (s, j) in empty else mags for j, mags in enumerate(row)]
+        for s, row in enumerate(dataset.events)
+    ]
+    return Dataset(dataset.sites, dataset.blocks, events, dataset.trials_per_block, dataset.snapshot)
+
+
+class TestShmevEventGather:
+    """The kernel's gather by block runs equals the per-event ``np.take``
+    gather bit for bit, value and gradient, with empty blocks anywhere; the
+    value also matches the scalar loop."""
+
+    EMPTY = {
+        "none": set(),
+        "first": {(0, 0)},
+        "last": {(4, 4)},
+        "consecutive across sites": {(1, 3), (1, 4), (2, 0), (2, 1)},
+        "first, last and a whole site": {(0, 0), (4, 4), *((3, j) for j in range(5))},
+        "all": {(s, j) for s in range(5) for j in range(5)},
+    }
+
+    @pytest.mark.parametrize("empty", EMPTY.values(), ids=EMPTY.keys())
+    def test_matches_take_reference(self, wei_small, wei_small_prior, empty):
+        target = ShmevTarget(_without_blocks(wei_small.train, empty), wei_small_prior)
+        assert target.dataset.counts().sum() == wei_small.train.counts().sum() - sum(
+            wei_small.train.events[s][j].size for s, j in empty
+        )
+        rng = np.random.default_rng(len(empty))
+        for spread in (0.0, 0.05, 0.3, 3.0):
+            for _ in range(3):
+                v = _random_params(target.layout, rng, spread)
+                ref_logp, ref_grad = take_shmev_value_grad(v, target)
+                logp, grad = target(v)
+                assert np.float64(logp).tobytes() == np.float64(ref_logp).tobytes()
+                assert grad.tobytes() == ref_grad.tobytes()
+                assert np.float64(target.value(v)).tobytes() == np.float64(ref_logp).tobytes()
+                if spread < 1.0:  # the scalar loop overflows farther out
+                    params = ShmevParams.from_vector(target.layout, v)
+                    slow = naive_shmev_log_posterior(params, target.dataset, wei_small_prior)
+                    assert logp == pytest.approx(slow, rel=1e-10)
 
 
 class TestShmevGradient:
