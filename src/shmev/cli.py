@@ -28,12 +28,13 @@ from .config import (
     MapSection,
     PredictSection,
     SimulateSection,
+    _as_int,
     load_config,
     parse_section,
 )
 from .data import StandardizationSnapshot
 from .errors import ConfigError, ConvergenceError, DataError, NumericError, ShmevError
-from .hmc import PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, trace_export
+from .hmc import HmcJob, PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, run_hmc_jobs, trace_export
 from .ingest import (
     ElicitationRules,
     QcPolicy,
@@ -473,10 +474,9 @@ def cmd_fit(
         meta["diagnostics"] = _diag_dict(post)
         _write_csv(summary_path, summary_header, _summary_rows("", post))
     else:
-        per_site_meta = {}
-        per_site_priors = {}
-        summary_rows = []
-        sites_meta = []
+        # every station's target first, in station order; then all their
+        # chains in one sampler call
+        jobs, priors = [], []
         for idx, rec in enumerate(selected):
             blocks = events_by_station[rec.station]
             site_seed = _site_seed(seed, idx)
@@ -496,8 +496,14 @@ def cmd_fit(
                     )
                 target = HmevTarget(blocks, section.trials_per_block, prior)
                 names = target.layout.param_names()
-            init = _chain_inits(target, site_cfg, site_seed)
-            post = run_hmc(target, site_cfg, init, names, n_workers=threads)
+            jobs.append(HmcJob(target, site_cfg, _chain_inits(target, site_cfg, site_seed), names))
+            priors.append(prior)
+        posts = run_hmc_jobs(jobs, n_workers=threads)
+        per_site_meta = {}
+        per_site_priors = {}
+        summary_rows = []
+        sites_meta = []
+        for rec, prior, post in zip(selected, priors, posts):
             np.save(session.path("sites", rec.station, "draws.npy"), post.draws)
             np.save(session.path("sites", rec.station, "chain.npy"), post.chain)
             per_site_meta[rec.station] = _diag_dict(post)
@@ -709,6 +715,21 @@ def _resolved_config(raw: dict, command: str, seed: int) -> dict:
     return resolved
 
 
+def _worker_count(flag: str | int | None, raw: dict) -> int:
+    """Worker processes for a fit: the ``--threads`` flag, else the config
+    key ``threads``, else the number of CPUs; either must be an integer >= 1."""
+    if flag is None:
+        if "threads" not in raw:
+            return os.cpu_count() or 1
+        return _as_int(raw["threads"], "threads", minimum=1)
+    if isinstance(flag, str):
+        try:
+            flag = int(flag)
+        except ValueError:
+            raise ConfigError(f"--threads: expected an integer, got {flag!r}") from None
+    return _as_int(flag, "--threads", minimum=1)
+
+
 def run_command(command: str, config_path: str | Path, out_dir: str | Path | None = None,
                 seed: int | None = None, threads: int | None = None) -> Path:
     """Programmatic equivalent of the CLI; returns the output directory."""
@@ -721,7 +742,7 @@ def run_command(command: str, config_path: str | Path, out_dir: str | Path | Non
     )
     if out is None:
         raise ConfigError("no output directory: pass --out or set out_dir in the config")
-    threads = threads if threads is not None else int(raw.get("threads", 0)) or (os.cpu_count() or 1)
+    threads = _worker_count(threads, raw)
     base_dir = config_path.parent
     session = ArtifactSession(out)
     try:
@@ -757,8 +778,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the YAML run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes for a fit's chains (serial where fork is unavailable)")
+    parser.add_argument("--threads", default=None,
+                        help="worker processes for a fit (default: the number of CPUs); its chains run as "
+                             "lockstep rows split over one worker pool (serial where fork is unavailable)")
     parser.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
     args = parser.parse_args(argv)
 

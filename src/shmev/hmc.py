@@ -7,35 +7,44 @@ freezes both after warmup.  Chains own independent random streams spawned
 deterministically from the seed, so results are reproducible regardless of
 worker count.
 
-With more than one worker, chains run in worker processes forked from the
-caller, which inherit the target, configuration, initial points and each
-chain's random stream; only a chain's result dict (draws, acceptance,
-divergences, step size) is sent back.  Where the ``fork`` start method does
-not exist, chains run one after another in the calling process.
+Chains run as rows that advance in lockstep: each iteration draws every
+row's momentum and jittered step count from the row's own stream, moves all
+trajectories together until the longest one ends, then accepts and adapts
+each row separately.  Each leapfrog step evaluates the rows' targets in one
+call of a row-batched kernel where their class has one (``batch_kernel``,
+see ``shmev.model``), else row by row.  No arithmetic mixes rows, so a row's
+draws equal those of the chain sampled alone, bit for bit.
+
+``run_hmc_jobs`` samples several posteriors (jobs) at once, one row per
+chain.  With more than one worker, the rows are split into contiguous spans
+over one pool of worker processes forked from the caller, which inherit the
+jobs and each chain's random stream; only a row's result dict (draws,
+acceptance, divergences, step size) is sent back.  Where the ``fork`` start
+method does not exist, all rows run in the calling process.
 """
 from __future__ import annotations
 
 import csv
 import io
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["SamplerConfig", "PosteriorDraws", "run_hmc", "rhat_ess", "trace_export"]
+__all__ = ["SamplerConfig", "PosteriorDraws", "HmcJob", "run_hmc", "run_hmc_jobs", "rhat_ess", "trace_export"]
 
 # dual-averaging constants (Hoffman & Gelman 2014, sec. 3.2)
 _DA_GAMMA = 0.05
 _DA_T0 = 10.0
 _DA_KAPPA = 0.75
 
-# (target, config, init, streams) of the run_hmc call whose workers are being
-# forked; the workers inherit it, so nothing of it is pickled
-_FORKED_RUN = None
+# (target, config, init, stream) rows of the run_hmc_jobs call whose workers
+# are being forked; the workers inherit them, so nothing of them is pickled
+_FORKED_ROWS = None
 
 
 @dataclass(frozen=True)
@@ -145,71 +154,130 @@ def _find_reasonable_epsilon(target, q, mass, rng) -> float:
     return eps
 
 
-def _leapfrog(target, q, p, grad, eps, n_steps, mass):
-    """Standard velocity-leapfrog trajectory; returns the final state."""
-    p = p + 0.5 * eps * grad
-    for step in range(n_steps):
-        q = q + eps * p / mass
-        logp, grad = target(q)
-        if not np.all(np.isfinite(grad)) or not np.isfinite(logp):
-            return q, p, -np.inf, grad
-        if step < n_steps - 1:
-            p = p + eps * grad
-    p = p + 0.5 * eps * grad
+class _Rows:
+    """Value and gradient of one target per row of an ``(R, dim)`` array.
+
+    Rows whose targets share a row-batched kernel (``batch_kernel``, see
+    ``shmev.model``) are evaluated in one kernel call; any other target is
+    called row by row, and only on the rows asked for.
+    """
+
+    def __init__(self, targets: Sequence):
+        self.targets = targets
+        kernels: dict = {}
+        self.single = []
+        for r, target in enumerate(targets):
+            cls = type(target)
+            if getattr(cls.__call__, "batched", False):
+                kernels.setdefault(cls, []).append(r)
+            else:
+                self.single.append(r)
+        self.batched = [
+            (np.array(rows), cls.batch_kernel([targets[r] for r in rows])) for cls, rows in kernels.items()
+        ]
+
+    def __call__(self, q: np.ndarray, rows: np.ndarray, logp: np.ndarray, grad: np.ndarray) -> None:
+        """Write the value and gradient at ``q[r]`` into ``logp[r]`` and
+        ``grad[r]`` for every ``r`` in ``rows`` (a boolean mask); a batched
+        kernel may write its other rows too."""
+        for idx, kernel in self.batched:
+            if rows[idx].any():
+                logp[idx], grad[idx], _ = kernel(q[idx])
+        for r in self.single:
+            if rows[r]:
+                logp[r], grad[r] = self.targets[r](q[r].copy())
+
+
+def _leapfrog(evaluate: _Rows, q, p, grad, eps, n_steps, mass):
+    """Velocity-leapfrog trajectories of all rows in lockstep: row ``r``
+    takes ``n_steps[r]`` steps of size ``eps[r]``.  A row whose value or
+    gradient turns non-finite stops there with a ``-inf`` value.  Returns
+    the final ``(q, p, logp, grad)``."""
+    rows = q.shape[0]
+    step = eps[:, None]
+    shortest = int(n_steps.min())
+    p = p + (0.5 * eps)[:, None] * grad
+    logp, grad, new_logp, new_grad = np.empty(rows), grad.copy(), np.empty(rows), np.empty_like(grad)
+    moving, all_moving = np.ones(rows, dtype=bool), True
+    for k in range(int(n_steps.max())):
+        if all_moving:
+            q = q + step * p / mass
+        else:
+            q[moving] = q[moving] + step[moving] * p[moving] / mass[moving]
+        evaluate(q, moving, new_logp, new_grad)
+        finite = np.isfinite(new_logp) & np.all(np.isfinite(new_grad), axis=1)
+        if all_moving and k < shortest - 1 and finite.all():
+            # every row takes a full step
+            logp, new_logp, grad, new_grad = new_logp, logp, new_grad, grad
+            p = p + step * grad
+            continue
+        grad[moving] = new_grad[moving]
+        logp[moving] = np.where(finite[moving], new_logp[moving], -np.inf)
+        going = moving & finite & (k < n_steps - 1)
+        ending = moving & finite & (k == n_steps - 1)
+        p[going] = p[going] + step[going] * new_grad[going]
+        p[ending] = p[ending] + (0.5 * eps[ending])[:, None] * new_grad[ending]
+        moving, all_moving = going, bool(going.all())
     return q, p, logp, grad
 
 
-def _run_chain(target, config: SamplerConfig, q0: np.ndarray, rng: np.random.Generator):
-    dim = q0.size
-    mass = np.ones(dim)
+def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams: Sequence) -> list[dict]:
+    """Sample one chain per row of ``q0`` in lockstep: every iteration draws
+    each row's momentum and jittered step count from the row's own stream,
+    runs all trajectories together, then accepts and adapts each row
+    separately.  Every row's result equals that of the row sampled alone."""
+    rows, dim = q0.shape
+    evaluate = _Rows(targets)
+    mass = np.ones((rows, dim))
     q = q0.astype(float).copy()
-    logp, grad = target(q)
-    if not np.isfinite(logp):
+    logp, grad = np.empty(rows), np.empty((rows, dim))
+    evaluate(q, np.ones(rows, dtype=bool), logp, grad)
+    if not np.all(np.isfinite(logp)):
         raise NumericError("chain initialized at a point with non-finite log density")
 
     n_warmup = config.n_warmup
-    eps = _find_reasonable_epsilon(target, q, mass, rng)
+    eps = np.array([
+        _find_reasonable_epsilon(target, q[r], mass[r], rng) for r, (target, rng) in enumerate(zip(targets, streams))
+    ])
     mu = np.log(10.0 * eps)
-    log_eps_bar, h_bar, da_iter = np.log(eps), 0.0, 1
+    log_eps_bar, h_bar, da_iter = np.log(eps), np.zeros(rows), 1
 
     # mass-estimation window: draws in [n_warmup/4, n_warmup/2)
     use_mass_window = config.adapt_mass and n_warmup >= 40
     win_lo, win_hi = n_warmup // 4, n_warmup // 2
-    window = np.zeros((max(win_hi - win_lo, 1), dim)) if use_mass_window else None
+    window = np.zeros((rows, max(win_hi - win_lo, 1), dim)) if use_mass_window else None
 
-    kept = np.empty((config.n_kept, dim))
-    divergences = 0
-    warmup_divergences = 0
-    accept_sum = 0.0
+    kept = np.empty((rows, config.n_kept, dim))
+    divergences = np.zeros(rows, dtype=int)
+    warmup_divergences = np.zeros(rows, dtype=int)
+    accept_sum = np.zeros(rows)
+    n_steps = np.empty(rows, dtype=int)
+    p0 = np.empty((rows, dim))
 
     for it in range(config.n_iterations):
         warming = it < n_warmup
-        p0 = rng.standard_normal(dim) * np.sqrt(mass)
-        if config.step_jitter > 0.0:
-            jitter = 1.0 + config.step_jitter * (2.0 * rng.random() - 1.0)
-        else:
-            jitter = 1.0
-        n_steps = max(1, int(round(config.leapfrog_steps * jitter)))
-        q1, p1, logp1, grad1 = _leapfrog(target, q, p0, grad, eps, n_steps, mass)
+        for r, rng in enumerate(streams):
+            p0[r] = rng.standard_normal(dim)
+            jitter = 1.0 + config.step_jitter * (2.0 * rng.random() - 1.0) if config.step_jitter > 0.0 else 1.0
+            n_steps[r] = max(1, int(round(config.leapfrog_steps * jitter)))
+        p0 *= np.sqrt(mass)
+        q1, p1, logp1, grad1 = _leapfrog(evaluate, q, p0, grad, eps, n_steps, mass)
 
-        h0 = -logp + 0.5 * np.sum(p0 * p0 / mass)
+        h0 = -logp + 0.5 * np.sum(p0 * p0 / mass, axis=1)
         # a diverging trajectory can overflow the kinetic energy to inf,
         # which the delta_h check below marks divergent
-        with np.errstate(over="ignore"):
-            kinetic1 = 0.5 * np.sum(p1 * p1 / mass)
-        h1 = -logp1 + kinetic1 if np.isfinite(logp1) else np.inf
-        delta_h = h1 - h0
-        divergent = not np.isfinite(delta_h) or delta_h > config.max_energy_error
-        if divergent:
-            alpha = 0.0
-            if warming:
-                warmup_divergences += 1
-            else:
-                divergences += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            kinetic1 = 0.5 * np.sum(p1 * p1 / mass, axis=1)
+            h1 = np.where(np.isfinite(logp1), -logp1 + kinetic1, np.inf)
+            delta_h = h1 - h0
+            divergent = ~np.isfinite(delta_h) | (delta_h > config.max_energy_error)
+            alpha = np.where(divergent, 0.0, np.where(delta_h <= 0.0, 1.0, np.exp(-delta_h)))
+        if warming:
+            warmup_divergences += divergent
         else:
-            alpha = 1.0 if delta_h <= 0.0 else float(np.exp(-delta_h))
-            if rng.random() < alpha:
-                q, logp, grad = q1, logp1, grad1
+            divergences += divergent
+        accept = np.array([not d and rng.random() < a for d, a, rng in zip(divergent, alpha, streams)])
+        q[accept], logp[accept], grad[accept] = q1[accept], logp1[accept], grad1[accept]
 
         if warming:
             frac = 1.0 / (da_iter + _DA_T0)
@@ -217,43 +285,139 @@ def _run_chain(target, config: SamplerConfig, q0: np.ndarray, rng: np.random.Gen
             log_eps = mu - np.sqrt(da_iter) / _DA_GAMMA * h_bar
             w = da_iter ** (-_DA_KAPPA)
             log_eps_bar = w * log_eps + (1.0 - w) * log_eps_bar
-            eps = float(np.exp(log_eps))
+            eps = np.exp(log_eps)
             da_iter += 1
             if use_mass_window and win_lo <= it < win_hi:
-                window[it - win_lo] = q
+                window[:, it - win_lo] = q
             if use_mass_window and it == win_hi - 1:
-                n_win = window.shape[0]
-                var = np.var(window, axis=0)
-                # shrink toward a small diagonal, as in windowed adaptation
-                var = (n_win / (n_win + 5.0)) * var + (5.0 / (n_win + 5.0)) * 1e-3
-                mass = 1.0 / np.maximum(var, 1e-10)
-                eps = float(np.exp(log_eps_bar))
+                n_win = window.shape[1]
+                # one chain's (n_win, dim) variance at a time, summed in the
+                # order a chain sampled alone sums it
+                for r in range(rows):
+                    var = np.var(window[r], axis=0)
+                    # shrink toward a small diagonal, as in windowed adaptation
+                    var = (n_win / (n_win + 5.0)) * var + (5.0 / (n_win + 5.0)) * 1e-3
+                    mass[r] = 1.0 / np.maximum(var, 1e-10)
+                eps = np.exp(log_eps_bar)
                 mu = np.log(10.0 * eps)
-                log_eps_bar, h_bar, da_iter = np.log(eps), 0.0, 1
+                log_eps_bar, h_bar, da_iter = np.log(eps), np.zeros(rows), 1
             if it == n_warmup - 1:
-                if warmup_divergences >= n_warmup:
+                if np.any(warmup_divergences >= n_warmup):
                     raise NumericError(
                         f"all {n_warmup} warmup iterations diverged; the target may be "
                         "ill-conditioned or the gradient wrong"
                     )
-                eps = float(np.exp(log_eps_bar))
+                eps = np.exp(log_eps_bar)
         else:
-            kept[it - n_warmup] = q
+            kept[:, it - n_warmup] = q
             accept_sum += alpha
 
-    return {
-        "draws": kept,
-        "accept_prob": accept_sum / config.n_kept,
-        "divergences": divergences,
-        "warmup_divergences": warmup_divergences,
-        "step_size": eps,
-    }
+    return [
+        {
+            "draws": kept[r],
+            "accept_prob": float(accept_sum[r] / config.n_kept),
+            "divergences": int(divergences[r]),
+            "warmup_divergences": int(warmup_divergences[r]),
+            "step_size": float(eps[r]),
+        }
+        for r in range(rows)
+    ]
 
 
-def _forked_chain(c: int) -> dict:
-    """Run chain ``c`` of the run_hmc call a worker process was forked from."""
-    target, config, init, streams = _FORKED_RUN
-    return _run_chain(target, config, init[c], streams[c])
+def _sample_rows(rows: Sequence[tuple]) -> list[dict]:
+    """Sample the given ``(target, config, init, stream)`` rows, each group of
+    rows with one dimension and one configuration (seeds aside) in lockstep;
+    results come back in row order."""
+    groups: dict = {}
+    for r, (target, config, init, stream) in enumerate(rows):
+        groups.setdefault((init.size, replace(config, seed=0)), []).append(r)
+    results: list = [None] * len(rows)
+    for (_, config), members in groups.items():
+        chains = _lockstep(
+            [rows[r][0] for r in members],
+            config,
+            np.array([rows[r][2] for r in members]),
+            [rows[r][3] for r in members],
+        )
+        for r, result in zip(members, chains):
+            results[r] = result
+    return results
+
+
+def _forked_rows(span: tuple[int, int]) -> list[dict]:
+    """Sample rows ``[start, stop)`` of the call a worker process was forked from."""
+    start, stop = span
+    return _sample_rows(_FORKED_ROWS[start:stop])
+
+
+class HmcJob(NamedTuple):
+    """One posterior to sample: ``config.n_chains`` chains of ``target``
+    from the rows of ``init``."""
+
+    target: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    config: SamplerConfig
+    init: Sequence[np.ndarray] | np.ndarray
+    param_names: list[str] | None = None
+
+
+def run_hmc_jobs(jobs: Sequence[HmcJob], n_workers: int = 1) -> list[PosteriorDraws]:
+    """Sample every chain of every job and return one :class:`PosteriorDraws`
+    per job.
+
+    Each chain is a row; a job's chains own private random streams spawned
+    from its ``config.seed``.  The rows, job by job, are split into
+    contiguous spans over ``min(n_workers, rows)`` processes forked from the
+    caller, which inherit the jobs, so nothing of them is pickled; within a
+    process rows advance in lockstep (see the module docstring).  The result
+    does not depend on ``n_workers``, and a chain's exception reaches the
+    caller as it would in serial.
+    """
+    global _FORKED_ROWS
+    rows = []
+    for target, config, init, _ in jobs:
+        init = np.atleast_2d(np.asarray(init, dtype=float))
+        if init.shape[0] != config.n_chains:
+            raise ValueError(f"need {config.n_chains} initial vectors, got {init.shape[0]}")
+        _, grad0 = target(init[0])
+        if np.asarray(grad0).size != init.shape[1]:
+            raise ValueError("target gradient dimension does not match init")
+        streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.n_chains)]
+        rows.extend((target, config, init[c], streams[c]) for c in range(config.n_chains))
+
+    n_procs = min(n_workers, len(rows))
+    if n_procs > 1 and "fork" in multiprocessing.get_all_start_methods():
+        bounds = [len(rows) * w // n_procs for w in range(n_procs + 1)]
+        _FORKED_ROWS = rows
+        try:
+            # Pool forks its workers before it starts its helper threads;
+            # leaving the with block terminates and joins them
+            with multiprocessing.get_context("fork").Pool(n_procs) as pool:
+                spans = pool.map(_forked_rows, list(zip(bounds[:-1], bounds[1:])), chunksize=1)
+        finally:
+            _FORKED_ROWS = None
+        results = [result for span in spans for result in span]
+    else:
+        results = _sample_rows(rows)
+
+    posts, start = [], 0
+    for target, config, init, param_names in jobs:
+        mine = results[start:start + config.n_chains]
+        start += config.n_chains
+        dim = mine[0]["draws"].shape[1]
+        post = PosteriorDraws(
+            draws=np.concatenate([r["draws"] for r in mine], axis=0),
+            chain=np.repeat(np.arange(config.n_chains), config.n_kept),
+            param_names=list(param_names if param_names is not None else [f"theta[{k}]" for k in range(dim)]),
+            n_chains=config.n_chains,
+            n_kept_per_chain=config.n_kept,
+            accept_prob=np.array([r["accept_prob"] for r in mine]),
+            divergences=np.array([r["divergences"] for r in mine]),
+            step_sizes=np.array([r["step_size"] for r in mine]),
+        )
+        if config.n_chains >= 2 and config.n_kept >= 4:
+            post.rhat, post.ess, post.degenerate = rhat_ess(post)
+        posts.append(post)
+    return posts
 
 
 def run_hmc(
@@ -264,55 +428,13 @@ def run_hmc(
     n_workers: int = 1,
 ) -> PosteriorDraws:
     """Sample ``config.n_chains`` chains from ``target`` and merge the
-    post-warmup draws.
+    post-warmup draws: :func:`run_hmc_jobs` with one job.
 
     ``target`` maps an unconstrained vector to ``(log_density, gradient)``;
     a ``-inf`` value is treated as a rejected state.  ``init`` supplies one
-    starting vector per chain.  With ``n_workers`` > 1 chains run in up to
-    ``n_workers`` forked processes; each chain owns a private random stream
-    spawned from ``config.seed`` and the merged result is identical either
-    way.  A chain's exception reaches the caller as it would in serial.
+    starting vector per chain.
     """
-    global _FORKED_RUN
-    init = np.atleast_2d(np.asarray(init, dtype=float))
-    if init.shape[0] != config.n_chains:
-        raise ValueError(f"need {config.n_chains} initial vectors, got {init.shape[0]}")
-    dim = init.shape[1]
-    _, grad0 = target(init[0])
-    if np.asarray(grad0).size != dim:
-        raise ValueError("target gradient dimension does not match init")
-
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.n_chains)]
-
-    n_procs = min(n_workers, config.n_chains)
-    if n_procs > 1 and "fork" in multiprocessing.get_all_start_methods():
-        _FORKED_RUN = (target, config, init, streams)
-        try:
-            # Pool forks its workers before it starts its helper threads;
-            # leaving the with block terminates and joins them
-            with multiprocessing.get_context("fork").Pool(n_procs) as pool:
-                results = pool.map(_forked_chain, range(config.n_chains), chunksize=1)
-        finally:
-            _FORKED_RUN = None
-    else:
-        results = [_run_chain(target, config, init[c], streams[c]) for c in range(config.n_chains)]
-
-    draws = np.concatenate([r["draws"] for r in results], axis=0)
-    chain = np.repeat(np.arange(config.n_chains), config.n_kept)
-    names = param_names if param_names is not None else [f"theta[{k}]" for k in range(dim)]
-    post = PosteriorDraws(
-        draws=draws,
-        chain=chain,
-        param_names=list(names),
-        n_chains=config.n_chains,
-        n_kept_per_chain=config.n_kept,
-        accept_prob=np.array([r["accept_prob"] for r in results]),
-        divergences=np.array([r["divergences"] for r in results]),
-        step_sizes=np.array([r["step_size"] for r in results]),
-    )
-    if config.n_chains >= 2 and config.n_kept >= 4:
-        post.rhat, post.ess, post.degenerate = rhat_ess(post)
-    return post
+    return run_hmc_jobs([HmcJob(target, config, init, param_names)], n_workers)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .special import betaln, expit, gammaln, log_expit, log_expit_pair, logit
+from .special import betaln, expit, expit_log_expit_pair, gammaln, log_expit, logit
 
 __all__ = [
     "NormalPrior",
@@ -81,12 +82,16 @@ class NormalPrior:
     def _log_norm(self) -> float:
         return -0.5 * np.log(2.0 * np.pi) - np.log(self.sd)
 
+    @cached_property
+    def _var(self) -> float:
+        return self.sd**2
+
     def logpdf(self, x: float) -> float:
         z = (x - self.mean) / self.sd
         return self._log_norm - 0.5 * z * z
 
     def score(self, x: float) -> float:
-        return -(x - self.mean) / self.sd**2
+        return -(x - self.mean) / self._var
 
 
 @dataclass(frozen=True)
@@ -132,14 +137,17 @@ class GammaPrior:
         if self.shape <= 0.0 or self.scale <= 0.0:
             raise ValueError("gamma prior parameters must be positive")
 
+    @cached_property
+    def _gammaln_shape(self) -> float:
+        return gammaln(self.shape)
+
+    @cached_property
+    def _shape_log_scale(self) -> float:
+        return self.shape * np.log(self.scale)
+
     def log_density_unconstrained(self, u: float) -> float:
         """Density over u = log(x), transform Jacobian included."""
-        return (
-            self.shape * u
-            - np.exp(u) / self.scale
-            - gammaln(self.shape)
-            - self.shape * np.log(self.scale)
-        )
+        return self.shape * u - np.exp(u) / self.scale - self._gammaln_shape - self._shape_log_scale
 
     def score_unconstrained(self, u: float) -> float:
         return self.shape - np.exp(u) / self.scale
@@ -460,7 +468,7 @@ def _shmev_value_grad(
         mu_g = c.Z @ bg
         mu_d = c.Z @ bd
         ell = c.Z @ bl
-        lam = expit(ell)
+        lam, log_lam, log_1m_lam = expit_log_expit_pair(ell)
 
         # Weibull magnitudes: per-event (x/delta)^gamma via exp of logs,
         # computed in reusable scratch; each block's log delta and gamma reach
@@ -486,7 +494,6 @@ def _shmev_value_grad(
 
         # binomial counts, logit-linked success probability
         N = float(c.trials)
-        log_lam, log_1m_lam = log_expit_pair(ell)
         binom = float(
             np.sum(c.sum_n_s * log_lam + (c.J * N - c.sum_n_s) * log_1m_lam) + c.binom_const
         )
@@ -624,6 +631,73 @@ def shmev_gradient(params: ShmevParams, dataset: Dataset, prior: ShmevPriorSpec)
 
 
 # ---------------------------------------------------------------------------
+# Row-batched targets
+# ---------------------------------------------------------------------------
+
+def _stacked(priors: Sequence[Sequence], *names: str) -> SimpleNamespace:
+    """The attributes ``names`` of a ``(rows, k)`` table of priors of one
+    class, as ``(rows, k)`` arrays in an object that the class's own methods
+    evaluate elementwise."""
+    return SimpleNamespace(
+        **{n: np.array([[getattr(q, n) for q in row] for row in priors], dtype=float) for n in names}
+    )
+
+
+def _equal_runs(sizes: Sequence[int]) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of consecutive rows with equal ``sizes``."""
+    runs, start = [], 0
+    for r in range(1, len(sizes) + 1):
+        if r == len(sizes) or sizes[r] != sizes[start]:
+            runs.append((start, r))
+            start = r
+    return runs
+
+
+class _RowBatchedTarget:
+    """Base of the targets whose value and gradient come from one kernel over
+    a batch of rows, ``batch_kernel(targets)``, with one target per row; a
+    subclass names its kernel class as ``_rows``.
+
+    The kernel maps an ``(R, dim)`` array to ``(logp, grad, parts)`` with
+    ``logp`` of shape ``(R,)`` and ``grad`` of shape ``(R, dim)``; rows may
+    belong to different targets of the class, and each row's result equals
+    its one-row call bit for bit.  ``__call__`` is that kernel on one row.
+    The sampler evaluates many rows in one kernel call only while a class
+    keeps this ``__call__`` (marked ``batched``): a subclass or patch that
+    replaces it is evaluated row by row through the replacement.
+    """
+
+    _rows: type
+    _kernel = None
+
+    @classmethod
+    def batch_kernel(cls, targets: Sequence["_RowBatchedTarget"]):
+        return cls._rows(targets)
+
+    def _one_row(self, v):
+        if self._kernel is None:
+            self._kernel = self.batch_kernel([self])
+        return self._kernel(np.asarray(v, dtype=float)[None, :])
+
+    def __call__(self, v):
+        logp, grad, _ = self._one_row(v)
+        return logp[0], grad[0]
+
+    __call__.batched = True
+
+    def value(self, v) -> float:
+        return self._one_row(v)[0][0]
+
+
+def _reject_non_finite(logp: np.ndarray, grad: np.ndarray) -> None:
+    """Mark rows with a non-finite value or gradient as rejected states:
+    ``-inf`` with a zero gradient."""
+    bad = ~np.isfinite(logp) | ~np.all(np.isfinite(grad), axis=1)
+    logp[bad] = -np.inf
+    grad[bad] = 0.0
+
+
+# ---------------------------------------------------------------------------
 # GEV benchmark
 # ---------------------------------------------------------------------------
 
@@ -631,58 +705,73 @@ _GEV_LIMIT_EPS = 1e-10     # value switches to the Gumbel limit below this |shap
 _GEV_GRAD_EPS = 1e-5       # shape gradient uses the series limit below this
 
 
-def _gev_value_grad(v: np.ndarray, y: np.ndarray, prior: GevPriorSpec, want_grad: bool):
-    mu, lsig, tau = float(v[0]), float(v[1]), float(v[2])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        sig = np.exp(lsig)
-        z = (y - mu) / sig
-        n = y.size
-        grad = np.zeros(3)
-        if abs(tau) < _GEV_LIMIT_EPS:
-            ez = np.exp(-z)
-            loglik = float(-n * lsig - np.sum(z) - np.sum(ez))
-            if want_grad:
-                grad[0] = np.sum(1.0 - ez) / sig
-                grad[1] = np.sum(-1.0 + z * (1.0 - ez))
-                grad[2] = np.sum(-z + 0.5 * z * z * (1.0 - ez))
-        else:
-            t = 1.0 + tau * z
-            if np.any(t <= 0.0):
-                return -np.inf, np.zeros(3)
-            logt = np.log1p(tau * z)
-            w = np.exp(-logt / tau)  # t^(-1/tau)
-            loglik = float(-n * lsig - (1.0 + 1.0 / tau) * np.sum(logt) - np.sum(w))
-            if want_grad:
-                tauA = -(tau + 1.0) / t + w / t  # tau * dloglik_i/dt_i
-                grad[0] = -np.sum(tauA) / sig
-                grad[1] = np.sum(-1.0 - z * tauA)
-                if abs(tau) < _GEV_GRAD_EPS:
-                    ez = np.exp(-z)
-                    grad[2] = np.sum(-z + 0.5 * z * z * (1.0 - ez))
-                else:
-                    grad[2] = np.sum(logt * (1.0 - w) / tau**2 + z * tauA / tau)
+class _GevRows:
+    """The GEV kernel over one ``GevTarget`` per row.
 
-        logp = (
-            loglik
-            + prior.loc.logpdf(mu)
-            + prior.scale.log_density_unconstrained(lsig)
-            + prior.shape.logpdf(tau)
+    Consecutive rows with equally many maxima share one ``(rows, n)`` block,
+    so each row's sums run along the last axis as a one-row call's do.  Rows
+    take the general branch; those whose shape is small enough take the
+    series shape gradient or the Gumbel limit in its place.  A general-branch
+    row with some ``1 + shape z <= 0`` is rejected.
+    """
+
+    def __init__(self, targets: Sequence["GevTarget"]):
+        sizes = [t.maxima.size for t in targets]
+        self.runs = [(a, b, np.array([t.maxima for t in targets[a:b]])) for a, b in _equal_runs(sizes)]
+        # the location and shape priors side by side, as the columns of V[:, 0::2]
+        self.normal = _stacked([(t.prior.loc, t.prior.shape) for t in targets], "mean", "sd", "_log_norm", "_var")
+        self.scale = _stacked(
+            [(t.prior.scale,) for t in targets], "shape", "scale", "_gammaln_shape", "_shape_log_scale"
         )
-        if not np.isfinite(logp):
-            return -np.inf, np.zeros(3)
-        if want_grad:
-            grad[0] += prior.loc.score(mu)
-            grad[1] += prior.scale.score_unconstrained(lsig)
-            grad[2] += prior.shape.score(tau)
-            if not np.all(np.isfinite(grad)):
-                return -np.inf, np.zeros(3)
-        return logp, grad
+
+    def __call__(self, V: np.ndarray):
+        R = V.shape[0]
+        loglik, grad, reject = np.empty(R), np.empty((R, 3)), np.zeros(R, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            sig = np.exp(V[:, 1:2])
+            for a, b, y in self.runs:
+                mu, lsig, tau, s = V[a:b, 0:1], V[a:b, 1], V[a:b, 2:3], sig[a:b]
+                n = y.shape[1]
+                z = (y - mu) / s
+                tz = tau * z
+                t = 1.0 + tz
+                logt = np.log1p(tz)
+                w = np.exp(-logt / tau)  # t^(-1/tau)
+                tauA = -(tau + 1.0) / t + w / t  # tau * dloglik_i/dt_i
+                tau2 = np.array([[x**2] for x in tau[:, 0].tolist()])
+                reject[a:b] = np.any(t <= 0.0, axis=1)
+                loglik[a:b] = -n * lsig - (1.0 + 1.0 / tau[:, 0]) * np.sum(logt, axis=1) - np.sum(w, axis=1)
+                grad[a:b, 0] = -np.sum(tauA, axis=1) / s[:, 0]
+                grad[a:b, 1] = np.sum(-1.0 - z * tauA, axis=1)
+                grad[a:b, 2] = np.sum(logt * (1.0 - w) / tau2 + z * tauA / tau, axis=1)
+                small = np.abs(tau[:, 0]) < _GEV_GRAD_EPS
+                if small.any():
+                    ez = np.exp(-z)
+                    series = np.sum(-z + 0.5 * z * z * (1.0 - ez), axis=1)
+                    grad[a:b, 2] = np.where(small, series, grad[a:b, 2])
+                    gumbel = np.abs(tau[:, 0]) < _GEV_LIMIT_EPS
+                    if gumbel.any():
+                        reject[a:b] &= ~gumbel
+                        loglik[a:b] = np.where(
+                            gumbel, -n * lsig - np.sum(z, axis=1) - np.sum(ez, axis=1), loglik[a:b]
+                        )
+                        grad[a:b, 0] = np.where(gumbel, np.sum(1.0 - ez, axis=1) / s[:, 0], grad[a:b, 0])
+                        grad[a:b, 1] = np.where(gumbel, np.sum(-1.0 + z * (1.0 - ez), axis=1), grad[a:b, 1])
+            loc_shape = V[:, 0::2]
+            normal = NormalPrior.logpdf(self.normal, loc_shape)
+            logp = loglik + normal[:, 0] + GammaPrior.log_density_unconstrained(self.scale, V[:, 1:2])[:, 0] + normal[:, 1]
+            grad[:, 0::2] += NormalPrior.score(self.normal, loc_shape)
+            grad[:, 1:2] += GammaPrior.score_unconstrained(self.scale, V[:, 1:2])
+            logp[reject] = -np.inf
+            _reject_non_finite(logp, grad)
+        return logp, grad, None
 
 
-class GevTarget:
+class GevTarget(_RowBatchedTarget):
     """Callable target over ``[loc, log_scale, shape]`` for one maxima sample."""
 
     layout_names = ("loc", "log_scale", "shape")
+    _rows = _GevRows
 
     def __init__(self, maxima: np.ndarray, prior: GevPriorSpec):
         maxima = np.asarray(maxima, dtype=float)
@@ -691,12 +780,6 @@ class GevTarget:
         self.maxima = maxima
         self.prior = prior
         self.dim = 3
-
-    def __call__(self, v):
-        return _gev_value_grad(np.asarray(v, dtype=float), self.maxima, self.prior, True)
-
-    def value(self, v) -> float:
-        return _gev_value_grad(np.asarray(v, dtype=float), self.maxima, self.prior, False)[0]
 
     def initial_vector(self) -> np.ndarray:
         return np.array(
@@ -793,10 +876,12 @@ class _CompiledHmev:
     def __init__(self, events: Sequence[np.ndarray], trials: int):
         self.J = len(events)
         self.trials = trials
-        self.n_b = np.array([np.asarray(e).size for e in events], dtype=float)
+        self.counts = np.array([np.asarray(e).size for e in events], dtype=np.int64)
+        self.n_b = self.counts.astype(float)
         if np.any(self.n_b > trials):
             raise ValueError("block event count exceeds trials_per_block")
-        logs, ids = [], []
+        self.sum_n = float(self.n_b.sum())
+        logs = []
         self.slx_b = np.zeros(self.J)
         for j, mags in enumerate(events):
             arr = np.asarray(mags, dtype=float)
@@ -805,121 +890,118 @@ class _CompiledHmev:
             if arr.size:
                 lx = np.log(arr)
                 logs.append(lx)
-                ids.append(np.full(arr.size, j, dtype=np.int64))
                 self.slx_b[j] = lx.sum()
         self.logx = np.concatenate(logs) if logs else np.zeros(0)
-        self.block_of_event = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
         n, N = self.n_b, float(trials)
         self.binom_const = float(
             np.sum(gammaln(N + 1.0) - gammaln(n + 1.0) - gammaln(N - n + 1.0))
         )
 
 
-def _hmev_value_grad(
-    v: np.ndarray,
-    c: _CompiledHmev,
-    prior: HmevPriorSpec,
-    want_grad: bool,
-    want_parts: bool = False,
-):
-    layout = HmevLayout(c.J)
-    lmg, lsg, lmd, lsd, llam = v[:5]
-    ug = v[layout.log_gamma]
-    ud = v[layout.log_delta]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        mu_g, sig_g = np.exp(lmg), np.exp(lsg)
-        mu_d, sig_d = np.exp(lmd), np.exp(lsd)
-        lam = expit(llam)
-        gam, dlt = np.exp(ug), np.exp(ud)
+class _HmevRows:
+    """The single-site kernel over one ``HmevTarget`` per row.
 
-        gam_e = gam[c.block_of_event]
-        a_e = gam_e * (c.logx - ud[c.block_of_event])
-        t_e = np.exp(a_e)
-        T1 = np.bincount(c.block_of_event, weights=t_e, minlength=c.J)
-        U = np.bincount(c.block_of_event, weights=t_e * c.logx, minlength=c.J)
-        weibull = float(
-            np.sum(c.n_b * ug - c.n_b * ud + (gam - 1.0) * (c.slx_b - c.n_b * ud)) - t_e.sum()
+    The rows' events are concatenated row by row, each block's in one run, so
+    a per-block value reaches its events by ``np.repeat`` and the per-block
+    totals are ``np.bincount`` over row-offset block ids, which sums each bin
+    in event order.  Each row's event total is a sum along the last axis of
+    the ``(rows, events)`` block that its run of equal-sized rows forms.  The
+    two latent layers (gamma and delta) are evaluated side by side as a
+    ``(rows, 2, J)`` array.  So every row equals its one-row call bit for bit.
+    """
+
+    def __init__(self, targets: Sequence["HmevTarget"]):
+        comp = [t._compiled for t in targets]
+        R, J = len(comp), comp[0].J
+        self.R, self.J = R, J
+        self.counts = np.concatenate([c.counts for c in comp])
+        self.logx = np.concatenate([c.logx for c in comp])
+        self.block_id = np.repeat(np.arange(R * J), self.counts)
+        sizes = [c.logx.size for c in comp]
+        offsets = np.cumsum([0] + sizes).tolist()
+        self.runs = [(a, b, offsets[a], sizes[a]) for a, b in _equal_runs(sizes)]
+        self.n_b = np.array([c.n_b for c in comp])
+        self.slx_b = np.array([c.slx_b for c in comp])
+        self.sum_n = np.array([c.sum_n for c in comp])
+        self.trials = np.array([float(c.trials) for c in comp])
+        self.binom_const = np.array([c.binom_const for c in comp])
+        # the four hyperparameter priors side by side, as the columns of V[:, :4]
+        self.hyper = _stacked(
+            [(t.prior.mu_gamma, t.prior.sigma_gamma, t.prior.mu_delta, t.prior.sigma_delta) for t in targets],
+            "shape", "scale", "_log_norm",
         )
+        rate = _stacked([(t.prior.event_rate,) for t in targets], "a", "b", "_log_beta")
+        self.rate_a, self.rate_b, self.rate_log_beta = rate.a[:, 0], rate.b[:, 0], rate._log_beta[:, 0]
 
-        z1 = (gam - mu_g) / sig_g
-        z2 = (dlt - mu_d) / sig_d
-        e1, e2 = np.exp(-z1), np.exp(-z2)
-        latent = float(-c.J * (lsg + lsd) - np.sum(z1 + e1) - np.sum(z2 + e2))
+    def __call__(self, V: np.ndarray):
+        R, J = self.R, self.J
+        nb, slx, N = self.n_b, self.slx_b, self.trials
+        llam = V[:, 4]
+        ug = V[:, 5:5 + J]
+        ud = V[:, 5 + J:5 + 2 * J]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            hyper = np.exp(V[:, :4])  # mu_gamma, sigma_gamma, mu_delta, sigma_delta
+            loc, scale = hyper[:, 0::2, None], hyper[:, 1::2, None]
+            lam, log_lam, log_1m_lam = expit_log_expit_pair(llam)
+            latents = np.exp(V[:, 5:].reshape(R, 2, J))  # gamma, delta
+            gam = latents[:, 0]
 
-        N = float(c.trials)
-        sum_n = float(c.n_b.sum())
-        binom = float(
-            sum_n * log_expit(llam) + (c.J * N - sum_n) * log_expit(-llam) + c.binom_const
-        )
+            t_e = self.logx - np.repeat(ud.ravel(), self.counts)
+            t_e *= np.repeat(gam.ravel(), self.counts)
+            np.exp(t_e, out=t_e)
+            T1 = np.bincount(self.block_id, weights=t_e, minlength=R * J).reshape(R, J)
+            U = np.bincount(self.block_id, weights=t_e * self.logx, minlength=R * J).reshape(R, J)
+            t_sum = np.empty(R)
+            for a, b, start, n in self.runs:
+                t_sum[a:b] = t_e[start:start + (b - a) * n].reshape(b - a, n).sum(axis=1)
+            nb_ud = nb * ud
+            weibull = np.sum(nb * ug - nb_ud + (gam - 1.0) * (slx - nb_ud), axis=1) - t_sum
 
-        prior_terms = (
-            prior.mu_gamma.log_density_unconstrained(lmg)
-            + prior.sigma_gamma.log_density_unconstrained(lsg)
-            + prior.mu_delta.log_density_unconstrained(lmd)
-            + prior.sigma_delta.log_density_unconstrained(lsd)
-            + prior.event_rate.log_density_unconstrained(llam)
-        )
-        jacobian = float(np.sum(ug) + np.sum(ud))
-        logp = weibull + latent + binom + prior_terms + jacobian
-        if not np.isfinite(logp):
-            logp = -np.inf
+            z = (latents - loc) / scale
+            e = np.exp(-z)
+            zsum = np.sum(z + e, axis=2)
+            latent = -J * (V[:, 1] + V[:, 3]) - zsum[:, 0] - zsum[:, 1]
 
-        parts = None
-        if want_parts:
-            parts = {
-                "weibull": weibull,
-                "binomial": binom,
-                "latent_gumbel": latent,
-                "latent_jacobian": jacobian,
-                "prior": float(prior_terms),
-            }
-        if not want_grad:
-            return logp, None, parts
+            binom = self.sum_n * log_lam + (J * N - self.sum_n) * log_1m_lam + self.binom_const
 
-        grad = np.zeros(layout.dim)
-        if np.isfinite(logp):
-            T2 = U - ud * T1
-            grad[layout.log_gamma] = (
-                c.n_b + gam * (c.slx_b - c.n_b * ud - T2) + gam * (e1 - 1.0) / sig_g + 1.0
-            )
-            grad[layout.log_delta] = gam * (T1 - c.n_b) + dlt * (e2 - 1.0) / sig_d + 1.0
-            grad[layout.log_mu_gamma] = float(
-                mu_g * np.sum(1.0 - e1) / sig_g + prior.mu_gamma.score_unconstrained(lmg)
-            )
-            grad[layout.log_mu_delta] = float(
-                mu_d * np.sum(1.0 - e2) / sig_d + prior.mu_delta.score_unconstrained(lmd)
-            )
-            grad[layout.log_sigma_gamma] = float(
-                np.sum(-1.0 + z1 * (1.0 - e1)) + prior.sigma_gamma.score_unconstrained(lsg)
-            )
-            grad[layout.log_sigma_delta] = float(
-                np.sum(-1.0 + z2 * (1.0 - e2)) + prior.sigma_delta.score_unconstrained(lsd)
-            )
-            grad[layout.logit_lambda] = float(
-                sum_n - c.J * N * lam + prior.event_rate.score_unconstrained(llam)
-            )
-            if not np.all(np.isfinite(grad)):
-                logp, grad = -np.inf, np.zeros(layout.dim)
+            hyper_prior = InverseGammaPrior.log_density_unconstrained(self.hyper, V[:, :4])
+            rate_prior = self.rate_a * log_lam + self.rate_b * log_1m_lam - self.rate_log_beta
+            prior_terms = hyper_prior[:, 0] + hyper_prior[:, 1] + hyper_prior[:, 2] + hyper_prior[:, 3] + rate_prior
+            jacobian = np.sum(ug, axis=1) + np.sum(ud, axis=1)
+            logp = weibull + latent + binom + prior_terms + jacobian
+
+            grad = np.empty(V.shape)
+            one_m_e = 1.0 - e
+            layer = latents * (e - 1.0) / scale
+            grad[:, 5:5 + J] = nb + gam * (slx - nb_ud - (U - ud * T1)) + layer[:, 0] + 1.0
+            grad[:, 5 + J:] = gam * (T1 - nb) + layer[:, 1] + 1.0
+            hyper_score = InverseGammaPrior.score_unconstrained(self.hyper, V[:, :4])
+            grad[:, 0:4:2] = loc[:, :, 0] * np.sum(one_m_e, axis=2) / scale[:, :, 0] + hyper_score[:, 0::2]
+            grad[:, 1:4:2] = np.sum(-1.0 + z * one_m_e, axis=2) + hyper_score[:, 1::2]
+            grad[:, 4] = self.sum_n - J * N * lam + (self.rate_a - (self.rate_a + self.rate_b) * lam)
+            _reject_non_finite(logp, grad)
+        parts = {
+            "weibull": weibull,
+            "binomial": binom,
+            "latent_gumbel": latent,
+            "latent_jacobian": jacobian,
+            "prior": prior_terms,
+        }
         return logp, grad, parts
 
 
-class HmevTarget:
+class HmevTarget(_RowBatchedTarget):
     """Callable target for the single-site hierarchy."""
+
+    _rows = _HmevRows
 
     def __init__(self, events: Sequence[np.ndarray], trials: int, prior: HmevPriorSpec):
         self.prior = prior
         self.layout = HmevLayout(len(events))
         self._compiled = _CompiledHmev(events, trials)
 
-    def __call__(self, v):
-        logp, grad, _ = _hmev_value_grad(np.asarray(v, dtype=float), self._compiled, self.prior, True)
-        return logp, grad
-
-    def value(self, v) -> float:
-        return _hmev_value_grad(np.asarray(v, dtype=float), self._compiled, self.prior, False)[0]
-
     def parts(self, v) -> dict:
-        return _hmev_value_grad(np.asarray(v, dtype=float), self._compiled, self.prior, False, True)[2]
+        return {k: float(x[0]) for k, x in self._one_row(v)[2].items()}
 
     def initial_vector(self) -> np.ndarray:
         L = self.layout

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-__all__ = ["expit", "log_expit", "log_expit_pair", "logit", "gammaln", "betaln"]
+__all__ = ["expit", "log_expit", "expit_log_expit_pair", "logit", "gammaln", "betaln"]
 
 # cephes lgam: Stirling-series (A) and [2, 3) rational (B / C) coefficients
 _A = (
@@ -117,12 +117,29 @@ def log_expit(x):
     return -(_log1p_exp_neg_abs(x) - np.minimum(x, 0.0))
 
 
-def log_expit_pair(x) -> tuple[np.ndarray, np.ndarray]:
-    """``(log_expit(x), log_expit(-x))`` for an array, sharing one pass of
-    ``exp`` and ``log1p``."""
+def expit_log_expit_pair(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(expit(x), log_expit(x), log_expit(-x))`` for an array in one pass.
+
+    ``exp(-|x|)`` is also the ``exp(-x)`` that ``expit`` takes where x >= 0,
+    so only negative elements pay a second ``exp``.  Each element gets the
+    same ``math`` calls and float operations as in the separate functions,
+    so the same bits.
+    """
     x = np.asarray(x, dtype=float)
-    lp = _log1p_exp_neg_abs(x)
-    return -(lp - np.minimum(x, 0.0)), -(lp + np.maximum(x, 0.0))
+    lam, lo, hi = [], [], []
+    for v in x.ravel().tolist():
+        if v >= 0.0:
+            e = math.exp(-v)
+            lp = math.log1p(e)
+            lam.append(1.0 / (1.0 + e))
+            lo.append(-(lp - 0.0))
+            hi.append(-(lp + v))
+        else:  # x < 0 or nan; exp(-x) overflows below -709.78
+            lp = math.log1p(math.exp(v))
+            lam.append(1.0 / (1.0 + (math.exp(-v) if v > -709.0 else _exp(-v))))
+            lo.append(-(lp - v))
+            hi.append(-(lp + 0.0))
+    return tuple(np.array(a, dtype=float).reshape(x.shape) for a in (lam, lo, hi))
 
 
 def _logit(v: float) -> float:

@@ -2,20 +2,24 @@
 
 Everything here is a straight-line re-implementation with scalar ``math``
 loops over every observation, deliberately sharing no code with the
-vectorized package internals, except ``take_shmev_value_grad``: the former
-vectorized spatial kernel, kept as the bit-for-bit reference for the
-current one.
+vectorized package internals, except the former implementations kept as
+bit-for-bit references for the current ones: ``take_shmev_value_grad``
+(the spatial kernel before its gather went by block runs) and, at the end,
+the per-chain sampler with the one-row GEV and single-site kernels.
 """
 import csv
 import datetime as dt
 import math
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from shmev.errors import DataError
+from shmev.errors import DataError, NumericError
+from shmev.hmc import SamplerConfig
 from shmev.ingest import QcLedger
-from shmev.special import expit, log_expit_pair
+from shmev.model import GevPriorSpec, HmevLayout, HmevPriorSpec
+from shmev.special import expit, expit_log_expit_pair, gammaln, log_expit
 
 
 def _normal_logpdf(x, mean, sd):
@@ -290,7 +294,7 @@ def take_shmev_value_grad(v, target):
         latent = float(-nb * (lsg + lsd) - np.sum(z1 + e1) - np.sum(z2 + e2))
 
         N = float(c.trials)
-        log_lam, log_1m_lam = log_expit_pair(ell)
+        _, log_lam, log_1m_lam = expit_log_expit_pair(ell)
         binom = float(
             np.sum(c.sum_n_s * log_lam + (c.J * N - c.sum_n_s) * log_1m_lam) + c.binom_const
         )
@@ -340,3 +344,350 @@ def take_shmev_value_grad(v, target):
             if not np.all(np.isfinite(grad)):
                 logp, grad = -np.inf, np.zeros(layout.dim)
     return logp, grad
+
+
+# ---------------------------------------------------------------------------
+# The per-chain sampler and per-row kernels the lockstep sampler replaced
+# ---------------------------------------------------------------------------
+#
+# Kept verbatim as the bit-for-bit references for ``shmev.hmc`` and the
+# row-batched ``GevTarget`` and ``HmevTarget`` kernels.
+
+_DA_GAMMA = 0.05
+_DA_T0 = 10.0
+_DA_KAPPA = 0.75
+_GEV_LIMIT_EPS = 1e-10
+_GEV_GRAD_EPS = 1e-5
+
+
+def _find_reasonable_epsilon(target, q, mass, rng) -> float:
+    """Double/halve an initial step size until one leapfrog step has
+    acceptance ratio crossing 1/2 (Hoffman & Gelman 2014, alg. 4)."""
+    eps = 1.0
+    logp, grad = target(q)
+    if not np.isfinite(logp):
+        raise NumericError("initial point has non-finite log density")
+    p = rng.standard_normal(q.size) * np.sqrt(mass)
+
+    def energy_delta(eps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            p1 = p + 0.5 * eps * grad
+            q1 = q + eps * p1 / mass
+            logp1, grad1 = target(q1)
+            p1 = p1 + 0.5 * eps * grad1
+            if not np.isfinite(logp1):
+                return -np.inf
+            delta = (logp1 - 0.5 * np.sum(p1 * p1 / mass)) - (logp - 0.5 * np.sum(p * p / mass))
+        return delta if np.isfinite(delta) else -np.inf
+
+    delta = energy_delta(eps)
+    direction = 1.0 if delta > np.log(0.5) else -1.0
+    for _ in range(100):
+        eps = eps * (2.0 ** direction)
+        delta = energy_delta(eps)
+        if direction > 0 and delta <= np.log(0.5):
+            break
+        if direction < 0 and delta >= np.log(0.5):
+            break
+        if eps < 1e-12 or eps > 1e7:
+            break
+    return eps
+
+
+def _leapfrog(target, q, p, grad, eps, n_steps, mass):
+    """Standard velocity-leapfrog trajectory; returns the final state."""
+    p = p + 0.5 * eps * grad
+    for step in range(n_steps):
+        q = q + eps * p / mass
+        logp, grad = target(q)
+        if not np.all(np.isfinite(grad)) or not np.isfinite(logp):
+            return q, p, -np.inf, grad
+        if step < n_steps - 1:
+            p = p + eps * grad
+    p = p + 0.5 * eps * grad
+    return q, p, logp, grad
+
+
+def _run_chain(target, config: SamplerConfig, q0: np.ndarray, rng: np.random.Generator):
+    dim = q0.size
+    mass = np.ones(dim)
+    q = q0.astype(float).copy()
+    logp, grad = target(q)
+    if not np.isfinite(logp):
+        raise NumericError("chain initialized at a point with non-finite log density")
+
+    n_warmup = config.n_warmup
+    eps = _find_reasonable_epsilon(target, q, mass, rng)
+    mu = np.log(10.0 * eps)
+    log_eps_bar, h_bar, da_iter = np.log(eps), 0.0, 1
+
+    # mass-estimation window: draws in [n_warmup/4, n_warmup/2)
+    use_mass_window = config.adapt_mass and n_warmup >= 40
+    win_lo, win_hi = n_warmup // 4, n_warmup // 2
+    window = np.zeros((max(win_hi - win_lo, 1), dim)) if use_mass_window else None
+
+    kept = np.empty((config.n_kept, dim))
+    divergences = 0
+    warmup_divergences = 0
+    accept_sum = 0.0
+
+    for it in range(config.n_iterations):
+        warming = it < n_warmup
+        p0 = rng.standard_normal(dim) * np.sqrt(mass)
+        if config.step_jitter > 0.0:
+            jitter = 1.0 + config.step_jitter * (2.0 * rng.random() - 1.0)
+        else:
+            jitter = 1.0
+        n_steps = max(1, int(round(config.leapfrog_steps * jitter)))
+        q1, p1, logp1, grad1 = _leapfrog(target, q, p0, grad, eps, n_steps, mass)
+
+        h0 = -logp + 0.5 * np.sum(p0 * p0 / mass)
+        # a diverging trajectory can overflow the kinetic energy to inf,
+        # which the delta_h check below marks divergent
+        with np.errstate(over="ignore"):
+            kinetic1 = 0.5 * np.sum(p1 * p1 / mass)
+        h1 = -logp1 + kinetic1 if np.isfinite(logp1) else np.inf
+        delta_h = h1 - h0
+        divergent = not np.isfinite(delta_h) or delta_h > config.max_energy_error
+        if divergent:
+            alpha = 0.0
+            if warming:
+                warmup_divergences += 1
+            else:
+                divergences += 1
+        else:
+            alpha = 1.0 if delta_h <= 0.0 else float(np.exp(-delta_h))
+            if rng.random() < alpha:
+                q, logp, grad = q1, logp1, grad1
+
+        if warming:
+            frac = 1.0 / (da_iter + _DA_T0)
+            h_bar = (1.0 - frac) * h_bar + frac * (config.target_accept - alpha)
+            log_eps = mu - np.sqrt(da_iter) / _DA_GAMMA * h_bar
+            w = da_iter ** (-_DA_KAPPA)
+            log_eps_bar = w * log_eps + (1.0 - w) * log_eps_bar
+            eps = float(np.exp(log_eps))
+            da_iter += 1
+            if use_mass_window and win_lo <= it < win_hi:
+                window[it - win_lo] = q
+            if use_mass_window and it == win_hi - 1:
+                n_win = window.shape[0]
+                var = np.var(window, axis=0)
+                # shrink toward a small diagonal, as in windowed adaptation
+                var = (n_win / (n_win + 5.0)) * var + (5.0 / (n_win + 5.0)) * 1e-3
+                mass = 1.0 / np.maximum(var, 1e-10)
+                eps = float(np.exp(log_eps_bar))
+                mu = np.log(10.0 * eps)
+                log_eps_bar, h_bar, da_iter = np.log(eps), 0.0, 1
+            if it == n_warmup - 1:
+                if warmup_divergences >= n_warmup:
+                    raise NumericError(
+                        f"all {n_warmup} warmup iterations diverged; the target may be "
+                        "ill-conditioned or the gradient wrong"
+                    )
+                eps = float(np.exp(log_eps_bar))
+        else:
+            kept[it - n_warmup] = q
+            accept_sum += alpha
+
+    return {
+        "draws": kept,
+        "accept_prob": accept_sum / config.n_kept,
+        "divergences": divergences,
+        "warmup_divergences": warmup_divergences,
+        "step_size": eps,
+    }
+
+
+def _gev_value_grad(v: np.ndarray, y: np.ndarray, prior: GevPriorSpec, want_grad: bool):
+    mu, lsig, tau = float(v[0]), float(v[1]), float(v[2])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        sig = np.exp(lsig)
+        z = (y - mu) / sig
+        n = y.size
+        grad = np.zeros(3)
+        if abs(tau) < _GEV_LIMIT_EPS:
+            ez = np.exp(-z)
+            loglik = float(-n * lsig - np.sum(z) - np.sum(ez))
+            if want_grad:
+                grad[0] = np.sum(1.0 - ez) / sig
+                grad[1] = np.sum(-1.0 + z * (1.0 - ez))
+                grad[2] = np.sum(-z + 0.5 * z * z * (1.0 - ez))
+        else:
+            t = 1.0 + tau * z
+            if np.any(t <= 0.0):
+                return -np.inf, np.zeros(3)
+            logt = np.log1p(tau * z)
+            w = np.exp(-logt / tau)  # t^(-1/tau)
+            loglik = float(-n * lsig - (1.0 + 1.0 / tau) * np.sum(logt) - np.sum(w))
+            if want_grad:
+                tauA = -(tau + 1.0) / t + w / t  # tau * dloglik_i/dt_i
+                grad[0] = -np.sum(tauA) / sig
+                grad[1] = np.sum(-1.0 - z * tauA)
+                if abs(tau) < _GEV_GRAD_EPS:
+                    ez = np.exp(-z)
+                    grad[2] = np.sum(-z + 0.5 * z * z * (1.0 - ez))
+                else:
+                    grad[2] = np.sum(logt * (1.0 - w) / tau**2 + z * tauA / tau)
+
+        logp = (
+            loglik
+            + prior.loc.logpdf(mu)
+            + (
+                prior.scale.shape * lsig
+                - np.exp(lsig) / prior.scale.scale
+                - gammaln(prior.scale.shape)
+                - prior.scale.shape * np.log(prior.scale.scale)
+            )
+            + prior.shape.logpdf(tau)
+        )
+        if not np.isfinite(logp):
+            return -np.inf, np.zeros(3)
+        if want_grad:
+            grad[0] += prior.loc.score(mu)
+            grad[1] += prior.scale.score_unconstrained(lsig)
+            grad[2] += prior.shape.score(tau)
+            if not np.all(np.isfinite(grad)):
+                return -np.inf, np.zeros(3)
+        return logp, grad
+
+
+
+class _CompiledHmev:
+    def __init__(self, events: Sequence[np.ndarray], trials: int):
+        self.J = len(events)
+        self.trials = trials
+        self.n_b = np.array([np.asarray(e).size for e in events], dtype=float)
+        if np.any(self.n_b > trials):
+            raise ValueError("block event count exceeds trials_per_block")
+        logs, ids = [], []
+        self.slx_b = np.zeros(self.J)
+        for j, mags in enumerate(events):
+            arr = np.asarray(mags, dtype=float)
+            if np.any(arr <= 0.0):
+                raise ValueError("magnitudes must be strictly positive")
+            if arr.size:
+                lx = np.log(arr)
+                logs.append(lx)
+                ids.append(np.full(arr.size, j, dtype=np.int64))
+                self.slx_b[j] = lx.sum()
+        self.logx = np.concatenate(logs) if logs else np.zeros(0)
+        self.block_of_event = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
+        n, N = self.n_b, float(trials)
+        self.binom_const = float(
+            np.sum(gammaln(N + 1.0) - gammaln(n + 1.0) - gammaln(N - n + 1.0))
+        )
+
+
+def _hmev_value_grad(
+    v: np.ndarray,
+    c: _CompiledHmev,
+    prior: HmevPriorSpec,
+    want_grad: bool,
+    want_parts: bool = False,
+):
+    layout = HmevLayout(c.J)
+    lmg, lsg, lmd, lsd, llam = v[:5]
+    ug = v[layout.log_gamma]
+    ud = v[layout.log_delta]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        mu_g, sig_g = np.exp(lmg), np.exp(lsg)
+        mu_d, sig_d = np.exp(lmd), np.exp(lsd)
+        lam = expit(llam)
+        gam, dlt = np.exp(ug), np.exp(ud)
+
+        gam_e = gam[c.block_of_event]
+        a_e = gam_e * (c.logx - ud[c.block_of_event])
+        t_e = np.exp(a_e)
+        T1 = np.bincount(c.block_of_event, weights=t_e, minlength=c.J)
+        U = np.bincount(c.block_of_event, weights=t_e * c.logx, minlength=c.J)
+        weibull = float(
+            np.sum(c.n_b * ug - c.n_b * ud + (gam - 1.0) * (c.slx_b - c.n_b * ud)) - t_e.sum()
+        )
+
+        z1 = (gam - mu_g) / sig_g
+        z2 = (dlt - mu_d) / sig_d
+        e1, e2 = np.exp(-z1), np.exp(-z2)
+        latent = float(-c.J * (lsg + lsd) - np.sum(z1 + e1) - np.sum(z2 + e2))
+
+        N = float(c.trials)
+        sum_n = float(c.n_b.sum())
+        binom = float(
+            sum_n * log_expit(llam) + (c.J * N - sum_n) * log_expit(-llam) + c.binom_const
+        )
+
+        prior_terms = (
+            prior.mu_gamma.log_density_unconstrained(lmg)
+            + prior.sigma_gamma.log_density_unconstrained(lsg)
+            + prior.mu_delta.log_density_unconstrained(lmd)
+            + prior.sigma_delta.log_density_unconstrained(lsd)
+            + prior.event_rate.log_density_unconstrained(llam)
+        )
+        jacobian = float(np.sum(ug) + np.sum(ud))
+        logp = weibull + latent + binom + prior_terms + jacobian
+        if not np.isfinite(logp):
+            logp = -np.inf
+
+        parts = None
+        if want_parts:
+            parts = {
+                "weibull": weibull,
+                "binomial": binom,
+                "latent_gumbel": latent,
+                "latent_jacobian": jacobian,
+                "prior": float(prior_terms),
+            }
+        if not want_grad:
+            return logp, None, parts
+
+        grad = np.zeros(layout.dim)
+        if np.isfinite(logp):
+            T2 = U - ud * T1
+            grad[layout.log_gamma] = (
+                c.n_b + gam * (c.slx_b - c.n_b * ud - T2) + gam * (e1 - 1.0) / sig_g + 1.0
+            )
+            grad[layout.log_delta] = gam * (T1 - c.n_b) + dlt * (e2 - 1.0) / sig_d + 1.0
+            grad[layout.log_mu_gamma] = float(
+                mu_g * np.sum(1.0 - e1) / sig_g + prior.mu_gamma.score_unconstrained(lmg)
+            )
+            grad[layout.log_mu_delta] = float(
+                mu_d * np.sum(1.0 - e2) / sig_d + prior.mu_delta.score_unconstrained(lmd)
+            )
+            grad[layout.log_sigma_gamma] = float(
+                np.sum(-1.0 + z1 * (1.0 - e1)) + prior.sigma_gamma.score_unconstrained(lsg)
+            )
+            grad[layout.log_sigma_delta] = float(
+                np.sum(-1.0 + z2 * (1.0 - e2)) + prior.sigma_delta.score_unconstrained(lsd)
+            )
+            grad[layout.logit_lambda] = float(
+                sum_n - c.J * N * lam + prior.event_rate.score_unconstrained(llam)
+            )
+            if not np.all(np.isfinite(grad)):
+                logp, grad = -np.inf, np.zeros(layout.dim)
+        return logp, grad, parts
+
+
+def oracle_run_hmc(target, config, init):
+    """``run_hmc`` as it was: each chain sampled on its own, one after
+    another, with the streams spawned from ``config.seed``; returns the
+    merged draws and the per-chain statistics."""
+    init = np.atleast_2d(np.asarray(init, dtype=float))
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.n_chains)]
+    results = [_run_chain(target, config, init[c], streams[c]) for c in range(config.n_chains)]
+    return {
+        "draws": np.concatenate([r["draws"] for r in results], axis=0),
+        "accept_prob": np.array([r["accept_prob"] for r in results]),
+        "divergences": np.array([r["divergences"] for r in results]),
+        "step_sizes": np.array([r["step_size"] for r in results]),
+    }
+
+
+def oracle_gev_target(target):
+    """``GevTarget``'s value and gradient by the former one-row kernel."""
+    return lambda v: _gev_value_grad(np.asarray(v, dtype=float), target.maxima, target.prior, True)
+
+
+def oracle_hmev_target(target, events, trials):
+    """``HmevTarget``'s value and gradient by the former one-row kernel."""
+    c = _CompiledHmev(events, trials)
+    return lambda v: _hmev_value_grad(np.asarray(v, dtype=float), c, target.prior, True)[:2]

@@ -179,22 +179,37 @@ class TestDeterminism:
                 else:
                     assert (out / sub / rel).read_bytes() == (alt / sub / rel).read_bytes(), rel
 
-    @pytest.mark.parametrize("model", ["shmev", "hmev", "gev"])
-    def test_worker_count_does_not_change_fit_artifacts(self, study, tmp_path, model):
+    @pytest.mark.parametrize(
+        "model, stations",
+        [
+            pytest.param("shmev", None, id="shmev"),
+            pytest.param("hmev", None, id="hmev"),
+            pytest.param("gev", None, id="gev"),
+            # 6 chain rows: 3 workers take 2 each, 2 workers split a station
+            pytest.param("hmev", 3, id="hmev-3-stations"),
+            pytest.param("gev", 3, id="gev-3-stations"),
+        ],
+    )
+    def test_worker_count_does_not_change_fit_artifacts(self, study, tmp_path, model, stations):
         base, out, config = study
         body = yaml.safe_load(config.read_text())
         body["fit"]["model"] = model
         if model == "gev":
             body["fit"].pop("covariates")
             body["fit"].pop("covariate_columns")
+        if stations is not None:
+            body["fit"]["stations"] = [f"S{s + 1:02d}" for s in range(stations)]
         model_config = write_config(tmp_path / f"{model}.yaml", body)
         manifests = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):
             fit_dir = tmp_path / f"fit_{threads}"
             code = main(["fit", "--config", str(model_config), "--out", str(fit_dir), "--threads", threads])
             assert code == 0
+            assert multiprocessing.active_children() == []
             manifests.append((fit_dir / "manifest.json").read_bytes())
-        assert manifests[0] == manifests[1]
+        assert manifests[0] == manifests[1] == manifests[2]
+        if stations is not None:
+            assert sorted(p.name for p in (tmp_path / "fit_1" / "sites").iterdir()) == body["fit"]["stations"]
 
 
 class TestValidation:
@@ -233,6 +248,47 @@ class TestValidation:
         assert err["command"] == "fit"
         assert f"fit.sampler.{key}" in err["message"]
         assert not (out / "fit" / "manifest.json").exists()
+
+    @staticmethod
+    def assert_threads_rejected(capsys, code, fit_dir, name):
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["exit_code"] == 2
+        assert err["command"] == "fit"
+        assert name in err["message"]
+        assert not fit_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["two", "-5", "0", "1.5", "True"])
+    def test_threads_flag_must_be_a_positive_integer(self, tmp_path, capsys, flag):
+        out = tmp_path / "runs"
+        config = tiny_study_config(tmp_path, out)
+        code = main(["fit", "--config", str(config), "--out", str(out / "fit"), "--threads", flag])
+        self.assert_threads_rejected(capsys, code, out / "fit", "--threads")
+
+    @pytest.mark.parametrize("value", ["two", True, -2, 0, 2.5, None])
+    def test_threads_key_must_be_a_positive_integer(self, tmp_path, capsys, value):
+        out = tmp_path / "runs"
+        body = yaml.safe_load(tiny_study_config(tmp_path, out).read_text())
+        body["threads"] = value
+        bad = write_config(tmp_path / "bad.yaml", body)
+        code = main(["fit", "--config", str(bad), "--out", str(out / "fit")])
+        self.assert_threads_rejected(capsys, code, out / "fit", "threads")
+
+    @pytest.mark.parametrize("key, flag, expected", [(3, None, 3), (3, "1", 1), (None, None, os.cpu_count() or 1)])
+    def test_threads_flag_then_key_then_cpu_count(self, tmp_path, monkeypatch, key, flag, expected):
+        import shmev.cli as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "cmd_fit", lambda section, session, seed, threads, base_dir: seen.append(threads))
+        out = tmp_path / "runs"
+        body = yaml.safe_load(tiny_study_config(tmp_path, out).read_text())
+        if key is not None:
+            body["threads"] = key
+        config = write_config(tmp_path / "threads.yaml", body)
+        argv = ["fit", "--config", str(config), "--out", str(out / "fit")]
+        assert main(argv + (["--threads", flag] if flag else [])) == 0
+        assert seen == [expected]
 
     def test_non_finite_covariate_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -1,22 +1,26 @@
 import csv
 import multiprocessing
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shmev.hmc import (
+    HmcJob,
     PosteriorDraws,
     SamplerConfig,
     _autocovariance,
     _leapfrog,
+    _Rows,
     _split_chains,
     rhat_ess,
     run_hmc,
+    run_hmc_jobs,
     trace_export,
 )
 
-from .oracles import csv_writer_trace_export
+from .oracles import csv_writer_trace_export, oracle_run_hmc
 
 NORMAL_5_2_Q975 = 8.919927969080108  # 5 + 2 * Phi^-1(0.975)
 
@@ -185,6 +189,14 @@ class TestRunHmc:
                 run_hmc(steep, config, np.zeros((1, 2)))
 
 
+def one_row_leapfrog(target, q, p, grad, eps, n_steps, mass):
+    """The lockstep leapfrog on a single row."""
+    q1, p1, logp1, grad1 = _leapfrog(
+        _Rows([target]), q[None], p[None], grad[None], np.array([eps]), np.array([n_steps]), mass[None]
+    )
+    return q1[0], p1[0], logp1[0], grad1[0]
+
+
 class TestLeapfrogProperties:
     def test_reversibility(self):
         def target(v):
@@ -195,8 +207,8 @@ class TestLeapfrogProperties:
         p0 = rng.standard_normal(6)
         mass = np.ones(6)
         _, grad0 = target(q0)
-        q1, p1, _, grad1 = _leapfrog(target, q0, p0, grad0, 0.15, 30, mass)
-        q2, p2, _, _ = _leapfrog(target, q1, -p1, grad1, 0.15, 30, mass)
+        q1, p1, _, grad1 = one_row_leapfrog(target, q0, p0, grad0, 0.15, 30, mass)
+        q2, p2, _, _ = one_row_leapfrog(target, q1, -p1, grad1, 0.15, 30, mass)
         assert np.max(np.abs(q2 - q0)) < 1e-8
         assert np.max(np.abs(-p2 - p0)) < 1e-8
 
@@ -211,7 +223,7 @@ class TestLeapfrogProperties:
 
         def energy_error(eps, steps):
             _, grad0 = target(q0)
-            q1, p1, logp1, _ = _leapfrog(target, q0, p0, grad0, eps, steps, mass)
+            q1, p1, logp1, _ = one_row_leapfrog(target, q0, p0, grad0, eps, steps, mass)
             h0 = 0.5 * float(q0 @ q0) + 0.5 * float(p0 @ p0)
             h1 = -logp1 + 0.5 * float(p1 @ p1)
             return abs(h1 - h0)
@@ -323,3 +335,107 @@ class TestTraceExport:
         post.chain = np.zeros(0)
         with pytest.raises(ValueError):
             trace_export(post, tmp_path / "trace.csv")
+
+
+def assert_equals_former_sampler(post, job):
+    ref = oracle_run_hmc(job.target, job.config, job.init)
+    for field in ("draws", "accept_prob", "divergences", "step_sizes"):
+        ours, theirs = np.asarray(getattr(post, field), dtype=float), np.asarray(ref[field], dtype=float)
+        assert ours.shape == theirs.shape, field
+        assert np.array_equal(ours.view(np.int64), theirs.view(np.int64)), field
+
+
+def station_jobs(data, config, models=("hmev", "gev")):
+    """One job per station and model, each with its own seed."""
+    from shmev.ingest import elicit_hmev_priors
+    from shmev.model import GevPriorSpec, GevTarget, HmevTarget
+
+    trials = data.trials_per_block
+    jobs = []
+    for s, events in enumerate(data.events):
+        for model in models:
+            if model == "hmev":
+                target = HmevTarget(events, trials, elicit_hmev_priors(events, trials))
+            else:
+                maxima = np.array([b.max() for b in events if b.size])
+                target = GevTarget(maxima, GevPriorSpec.from_maxima(maxima))
+            base = target.initial_vector()
+            init = base + 0.1 * np.random.default_rng(s).standard_normal((config.n_chains, base.size))
+            jobs.append(HmcJob(target, replace(config, seed=1000 * s + len(jobs)), init))
+    return jobs
+
+
+class TestLockstepEqualsFormerSampler:
+    """The lockstep sampler gives every chain the draws, acceptance,
+    divergences and step size of the former per-chain sampler, bit for bit."""
+
+    def test_gaussian_target(self):
+        target, _ = std_normal_target(4)
+        config = SamplerConfig(n_chains=3, n_iterations=120, seed=5)
+        job = HmcJob(target, config, np.random.default_rng(1).standard_normal((3, 4)))
+        assert_equals_former_sampler(run_hmc(target, config, job.init), job)
+
+    def test_stations_of_both_models_in_one_batch(self, wei_small, monkeypatch):
+        from shmev.model import _GevRows
+
+        seen = []
+        kernel = _GevRows.__call__
+
+        def recording(self, V):
+            logp, grad, parts = kernel(self, V)
+            seen.append((V[:, 2].copy(), logp.copy()))
+            return logp, grad, parts
+
+        config = SamplerConfig(n_chains=2, n_iterations=60, leapfrog_steps=12, seed=0)
+        jobs = station_jobs(wei_small.train, config)
+        # one GEV station starts on the Gumbel limit (shape exactly 0)
+        jobs[1].init[:, 2] = 0.0
+        monkeypatch.setattr(_GevRows, "__call__", recording)
+        posts = run_hmc_jobs(jobs)
+        monkeypatch.setattr(_GevRows, "__call__", kernel)
+        shape = np.concatenate([s for s, _ in seen])
+        logp = np.concatenate([lp for _, lp in seen])
+        assert (np.abs(shape) < 1e-10).any()              # the Gumbel branch
+        assert (logp[np.abs(shape) >= 1e-10] == -np.inf).any()  # 1 + shape z <= 0
+        for post, job in zip(posts, jobs):
+            assert_equals_former_sampler(post, job)
+
+    def test_some_rows_diverge_and_others_do_not(self):
+        def walled(v):
+            # a standard normal cut off at |v[0]| = 1: trajectories that
+            # cross the wall diverge
+            if abs(v[0]) > 1.0:
+                return -np.inf, np.zeros(v.size)
+            return -0.5 * float(v @ v), -v
+
+        plain, _ = std_normal_target(3)
+        config = SamplerConfig(n_chains=2, n_iterations=80, leapfrog_steps=10, seed=3)
+        jobs = [HmcJob(walled, config, np.zeros((2, 3))),
+                HmcJob(plain, replace(config, seed=4), np.ones((2, 3)))]
+        posts = run_hmc_jobs(jobs)
+        assert posts[0].divergences.sum() > 0 and posts[1].divergences.sum() == 0
+        for post, job in zip(posts, jobs):
+            assert_equals_former_sampler(post, job)
+
+    def test_short_warmup_without_a_mass_window(self, wei_small):
+        config = SamplerConfig(n_chains=2, n_iterations=30, leapfrog_steps=8, seed=0)
+        assert config.n_warmup < 40
+        jobs = station_jobs(wei_small.train, config, models=("hmev",))
+        for post, job in zip(run_hmc_jobs(jobs), jobs):
+            assert_equals_former_sampler(post, job)
+
+    def test_single_chain(self, wei_small):
+        config = SamplerConfig(n_chains=1, n_iterations=50, leapfrog_steps=8, seed=0)
+        job = station_jobs(wei_small.train, config, models=("hmev",))[2]
+        assert_equals_former_sampler(run_hmc(job.target, job.config, job.init), job)
+
+    def test_worker_count_does_not_change_any_job(self, wei_small):
+        config = SamplerConfig(n_chains=2, n_iterations=40, leapfrog_steps=8, seed=0)
+        jobs = station_jobs(wei_small.train, config)[:5]
+        serial = run_hmc_jobs(jobs)
+        for n_workers in (2, 3, 4):
+            forked = run_hmc_jobs(jobs, n_workers=n_workers)
+            assert multiprocessing.active_children() == []
+            for a, b in zip(serial, forked):
+                for field in ("draws", "step_sizes", "accept_prob", "divergences"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), (n_workers, field)

@@ -3,7 +3,9 @@ import pytest
 
 from shmev.data import Dataset, SiteCovariates
 from shmev.ingest import elicit_hmev_priors
+from shmev.special import gammaln
 from shmev.model import (
+    GammaPrior,
     GevPriorSpec,
     GevTarget,
     HmevParams,
@@ -24,6 +26,8 @@ from .oracles import (
     naive_gev_log_posterior,
     naive_hmev_log_posterior,
     naive_shmev_log_posterior,
+    oracle_gev_target,
+    oracle_hmev_target,
     take_shmev_value_grad,
 )
 
@@ -444,3 +448,92 @@ class TestModelInvariants:
         maxima2 = maxima.copy()
         maxima2[-1] *= 50.0
         assert gev_log_posterior(gtheta, maxima2, gprior) < gbase
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestRowBatchedKernels:
+    """One kernel call over rows of several stations equals, row by row, the
+    one-row call and the former one-row kernel, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def stations(self, wei_small):
+        data = wei_small.train
+        trials = data.trials_per_block
+        hmev, gev = [], []
+        for events in data.events:
+            prior = elicit_hmev_priors(events, trials)
+            target = HmevTarget(events, trials, prior)
+            hmev.append((target, oracle_hmev_target(target, events, trials)))
+            maxima = np.array([b.max() for b in events if b.size])
+            gtarget = GevTarget(maxima, GevPriorSpec.from_maxima(maxima))
+            gev.append((gtarget, oracle_gev_target(gtarget)))
+        # a station with fewer maxima: its rows form their own (rows, n) block
+        maxima = np.array([b.max() for b in data.events[0] if b.size])[:-2]
+        gtarget = GevTarget(maxima, GevPriorSpec.from_maxima(maxima))
+        gev.append((gtarget, oracle_gev_target(gtarget)))
+        return hmev, gev
+
+    @staticmethod
+    def check_rows(pairs, V):
+        targets = [t for t, _ in pairs]
+        logp, grad, _ = type(targets[0]).batch_kernel(targets)(V)
+        for r, (target, former) in enumerate(pairs):
+            one_logp, one_grad = target(V[r])
+            ref_logp, ref_grad = former(V[r])
+            assert _same_bits(logp[r], one_logp) and _same_bits(grad[r], one_grad), r
+            assert _same_bits(logp[r], ref_logp) and _same_bits(grad[r], ref_grad), r
+        return logp
+
+    def test_hmev_rows(self, stations, rng):
+        hmev, _ = stations
+        rejected = 0
+        for _ in range(40):
+            pick = rng.integers(0, len(hmev), size=rng.integers(1, 9))
+            pairs = [hmev[i] for i in pick]
+            V = np.array([t.initial_vector() for t, _ in pairs])
+            V += rng.standard_normal(V.shape) * rng.choice([0.01, 0.3, 3.0, 30.0])
+            V[rng.random(len(pick)) < 0.2, 3] = rng.choice([np.nan, np.inf, 800.0])
+            rejected += int(np.sum(self.check_rows(pairs, V) == -np.inf))
+        assert rejected > 0
+
+    def test_gev_rows(self, stations, rng):
+        _, gev = stations
+        logps = []
+        for _ in range(60):
+            pick = rng.integers(0, len(gev), size=rng.integers(1, 9))
+            pairs = [gev[i] for i in pick]
+            V = np.array([t.initial_vector() for t, _ in pairs])
+            V += rng.standard_normal(V.shape) * rng.choice([0.01, 0.3])
+            # Gumbel limit, series shape gradient, support violations, NaN
+            special = rng.random(len(pick)) < 0.5
+            V[special, 2] = rng.choice([0.0, -0.0, 3e-11, -7e-11, 4e-6, -2e-6, 2.5, -2.5, np.nan], size=special.sum())
+            logps.append((V[:, 2], self.check_rows(pairs, V)))
+        shape = np.concatenate([s for s, _ in logps])
+        logp = np.concatenate([lp for _, lp in logps])
+        gumbel = np.abs(shape) < 1e-10
+        assert np.isfinite(logp[gumbel]).any() and np.isfinite(logp[~gumbel]).any()
+        assert (logp[np.abs(shape) == 2.5] == -np.inf).any()
+
+    def test_value_and_parts_come_from_the_same_kernel(self, stations, rng):
+        hmev, gev = stations
+        target, _ = hmev[1]
+        v = target.initial_vector() + 0.1 * rng.standard_normal(target.layout.dim)
+        assert _same_bits(target.value(v), target(v)[0])
+        parts = target.parts(v)
+        assert set(parts) == {"weibull", "binomial", "latent_gumbel", "latent_jacobian", "prior"}
+        assert all(isinstance(x, float) for x in parts.values())
+        gtarget, _ = gev[0]
+        theta = gtarget.initial_vector()
+        assert _same_bits(gtarget.value(theta), gtarget(theta)[0])
+
+
+def test_gamma_prior_cached_constants_give_the_same_bits(rng):
+    for shape, scale in ((1.0, 7.3), (2.5, 0.04), (0.3, 1e5)):
+        prior = GammaPrior(shape, scale)
+        for u in rng.standard_normal(50) * 3.0:
+            inline = shape * u - np.exp(u) / scale - gammaln(shape) - shape * np.log(scale)
+            assert _same_bits(prior.log_density_unconstrained(u), inline)

@@ -50,9 +50,19 @@ def test_logistic_functions_equal_scipy(name, rng):
 
 def test_log_expit_pair_equals_log_expit_of_both_signs(rng):
     x = real_line(rng)
-    lo, hi = special.log_expit_pair(x)
+    _, lo, hi = special.expit_log_expit_pair(x)
     same_bits(lo, sc.log_expit(x))
     same_bits(hi, sc.log_expit(-x))
+
+
+@pytest.mark.parametrize("shape", [None, (0,), (27,), (3, 4)])
+def test_fused_logistic_pass_equals_the_separate_calls(rng, shape):
+    x = real_line(rng) if shape is None else rng.standard_normal(shape) * 5.0
+    lam, lo, hi = special.expit_log_expit_pair(x)
+    same_bits(lam, special.expit(x))
+    same_bits(lam, sc.expit(x))
+    same_bits(lo, special.log_expit(x))
+    same_bits(hi, special.log_expit(-x))
 
 
 def test_logit_equals_scipy(rng):
