@@ -61,6 +61,7 @@ from .model import (
 from .predictive import (
     GridCovariates,
     PredictiveConfig,
+    default_y_grid,
     gev_per_draw_quantiles,
     hmev_site_params,
     predictive_cdf,
@@ -568,11 +569,6 @@ def _predictive_config(fitted: FittedModel, blocks_per_draw: int) -> PredictiveC
     )
 
 
-def _station_grid(fitted: FittedModel, station: str | None, config: PredictiveConfig) -> np.ndarray:
-    lo, hi = fitted.magnitude_range(station)
-    return np.geomspace(config.grid_low_factor * lo, config.grid_high_factor * hi, config.grid_size)
-
-
 def _site_quantile_fn(fitted: FittedModel, station: str, config: PredictiveConfig, rng):
     """Per-draw quantile provider for one station under any fitted model."""
     if fitted.kind == "gev":
@@ -582,7 +578,7 @@ def _site_quantile_fn(fitted: FittedModel, station: str, config: PredictiveConfi
         params = shmev_site_params(fitted.draws, fitted.shmev_layout(), fitted.site_z(station))
     else:
         params = hmev_site_params(fitted.per_site_draws[station], fitted.hmev_layout())
-    est = predictive_cdf(params, _station_grid(fitted, station, config), config, rng)
+    est = predictive_cdf(params, default_y_grid(fitted.magnitude_range(station)), config, rng)
     return est.per_draw_quantiles
 
 
@@ -652,7 +648,7 @@ def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: 
         section.return_periods,
         config,
         seed,
-        _station_grid(fitted, None, config),
+        default_y_grid(fitted.magnitude_range()),
     )
     raster_path = session.path("return_levels.csv")
     write_return_level_field(field_, raster_path)

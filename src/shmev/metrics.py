@@ -22,8 +22,6 @@ import numpy as np
 __all__ = [
     "EvalResult",
     "empirical_return_times",
-    "fse",
-    "bias_and_width",
     "evaluate_site",
     "write_eval_report",
 ]
@@ -70,56 +68,22 @@ def empirical_return_times(maxima) -> tuple[np.ndarray, np.ndarray]:
     return p, 1.0 / (1.0 - p)
 
 
-def _qualifying(maxima, threshold):
-    maxima = np.asarray(maxima, dtype=float)
-    p, t = empirical_return_times(maxima)
-    mask = t > threshold
-    return maxima, p, mask
-
-
-def fse(
-    quantile_fn: QuantileFn,
-    maxima,
-    threshold: float = DEFAULT_RETURN_TIME_THRESHOLD,
-) -> float | None:
-    """Fractional squared error; ``None`` when no observation qualifies.
-
-    The square root sits inside the outer average: each qualifying
-    observation contributes the RMS over draws of its relative error.
-    """
-    maxima, p, mask = _qualifying(maxima, threshold)
-    if not mask.any():
-        return None
-    q = quantile_fn(p[mask])  # (B, m)
-    rel = (q - maxima[mask]) / maxima[mask]
-    return float(np.mean(np.sqrt(np.mean(rel * rel, axis=0))))
-
-
-def bias_and_width(
-    quantile_fn: QuantileFn,
-    maxima,
-    threshold: float = DEFAULT_RETURN_TIME_THRESHOLD,
-) -> tuple[float, float] | None:
-    """Signed mean relative error and mean 90% credible-interval width;
-    ``None`` when no observation qualifies."""
-    maxima, p, mask = _qualifying(maxima, threshold)
-    if not mask.any():
-        return None
-    q = quantile_fn(p[mask])
-    rel = (q - maxima[mask]) / maxima[mask]
-    bias = float(np.mean(np.mean(rel, axis=0)))
-    width = float(np.mean(np.quantile(q, 0.95, axis=0) - np.quantile(q, 0.05, axis=0)))
-    return bias, width
-
-
 def evaluate_site(
     station: str,
     quantile_fn: QuantileFn,
     maxima,
     threshold: float = DEFAULT_RETURN_TIME_THRESHOLD,
 ) -> EvalResult:
-    """All three criteria for one station, sharing a single quantile pass."""
-    maxima, p, mask = _qualifying(maxima, threshold)
+    """All three criteria for one station, from a single quantile pass;
+    ``fse``, ``bias`` and ``width`` are ``None`` when no observation qualifies.
+
+    The square root of the fractional squared error sits inside the outer
+    average: each qualifying observation contributes the RMS over draws of
+    its relative error.
+    """
+    maxima = np.asarray(maxima, dtype=float)
+    p, t = empirical_return_times(maxima)
+    mask = t > threshold
     m_t = int(mask.sum())
     if m_t == 0:
         return EvalResult(station, None, None, None, 0, threshold, maxima.size)

@@ -6,12 +6,25 @@ Three models share the machinery here:
   locations regress on standardized covariates, binomial counts with a
   logit-linear success probability),
 * the classical GEV block-maxima benchmark, and
-* the non-spatial single-site hierarchy benchmark.
+* the non-spatial single-site hierarchy benchmark: the spatial hierarchy
+  with one site and no covariates.
 
 Every model is evaluated over an unconstrained vector: positive quantities
 enter through ``log`` and the single-site event rate through ``logit``, with
 the transform Jacobians included in the posterior density.  Gradients are
 exact per coordinate; samplers treat a non-finite value as a rejected state.
+
+Every target is row-batched: one kernel call evaluates a batch of rows, one
+target per row, and each row's result equals its one-row call bit for bit.
+The two hierarchies share one block kernel, ``_weibull_gumbel_binomial``:
+from per-block log gamma and log delta, the blocks' Gumbel locations, the
+two log scales and each site's logit and event count, it gives the Weibull,
+latent-Gumbel and binomial terms with their block-level gradients.  Each
+hierarchy keeps only its parameter map, its priors and the chain rule back
+to its own coordinates: the spatial model through the design matrix ``Z``,
+the single-site model through ``exp(log mu)``.  The per-block segment sums
+stay per model (``np.add.reduceat`` spatial, ``np.bincount`` single-site),
+since the two differ in the last bit.
 
 Unconstrained layouts
 ---------------------
@@ -51,13 +64,8 @@ __all__ = [
     "shmev_log_posterior",
     "shmev_gradient",
     "GevTarget",
-    "gev_log_posterior",
-    "gev_gradient",
     "HmevLayout",
-    "HmevParams",
     "HmevTarget",
-    "hmev_log_posterior",
-    "hmev_gradient",
 ]
 
 #: default shape prior for the GEV benchmark (global daily-rainfall estimate)
@@ -390,221 +398,6 @@ class ShmevParams:
         )
 
 
-class _CompiledShmev:
-    """Event data flattened into arrays for vectorized likelihood passes.
-
-    Events are concatenated in block order (site-major), so each block's
-    events form one contiguous run of ``event_counts[b]`` entries: a
-    per-block value reaches its events by ``np.repeat`` over the runs, and
-    per-block sums reduce to segment sums over the runs' boundaries.  One
-    pair of scratch buffers, allocated on first use, holds the per-event
-    terms in the sampler's hot loop, so a call allocates only the two
-    repeated per-block values; chains that run concurrently do so in
-    separate processes, each with its own copy.
-    """
-
-    def __init__(self, dataset: Dataset):
-        S, J = dataset.n_sites, dataset.n_blocks
-        self.S, self.J = S, J
-        self.trials = dataset.trials_per_block
-        self.Z = dataset.design_matrix()
-        counts = dataset.counts()  # (S, J)
-        self.event_counts = counts.ravel()  # site-major flat blocks
-        self.n_b = self.event_counts.astype(float)
-        self.site_of_block = np.repeat(np.arange(S), J)
-        logs, slx = [], np.zeros(S * J)
-        for s in range(S):
-            for j in range(J):
-                mags = dataset.events[s][j]
-                if mags.size:
-                    lx = np.log(mags)
-                    logs.append(lx)
-                    slx[s * J + j] = lx.sum()
-        self.logx = np.concatenate(logs) if logs else np.zeros(0)
-        # start of each non-empty block's run, for np.add.reduceat
-        self.seg_blocks = np.flatnonzero(self.event_counts)
-        self.seg_starts = (np.cumsum(self.event_counts) - self.event_counts)[self.seg_blocks]
-        self.slx_b = slx
-        self.sum_n_s = counts.sum(axis=1).astype(float)
-        n = self.n_b
-        N = float(self.trials)
-        self.binom_const = float(
-            np.sum(gammaln(N + 1.0) - gammaln(n + 1.0) - gammaln(N - n + 1.0))
-        )
-        self._buffers: tuple[np.ndarray, np.ndarray] | None = None
-
-    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._buffers is None:
-            self._buffers = (np.empty(self.logx.size), np.empty(self.logx.size))
-        return self._buffers
-
-    def block_sums(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Sum per-event values into per-block totals (empty blocks get 0)."""
-        out[:] = 0.0
-        if self.seg_starts.size:
-            out[self.seg_blocks] = np.add.reduceat(values, self.seg_starts)
-        return out
-
-
-def _shmev_value_grad(
-    v: np.ndarray,
-    c: _CompiledShmev,
-    prior: ShmevPriorSpec,
-    layout: ShmevLayout,
-    want_grad: bool,
-    want_parts: bool = False,
-):
-    bg = v[layout.beta_gamma]
-    bd = v[layout.beta_delta]
-    bl = v[layout.beta_lambda]
-    lsg = v[layout.log_sigma_gamma]
-    lsd = v[layout.log_sigma_delta]
-    ug = v[layout.log_gamma]
-    ud = v[layout.log_delta]
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        sig_g, sig_d = np.exp(lsg), np.exp(lsd)
-        gam, dlt = np.exp(ug), np.exp(ud)
-        mu_g = c.Z @ bg
-        mu_d = c.Z @ bd
-        ell = c.Z @ bl
-        lam, log_lam, log_1m_lam = expit_log_expit_pair(ell)
-
-        # Weibull magnitudes: per-event (x/delta)^gamma via exp of logs,
-        # computed in reusable scratch; each block's log delta and gamma reach
-        # its run of events by np.repeat, far cheaper than a per-event gather
-        t_e, work = c.buffers()
-        np.subtract(c.logx, np.repeat(ud, c.event_counts), out=t_e)
-        np.multiply(t_e, np.repeat(gam, c.event_counts), out=t_e)
-        np.exp(t_e, out=t_e)
-        T1 = c.block_sums(t_e, np.empty(c.S * c.J))
-        np.multiply(t_e, c.logx, out=work)
-        U = c.block_sums(work, np.empty(c.S * c.J))
-        weibull = float(
-            np.sum(c.n_b * ug - c.n_b * ud + (gam - 1.0) * (c.slx_b - c.n_b * ud)) - t_e.sum()
-        )
-
-        # Gumbel latent layers on the per-block Weibull parameters
-        z1 = (gam - mu_g[c.site_of_block]) / sig_g
-        z2 = (dlt - mu_d[c.site_of_block]) / sig_d
-        e1 = np.exp(-z1)
-        e2 = np.exp(-z2)
-        nb = float(c.S * c.J)
-        latent = float(-nb * (lsg + lsd) - np.sum(z1 + e1) - np.sum(z2 + e2))
-
-        # binomial counts, logit-linked success probability
-        N = float(c.trials)
-        binom = float(
-            np.sum(c.sum_n_s * log_lam + (c.J * N - c.sum_n_s) * log_1m_lam) + c.binom_const
-        )
-
-        prior_terms = (
-            sum(q.logpdf(x) for q, x in zip(prior.beta_gamma, bg))
-            + sum(q.logpdf(x) for q, x in zip(prior.beta_delta, bd))
-            + sum(q.logpdf(x) for q, x in zip(prior.beta_lambda, bl))
-            + prior.sigma_gamma.log_density_unconstrained(lsg)
-            + prior.sigma_delta.log_density_unconstrained(lsd)
-        )
-        jacobian = float(np.sum(ug) + np.sum(ud))
-        logp = weibull + latent + binom + prior_terms + jacobian
-
-        if not np.isfinite(logp):
-            logp = -np.inf
-
-        parts = None
-        if want_parts:
-            parts = {
-                "weibull": weibull,
-                "binomial": binom,
-                "latent_gumbel": latent,
-                "latent_jacobian": jacobian,
-                "prior": float(prior_terms),
-            }
-        if not want_grad:
-            return logp, None, parts
-
-        grad = np.zeros(layout.dim)
-        if np.isfinite(logp):
-            T2 = U - ud * T1
-            d_ug = (
-                c.n_b
-                + gam * (c.slx_b - c.n_b * ud - T2)
-                + gam * (e1 - 1.0) / sig_g
-                + 1.0
-            )
-            d_ud = gam * (T1 - c.n_b) + dlt * (e2 - 1.0) / sig_d + 1.0
-            v_g = np.bincount(c.site_of_block, weights=(1.0 - e1) / sig_g, minlength=c.S)
-            v_d = np.bincount(c.site_of_block, weights=(1.0 - e2) / sig_d, minlength=c.S)
-            v_l = c.sum_n_s - c.J * N * lam
-            grad[layout.beta_gamma] = c.Z.T @ v_g + np.array(
-                [q.score(x) for q, x in zip(prior.beta_gamma, bg)]
-            )
-            grad[layout.beta_delta] = c.Z.T @ v_d + np.array(
-                [q.score(x) for q, x in zip(prior.beta_delta, bd)]
-            )
-            grad[layout.beta_lambda] = c.Z.T @ v_l + np.array(
-                [q.score(x) for q, x in zip(prior.beta_lambda, bl)]
-            )
-            grad[layout.log_sigma_gamma] = float(
-                np.sum(-1.0 + z1 * (1.0 - e1)) + prior.sigma_gamma.score_unconstrained(lsg)
-            )
-            grad[layout.log_sigma_delta] = float(
-                np.sum(-1.0 + z2 * (1.0 - e2)) + prior.sigma_delta.score_unconstrained(lsd)
-            )
-            grad[layout.log_gamma] = d_ug
-            grad[layout.log_delta] = d_ud
-            if not np.all(np.isfinite(grad)):
-                logp, grad = -np.inf, np.zeros(layout.dim)
-        return logp, grad, parts
-
-
-class ShmevTarget:
-    """Callable ``v -> (logp, grad)`` over the flat unconstrained vector."""
-
-    def __init__(self, dataset: Dataset, prior: ShmevPriorSpec):
-        if dataset.n_covariates != prior.n_covariates:
-            raise ValueError(
-                f"prior covers {prior.n_covariates} covariates, dataset has {dataset.n_covariates}"
-            )
-        self.dataset = dataset
-        self.prior = prior
-        self.layout = ShmevLayout(dataset.n_covariates, dataset.n_blocks, dataset.n_sites)
-        self._compiled = _CompiledShmev(dataset)
-
-    def __call__(self, v: np.ndarray):
-        logp, grad, _ = _shmev_value_grad(
-            np.asarray(v, dtype=float), self._compiled, self.prior, self.layout, True
-        )
-        return logp, grad
-
-    def value(self, v: np.ndarray) -> float:
-        logp, _, _ = _shmev_value_grad(
-            np.asarray(v, dtype=float), self._compiled, self.prior, self.layout, False
-        )
-        return logp
-
-    def parts(self, v: np.ndarray) -> dict:
-        _, _, parts = _shmev_value_grad(
-            np.asarray(v, dtype=float), self._compiled, self.prior, self.layout, False, True
-        )
-        return parts
-
-    def initial_vector(self) -> np.ndarray:
-        """Prior-mean starting point with latents set to their layer location."""
-        L = self.layout
-        v = np.zeros(L.dim)
-        v[L.beta_gamma] = [q.mean for q in self.prior.beta_gamma]
-        v[L.beta_delta] = [q.mean for q in self.prior.beta_delta]
-        v[L.beta_lambda] = [q.mean for q in self.prior.beta_lambda]
-        v[L.log_sigma_gamma] = np.log(self.prior.sigma_gamma.mean)
-        v[L.log_sigma_delta] = np.log(self.prior.sigma_delta.mean)
-        mu_g = np.maximum(self._compiled.Z @ v[L.beta_gamma], 0.05)
-        mu_d = np.maximum(self._compiled.Z @ v[L.beta_delta], 0.1)
-        v[L.log_gamma] = np.log(mu_g)[self._compiled.site_of_block]
-        v[L.log_delta] = np.log(mu_d)[self._compiled.site_of_block]
-        return v
-
-
 def _check_shmev_args(params: ShmevParams, dataset: Dataset):
     J, S = params.log_gamma.shape
     if (
@@ -628,6 +421,188 @@ def shmev_gradient(params: ShmevParams, dataset: Dataset, prior: ShmevPriorSpec)
     """Exact gradient with respect to every unconstrained coordinate."""
     _check_shmev_args(params, dataset)
     return ShmevTarget(dataset, prior)(params.to_vector())[1]
+
+
+# ---------------------------------------------------------------------------
+# The Weibull–Gumbel–binomial block kernel
+# ---------------------------------------------------------------------------
+
+class _Events:
+    """One target's event magnitudes, block by block, compiled for the block
+    kernel: the log magnitudes in block order, so that each block's events
+    form one run of ``counts[k]`` entries, with the per-block counts and log
+    sums and the binomial normalising constant."""
+
+    def __init__(self, blocks: Sequence[np.ndarray], trials: int):
+        self.trials = trials
+        self.counts = np.array([np.asarray(b).size for b in blocks], dtype=np.int64)
+        self.n_b = self.counts.astype(float)
+        if np.any(self.n_b > trials):
+            raise ValueError("block event count exceeds trials_per_block")
+        logs, self.slx_b = [], np.zeros(len(blocks))
+        for k, mags in enumerate(blocks):
+            arr = np.asarray(mags, dtype=float)
+            if np.any(arr <= 0.0):
+                raise ValueError("magnitudes must be strictly positive")
+            if arr.size:
+                lx = np.log(arr)
+                logs.append(lx)
+                self.slx_b[k] = lx.sum()
+        self.logx = np.concatenate(logs) if logs else np.zeros(0)
+        n, N = self.n_b, float(trials)
+        self.binom_const = float(
+            np.sum(gammaln(N + 1.0) - gammaln(n + 1.0) - gammaln(N - n + 1.0))
+        )
+
+
+class _EventRows:
+    """The events of one target per row, laid out for one block-kernel call.
+
+    The rows' events are concatenated row by row (one row's are used as they
+    are), so a per-block value reaches its run of events by ``np.repeat``.
+    Per-block totals are segment sums over the runs, by ``np.add.reduceat``
+    over the runs' starts or by ``np.bincount`` over row-offset block ids
+    (``reduceat`` picks one); the two differ in the last bit, so each target
+    keeps the one its results were defined with.  Each row's event total is
+    a sum along the last axis of the ``(rows, events)`` block that its run of
+    equal-sized rows forms, as a one-row sum is.  One pair of scratch
+    buffers, allocated on first use, holds the per-event terms.
+    """
+
+    def __init__(self, events: Sequence[_Events], reduceat: bool):
+        self.R, self.K = len(events), events[0].counts.size
+        if any(e.counts.size != self.K for e in events):
+            raise ValueError("rows of one kernel call must have equally many blocks")
+        if self.R == 1:
+            self.counts, self.logx = events[0].counts, events[0].logx
+        else:
+            self.counts = np.concatenate([e.counts for e in events])
+            self.logx = np.concatenate([e.logx for e in events])
+        self.n_b = np.array([e.n_b for e in events])
+        self.slx_b = np.array([e.slx_b for e in events])
+        self.binom_const = np.array([e.binom_const for e in events])
+        sizes = [e.logx.size for e in events]
+        offsets = np.cumsum([0] + sizes).tolist()
+        self.runs = [(a, b, offsets[a], sizes[a]) for a, b in _equal_runs(sizes)]
+        if reduceat:
+            self.block_id = None
+            self.seg_blocks = np.flatnonzero(self.counts)  # the non-empty blocks
+            self.seg_starts = (np.cumsum(self.counts) - self.counts)[self.seg_blocks]
+        else:
+            self.block_id = np.repeat(np.arange(self.R * self.K), self.counts)
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+
+    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._scratch is None:
+            self._scratch = (np.empty(self.logx.size), np.empty(self.logx.size))
+        return self._scratch
+
+    def block_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-event values summed into ``(R, K)`` block totals (empty blocks get 0)."""
+        if self.block_id is not None:
+            return np.bincount(self.block_id, weights=values, minlength=self.R * self.K).reshape(self.R, self.K)
+        out = np.zeros(self.R * self.K)
+        if self.seg_starts.size:
+            out[self.seg_blocks] = np.add.reduceat(values, self.seg_starts)
+        return out.reshape(self.R, self.K)
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        out = np.empty(self.R)
+        for a, b, start, n in self.runs:
+            out[a:b] = values[start:start + (b - a) * n].reshape(b - a, n).sum(axis=1)
+        return out
+
+
+def _weibull_gumbel_binomial(
+    ev: _EventRows,
+    latent_logs: np.ndarray,
+    loc: np.ndarray,
+    log_scale: np.ndarray,
+    logit: np.ndarray,
+    sum_n: np.ndarray,
+    group_trials,
+) -> SimpleNamespace:
+    """The likelihood terms that the spatial and single-site hierarchies share,
+    over ``R`` rows of ``K`` blocks that fall into ``G`` groups (sites).
+
+    ``latent_logs`` (R, 2, K) holds each block's log gamma and log delta,
+    ``loc`` (broadcastable to (R, 2, K)) the Gumbel locations of gamma and
+    delta, ``log_scale`` (R, 2) their log scales; ``logit``, ``sum_n`` and
+    ``group_trials`` (R, G) are each group's event-probability logit, event
+    count and trials (blocks times trials per block).
+
+    Returns the Weibull, latent-Gumbel (with the log scales' normalisation),
+    binomial and latent-Jacobian terms, each (R,), with their gradients: with
+    respect to the log latents (Weibull, Gumbel and Jacobian together) as
+    ``d_latent`` (R, 2, K), the log scales as ``d_log_scale`` (R, 2) and the
+    logits as ``d_logit`` (R, G); the location gradient is left to the caller
+    as ``one_m_e = 1 - exp(-z)`` (R, 2, K) and ``scale`` (R, 2, 1), so that
+    each target applies its own chain rule.  Call inside ``np.errstate``.
+    """
+    ug, ud = latent_logs[:, 0], latent_logs[:, 1]
+    nb, slx = ev.n_b, ev.slx_b
+    latents = np.exp(latent_logs)
+    gam = latents[:, 0]
+    scale = np.exp(log_scale)[:, :, None]
+    lam, log_lam, log_1m_lam = expit_log_expit_pair(logit)
+
+    # Weibull magnitudes: per-event (x/delta)^gamma via exp of logs
+    t_e, work = ev.scratch()
+    np.subtract(ev.logx, np.repeat(ud.ravel(), ev.counts), out=t_e)
+    np.multiply(t_e, np.repeat(gam.ravel(), ev.counts), out=t_e)
+    np.exp(t_e, out=t_e)
+    T1 = ev.block_sums(t_e)
+    np.multiply(t_e, ev.logx, out=work)
+    U = ev.block_sums(work)
+    nb_ud = nb * ud
+    weibull = np.sum(nb * ug - nb_ud + (gam - 1.0) * (slx - nb_ud), axis=1) - ev.row_sums(t_e)
+
+    # Gumbel latent layers on the per-block Weibull parameters
+    z = (latents - loc) / scale
+    e = np.exp(-z)
+    zsum = np.sum(z + e, axis=2)
+    latent = -ev.K * (log_scale[:, 0] + log_scale[:, 1]) - zsum[:, 0] - zsum[:, 1]
+
+    # binomial counts, logit-linked success probability
+    binom = np.sum(sum_n * log_lam + (group_trials - sum_n) * log_1m_lam, axis=1) + ev.binom_const
+
+    d_latent = latents * (e - 1.0) / scale
+    d_latent[:, 0] = nb + gam * (slx - nb_ud - (U - ud * T1)) + d_latent[:, 0] + 1.0
+    d_latent[:, 1] = gam * (T1 - nb) + d_latent[:, 1] + 1.0
+    one_m_e = 1.0 - e
+    return SimpleNamespace(
+        weibull=weibull,
+        latent=latent,
+        binom=binom,
+        jacobian=np.sum(ug, axis=1) + np.sum(ud, axis=1),
+        d_latent=d_latent,
+        one_m_e=one_m_e,
+        scale=scale,
+        d_log_scale=np.sum(-1.0 + z * one_m_e, axis=2),
+        lam=lam,
+        log_lam=log_lam,
+        log_1m_lam=log_1m_lam,
+        d_logit=sum_n - group_trials * lam,
+    )
+
+
+def _parts(k: SimpleNamespace, prior_terms: np.ndarray) -> dict:
+    return {
+        "weibull": k.weibull,
+        "binomial": k.binom,
+        "latent_gumbel": k.latent,
+        "latent_jacobian": k.jacobian,
+        "prior": prior_terms,
+    }
+
+
+def _reject_non_finite(logp: np.ndarray, grad: np.ndarray) -> None:
+    """Mark rows with a non-finite value or gradient as rejected states:
+    ``-inf`` with a zero gradient."""
+    bad = ~np.isfinite(logp) | ~np.all(np.isfinite(grad), axis=1)
+    if bad.any():
+        logp[bad] = -np.inf
+        grad[bad] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +636,12 @@ class _RowBatchedTarget:
     The kernel maps an ``(R, dim)`` array to ``(logp, grad, parts)`` with
     ``logp`` of shape ``(R,)`` and ``grad`` of shape ``(R, dim)``; rows may
     belong to different targets of the class, and each row's result equals
-    its one-row call bit for bit.  ``__call__`` is that kernel on one row.
-    The sampler evaluates many rows in one kernel call only while a class
-    keeps this ``__call__`` (marked ``batched``): a subclass or patch that
-    replaces it is evaluated row by row through the replacement.
+    its one-row call bit for bit.  ``__call__`` is that kernel on one row,
+    and a batch of one target is the target's own kernel, so its compiled
+    data are not copied.  The sampler evaluates many rows in one kernel call
+    only while a class keeps this ``__call__`` (marked ``batched``): a
+    subclass or patch that replaces it is evaluated row by row through the
+    replacement.
     """
 
     _rows: type
@@ -672,12 +649,17 @@ class _RowBatchedTarget:
 
     @classmethod
     def batch_kernel(cls, targets: Sequence["_RowBatchedTarget"]):
+        if len(targets) == 1:
+            return targets[0]._own_kernel()
         return cls._rows(targets)
 
-    def _one_row(self, v):
+    def _own_kernel(self):
         if self._kernel is None:
-            self._kernel = self.batch_kernel([self])
-        return self._kernel(np.asarray(v, dtype=float)[None, :])
+            self._kernel = self._rows([self])
+        return self._kernel
+
+    def _one_row(self, v):
+        return self._own_kernel()(np.asarray(v, dtype=float)[None, :])
 
     def __call__(self, v):
         logp, grad, _ = self._one_row(v)
@@ -688,13 +670,109 @@ class _RowBatchedTarget:
     def value(self, v) -> float:
         return self._one_row(v)[0][0]
 
+    def parts(self, v) -> dict:
+        """The log-posterior's terms at ``v``, for the hierarchies' kernels."""
+        return {k: float(x[0]) for k, x in self._one_row(v)[2].items()}
 
-def _reject_non_finite(logp: np.ndarray, grad: np.ndarray) -> None:
-    """Mark rows with a non-finite value or gradient as rejected states:
-    ``-inf`` with a zero gradient."""
-    bad = ~np.isfinite(logp) | ~np.all(np.isfinite(grad), axis=1)
-    logp[bad] = -np.inf
-    grad[bad] = 0.0
+
+class _ShmevRows:
+    """The spatial kernel over one ``ShmevTarget`` per row; the rows share a
+    layout.  Each row's regressions (``Z @ beta``) and their transposes run
+    one row at a time, as a batched product could change a row's bits; the
+    block kernel runs on all rows at once, with ``np.add.reduceat`` block
+    sums.  A block's Gumbel locations are its site's regressions, and the
+    location gradients go back through ``Z.T`` from per-site sums.
+    """
+
+    def __init__(self, targets: Sequence["ShmevTarget"]):
+        L = targets[0].layout
+        shape = (L.n_covariates, L.n_blocks, L.n_sites)
+        if any((t.layout.n_covariates, t.layout.n_blocks, t.layout.n_sites) != shape for t in targets):
+            raise ValueError("rows of one spatial kernel call must share a layout")
+        self.targets, self.layout = list(targets), L
+        self.events = _EventRows([t._events for t in targets], reduceat=True)
+        S, J = L.n_sites, L.n_blocks
+        self.site_of_block = np.repeat(np.arange(S), J)
+        self.sum_n = np.array([t._events.counts.reshape(S, J).sum(axis=1).astype(float) for t in targets])
+        self.group_trials = J * np.array([[float(t._events.trials)] for t in targets])
+
+    def __call__(self, V: np.ndarray):
+        L, R = self.layout, V.shape[0]
+        S, K = L.n_sites, L.n_sites * L.n_blocks
+        logp, grad = np.empty(R), np.empty(V.shape)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            loc, ell = np.empty((R, 2, K)), np.empty((R, S))
+            for r, t in enumerate(self.targets):
+                loc[r, 0] = (t._Z @ V[r, L.beta_gamma])[self.site_of_block]
+                loc[r, 1] = (t._Z @ V[r, L.beta_delta])[self.site_of_block]
+                ell[r] = t._Z @ V[r, L.beta_lambda]
+            k = _weibull_gumbel_binomial(
+                self.events,
+                V[:, L.log_gamma.start:].reshape(R, 2, K),
+                loc,
+                V[:, L.log_sigma_gamma:L.log_sigma_delta + 1],
+                ell,
+                self.sum_n,
+                self.group_trials,
+            )
+            prior_terms = np.empty(R)
+            for r, t in enumerate(self.targets):
+                prior, v = t.prior, V[r]
+                bg, bd, bl = v[L.beta_gamma], v[L.beta_delta], v[L.beta_lambda]
+                lsg, lsd = v[L.log_sigma_gamma], v[L.log_sigma_delta]
+                prior_terms[r] = (
+                    sum(q.logpdf(x) for q, x in zip(prior.beta_gamma, bg))
+                    + sum(q.logpdf(x) for q, x in zip(prior.beta_delta, bd))
+                    + sum(q.logpdf(x) for q, x in zip(prior.beta_lambda, bl))
+                    + prior.sigma_gamma.log_density_unconstrained(lsg)
+                    + prior.sigma_delta.log_density_unconstrained(lsd)
+                )
+                v_g = np.bincount(self.site_of_block, weights=k.one_m_e[r, 0] / k.scale[r, 0], minlength=S)
+                v_d = np.bincount(self.site_of_block, weights=k.one_m_e[r, 1] / k.scale[r, 1], minlength=S)
+                grad[r, L.beta_gamma] = t._Z.T @ v_g + np.array([q.score(x) for q, x in zip(prior.beta_gamma, bg)])
+                grad[r, L.beta_delta] = t._Z.T @ v_d + np.array([q.score(x) for q, x in zip(prior.beta_delta, bd)])
+                grad[r, L.beta_lambda] = t._Z.T @ k.d_logit[r] + np.array(
+                    [q.score(x) for q, x in zip(prior.beta_lambda, bl)]
+                )
+                grad[r, L.log_sigma_gamma] = k.d_log_scale[r, 0] + prior.sigma_gamma.score_unconstrained(lsg)
+                grad[r, L.log_sigma_delta] = k.d_log_scale[r, 1] + prior.sigma_delta.score_unconstrained(lsd)
+            logp[:] = k.weibull + k.latent + k.binom + prior_terms + k.jacobian
+            grad[:, L.log_gamma.start:] = k.d_latent.reshape(R, 2 * K)
+            _reject_non_finite(logp, grad)
+        return logp, grad, _parts(k, prior_terms)
+
+
+class ShmevTarget(_RowBatchedTarget):
+    """Callable ``v -> (logp, grad)`` over the flat unconstrained vector."""
+
+    _rows = _ShmevRows
+
+    def __init__(self, dataset: Dataset, prior: ShmevPriorSpec):
+        if dataset.n_covariates != prior.n_covariates:
+            raise ValueError(
+                f"prior covers {prior.n_covariates} covariates, dataset has {dataset.n_covariates}"
+            )
+        self.dataset = dataset
+        self.prior = prior
+        self.layout = ShmevLayout(dataset.n_covariates, dataset.n_blocks, dataset.n_sites)
+        self._Z = dataset.design_matrix()
+        # site-major blocks: flat block index s * J + j
+        self._events = _Events([mags for row in dataset.events for mags in row], dataset.trials_per_block)
+
+    def initial_vector(self) -> np.ndarray:
+        """Prior-mean starting point with latents set to their layer location."""
+        L = self.layout
+        v = np.zeros(L.dim)
+        v[L.beta_gamma] = [q.mean for q in self.prior.beta_gamma]
+        v[L.beta_delta] = [q.mean for q in self.prior.beta_delta]
+        v[L.beta_lambda] = [q.mean for q in self.prior.beta_lambda]
+        v[L.log_sigma_gamma] = np.log(self.prior.sigma_gamma.mean)
+        v[L.log_sigma_delta] = np.log(self.prior.sigma_delta.mean)
+        mu_g = np.maximum(self._Z @ v[L.beta_gamma], 0.05)
+        mu_d = np.maximum(self._Z @ v[L.beta_delta], 0.1)
+        v[L.log_gamma] = np.repeat(np.log(mu_g), L.n_blocks)
+        v[L.log_delta] = np.repeat(np.log(mu_d), L.n_blocks)
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -787,15 +865,6 @@ class GevTarget(_RowBatchedTarget):
         )
 
 
-def gev_log_posterior(v, maxima, prior: GevPriorSpec) -> float:
-    """GEV log-posterior over the unconstrained triple; -inf signals rejection."""
-    return GevTarget(maxima, prior).value(v)
-
-
-def gev_gradient(v, maxima, prior: GevPriorSpec) -> np.ndarray:
-    return GevTarget(maxima, prior)(v)[1]
-
-
 # ---------------------------------------------------------------------------
 # Single-site benchmark
 # ---------------------------------------------------------------------------
@@ -825,106 +894,21 @@ class HmevLayout:
         return names
 
 
-@dataclass(eq=False)
-class HmevParams:
-    log_mu_gamma: float
-    log_sigma_gamma: float
-    log_mu_delta: float
-    log_sigma_delta: float
-    logit_lambda: float
-    log_gamma: np.ndarray
-    log_delta: np.ndarray
-
-    def __post_init__(self):
-        self.log_gamma = np.asarray(self.log_gamma, dtype=float)
-        self.log_delta = np.asarray(self.log_delta, dtype=float)
-        if self.log_gamma.shape != self.log_delta.shape or self.log_gamma.ndim != 1:
-            raise ValueError("latent vectors must both be length J")
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                [
-                    self.log_mu_gamma,
-                    self.log_sigma_gamma,
-                    self.log_mu_delta,
-                    self.log_sigma_delta,
-                    self.logit_lambda,
-                ],
-                self.log_gamma,
-                self.log_delta,
-            ]
-        )
-
-    @classmethod
-    def from_vector(cls, layout: HmevLayout, v: np.ndarray) -> "HmevParams":
-        v = np.asarray(v, dtype=float)
-        if v.size != layout.dim:
-            raise ValueError(f"vector length {v.size} != layout dim {layout.dim}")
-        return cls(
-            log_mu_gamma=float(v[0]),
-            log_sigma_gamma=float(v[1]),
-            log_mu_delta=float(v[2]),
-            log_sigma_delta=float(v[3]),
-            logit_lambda=float(v[4]),
-            log_gamma=v[layout.log_gamma].copy(),
-            log_delta=v[layout.log_delta].copy(),
-        )
-
-
-class _CompiledHmev:
-    def __init__(self, events: Sequence[np.ndarray], trials: int):
-        self.J = len(events)
-        self.trials = trials
-        self.counts = np.array([np.asarray(e).size for e in events], dtype=np.int64)
-        self.n_b = self.counts.astype(float)
-        if np.any(self.n_b > trials):
-            raise ValueError("block event count exceeds trials_per_block")
-        self.sum_n = float(self.n_b.sum())
-        logs = []
-        self.slx_b = np.zeros(self.J)
-        for j, mags in enumerate(events):
-            arr = np.asarray(mags, dtype=float)
-            if np.any(arr <= 0.0):
-                raise ValueError("magnitudes must be strictly positive")
-            if arr.size:
-                lx = np.log(arr)
-                logs.append(lx)
-                self.slx_b[j] = lx.sum()
-        self.logx = np.concatenate(logs) if logs else np.zeros(0)
-        n, N = self.n_b, float(trials)
-        self.binom_const = float(
-            np.sum(gammaln(N + 1.0) - gammaln(n + 1.0) - gammaln(N - n + 1.0))
-        )
-
-
 class _HmevRows:
     """The single-site kernel over one ``HmevTarget`` per row.
 
-    The rows' events are concatenated row by row, each block's in one run, so
-    a per-block value reaches its events by ``np.repeat`` and the per-block
-    totals are ``np.bincount`` over row-offset block ids, which sums each bin
-    in event order.  Each row's event total is a sum along the last axis of
-    the ``(rows, events)`` block that its run of equal-sized rows forms.  The
-    two latent layers (gamma and delta) are evaluated side by side as a
-    ``(rows, 2, J)`` array.  So every row equals its one-row call bit for bit.
+    A row is one site with no covariates: its blocks' Gumbel locations are
+    ``exp(log_mu)``, so the location gradients go back through that map from
+    the per-row sums, and the block kernel sums by ``np.bincount``.  The
+    hyperparameter priors are evaluated side by side for all rows.
     """
 
     def __init__(self, targets: Sequence["HmevTarget"]):
-        comp = [t._compiled for t in targets]
-        R, J = len(comp), comp[0].J
-        self.R, self.J = R, J
-        self.counts = np.concatenate([c.counts for c in comp])
-        self.logx = np.concatenate([c.logx for c in comp])
-        self.block_id = np.repeat(np.arange(R * J), self.counts)
-        sizes = [c.logx.size for c in comp]
-        offsets = np.cumsum([0] + sizes).tolist()
-        self.runs = [(a, b, offsets[a], sizes[a]) for a, b in _equal_runs(sizes)]
-        self.n_b = np.array([c.n_b for c in comp])
-        self.slx_b = np.array([c.slx_b for c in comp])
-        self.sum_n = np.array([c.sum_n for c in comp])
-        self.trials = np.array([float(c.trials) for c in comp])
-        self.binom_const = np.array([c.binom_const for c in comp])
+        events = [t._events for t in targets]
+        self.J = targets[0].layout.n_blocks
+        self.events = _EventRows(events, reduceat=False)
+        self.sum_n = np.array([[float(e.n_b.sum())] for e in events])
+        self.group_trials = self.J * np.array([[float(e.trials)] for e in events])
         # the four hyperparameter priors side by side, as the columns of V[:, :4]
         self.hyper = _stacked(
             [(t.prior.mu_gamma, t.prior.sigma_gamma, t.prior.mu_delta, t.prior.sigma_delta) for t in targets],
@@ -934,60 +918,26 @@ class _HmevRows:
         self.rate_a, self.rate_b, self.rate_log_beta = rate.a[:, 0], rate.b[:, 0], rate._log_beta[:, 0]
 
     def __call__(self, V: np.ndarray):
-        R, J = self.R, self.J
-        nb, slx, N = self.n_b, self.slx_b, self.trials
-        llam = V[:, 4]
-        ug = V[:, 5:5 + J]
-        ud = V[:, 5 + J:5 + 2 * J]
+        R, J = V.shape[0], self.J
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            hyper = np.exp(V[:, :4])  # mu_gamma, sigma_gamma, mu_delta, sigma_delta
-            loc, scale = hyper[:, 0::2, None], hyper[:, 1::2, None]
-            lam, log_lam, log_1m_lam = expit_log_expit_pair(llam)
-            latents = np.exp(V[:, 5:].reshape(R, 2, J))  # gamma, delta
-            gam = latents[:, 0]
-
-            t_e = self.logx - np.repeat(ud.ravel(), self.counts)
-            t_e *= np.repeat(gam.ravel(), self.counts)
-            np.exp(t_e, out=t_e)
-            T1 = np.bincount(self.block_id, weights=t_e, minlength=R * J).reshape(R, J)
-            U = np.bincount(self.block_id, weights=t_e * self.logx, minlength=R * J).reshape(R, J)
-            t_sum = np.empty(R)
-            for a, b, start, n in self.runs:
-                t_sum[a:b] = t_e[start:start + (b - a) * n].reshape(b - a, n).sum(axis=1)
-            nb_ud = nb * ud
-            weibull = np.sum(nb * ug - nb_ud + (gam - 1.0) * (slx - nb_ud), axis=1) - t_sum
-
-            z = (latents - loc) / scale
-            e = np.exp(-z)
-            zsum = np.sum(z + e, axis=2)
-            latent = -J * (V[:, 1] + V[:, 3]) - zsum[:, 0] - zsum[:, 1]
-
-            binom = self.sum_n * log_lam + (J * N - self.sum_n) * log_1m_lam + self.binom_const
-
+            loc = np.exp(V[:, 0:4:2])[:, :, None]  # mu_gamma, mu_delta
+            k = _weibull_gumbel_binomial(
+                self.events, V[:, 5:].reshape(R, 2, J), loc, V[:, 1:4:2], V[:, 4:5], self.sum_n, self.group_trials
+            )
+            lam, log_lam, log_1m_lam = k.lam[:, 0], k.log_lam[:, 0], k.log_1m_lam[:, 0]
             hyper_prior = InverseGammaPrior.log_density_unconstrained(self.hyper, V[:, :4])
             rate_prior = self.rate_a * log_lam + self.rate_b * log_1m_lam - self.rate_log_beta
             prior_terms = hyper_prior[:, 0] + hyper_prior[:, 1] + hyper_prior[:, 2] + hyper_prior[:, 3] + rate_prior
-            jacobian = np.sum(ug, axis=1) + np.sum(ud, axis=1)
-            logp = weibull + latent + binom + prior_terms + jacobian
+            logp = k.weibull + k.latent + k.binom + prior_terms + k.jacobian
 
             grad = np.empty(V.shape)
-            one_m_e = 1.0 - e
-            layer = latents * (e - 1.0) / scale
-            grad[:, 5:5 + J] = nb + gam * (slx - nb_ud - (U - ud * T1)) + layer[:, 0] + 1.0
-            grad[:, 5 + J:] = gam * (T1 - nb) + layer[:, 1] + 1.0
+            grad[:, 5:] = k.d_latent.reshape(R, 2 * J)
             hyper_score = InverseGammaPrior.score_unconstrained(self.hyper, V[:, :4])
-            grad[:, 0:4:2] = loc[:, :, 0] * np.sum(one_m_e, axis=2) / scale[:, :, 0] + hyper_score[:, 0::2]
-            grad[:, 1:4:2] = np.sum(-1.0 + z * one_m_e, axis=2) + hyper_score[:, 1::2]
-            grad[:, 4] = self.sum_n - J * N * lam + (self.rate_a - (self.rate_a + self.rate_b) * lam)
+            grad[:, 0:4:2] = loc[:, :, 0] * np.sum(k.one_m_e, axis=2) / k.scale[:, :, 0] + hyper_score[:, 0::2]
+            grad[:, 1:4:2] = k.d_log_scale + hyper_score[:, 1::2]
+            grad[:, 4] = k.d_logit[:, 0] + (self.rate_a - (self.rate_a + self.rate_b) * lam)
             _reject_non_finite(logp, grad)
-        parts = {
-            "weibull": weibull,
-            "binomial": binom,
-            "latent_gumbel": latent,
-            "latent_jacobian": jacobian,
-            "prior": prior_terms,
-        }
-        return logp, grad, parts
+        return logp, grad, _parts(k, prior_terms)
 
 
 class HmevTarget(_RowBatchedTarget):
@@ -998,10 +948,7 @@ class HmevTarget(_RowBatchedTarget):
     def __init__(self, events: Sequence[np.ndarray], trials: int, prior: HmevPriorSpec):
         self.prior = prior
         self.layout = HmevLayout(len(events))
-        self._compiled = _CompiledHmev(events, trials)
-
-    def parts(self, v) -> dict:
-        return {k: float(x[0]) for k, x in self._one_row(v)[2].items()}
+        self._events = _Events(events, trials)
 
     def initial_vector(self) -> np.ndarray:
         L = self.layout
@@ -1015,14 +962,3 @@ class HmevTarget(_RowBatchedTarget):
         v[L.log_gamma] = v[L.log_mu_gamma]
         v[L.log_delta] = v[L.log_mu_delta]
         return v
-
-
-def hmev_log_posterior(params: HmevParams | np.ndarray, events, trials: int, prior: HmevPriorSpec) -> float:
-    """Single-site hierarchical log-posterior over the unconstrained vector."""
-    v = params.to_vector() if isinstance(params, HmevParams) else np.asarray(params, dtype=float)
-    return HmevTarget(events, trials, prior).value(v)
-
-
-def hmev_gradient(params: HmevParams | np.ndarray, events, trials: int, prior: HmevPriorSpec) -> np.ndarray:
-    v = params.to_vector() if isinstance(params, HmevParams) else np.asarray(params, dtype=float)
-    return HmevTarget(events, trials, prior)(v)[1]

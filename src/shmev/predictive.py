@@ -10,14 +10,13 @@ Quantiles invert each draw's exact mixture cdf by safeguarded Newton in
 log y, using its analytic slope, inside a bracket that only shrinks: the
 grid's upper end (doubled as needed) above and the previous, smaller
 probability's solution below, so per-draw quantile curves are nondecreasing
-in the probability.  The cdf on the evaluation grid is computed only when
-read; inversion reads just the grid's two ends.
+in the probability.  Inversion reads just the grid's two ends, so the
+default grid is that two-point bracket.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +45,9 @@ __all__ = [
     "write_return_level_field",
 ]
 
-_CHUNK = 64  # draws per chunk when filling grid cdf values
+# the default grid spans these multiples of the smallest and largest magnitude
+_GRID_LOW_FACTOR = 0.1
+_GRID_HIGH_FACTOR = 5.0
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,6 @@ class PredictiveConfig:
 
     blocks_per_draw: int = 100
     trials_per_block: int = 366
-    grid_size: int = 512
-    grid_low_factor: float = 0.1
-    grid_high_factor: float = 5.0
     cdf_tol: float = 1e-6
     max_extensions: int = 60
 
@@ -71,8 +69,6 @@ class PredictiveConfig:
             raise ValueError("blocks_per_draw must be >= 1")
         if self.trials_per_block < 1:
             raise ValueError("trials_per_block must be >= 1")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
 
 
 @dataclass(eq=False)
@@ -201,11 +197,8 @@ def simulate_future_blocks(
 @dataclass(eq=False)
 class MaximaCdfEstimate:
     """Posterior-predictive maxima cdf: the simulated blocks that allow exact
-    evaluation at any point, plus an evaluation grid ``y``.
-
-    The grid values ``per_draw`` (B, len(y)) and ``pooled`` are computed when
-    first read; quantile inversion reads only ``y[0]`` and ``y[-1]``.
-    """
+    evaluation at any point, plus an evaluation grid ``y`` whose two ends
+    bracket quantile inversion."""
 
     y: np.ndarray
     blocks: BlockDraws
@@ -216,29 +209,6 @@ class MaximaCdfEstimate:
     @property
     def n_draws(self) -> int:
         return self.blocks.n_draws
-
-    @cached_property
-    def per_draw(self) -> np.ndarray:
-        """Per-draw cdf on the grid, (B, len(y)), filled in draw chunks."""
-        blocks, b = self.blocks, self.blocks.n_draws
-        per_draw = np.empty((b, self.y.size))
-        logy = np.log(self.y)
-        for start in range(0, b, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, b))
-            with np.errstate(over="ignore", under="ignore"):
-                f = -np.expm1(
-                    -np.exp(
-                        blocks.gamma[sl][:, :, None]
-                        * (logy[None, None, :] - np.log(blocks.delta[sl])[:, :, None])
-                    )
-                )
-            per_draw[sl] = np.power(f, blocks.n[sl][:, :, None]).mean(axis=1)
-        return per_draw
-
-    @cached_property
-    def pooled(self) -> np.ndarray:
-        """Posterior-predictive cdf on the grid: the mean of the draw curves."""
-        return self.per_draw.mean(axis=0)
 
     def cdf_at(self, y) -> np.ndarray:
         """Per-draw cdf at a common scalar point or per-draw points (B,)."""
@@ -308,15 +278,14 @@ class MaximaCdfEstimate:
         return out[:, inverse]
 
 
-def default_y_grid(magnitudes, config: PredictiveConfig = PredictiveConfig()) -> np.ndarray:
-    """Log-spaced evaluation grid spanning well past the observed range."""
+def default_y_grid(magnitudes) -> np.ndarray:
+    """The evaluation grid ``[lo, hi]``: the quantile bracket, spanning well
+    past the range of the positive ``magnitudes``."""
     mags = np.asarray(magnitudes, dtype=float)
     mags = mags[mags > 0]
     if mags.size == 0:
         raise ValueError("need at least one positive magnitude for the grid")
-    lo = config.grid_low_factor * mags.min()
-    hi = config.grid_high_factor * mags.max()
-    return np.geomspace(lo, hi, config.grid_size)
+    return np.array([_GRID_LOW_FACTOR * mags.min(), _GRID_HIGH_FACTOR * mags.max()])
 
 
 def predictive_cdf(

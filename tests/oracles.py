@@ -4,17 +4,22 @@ Everything here is a straight-line re-implementation with scalar ``math``
 loops over every observation, deliberately sharing no code with the
 vectorized package internals, except the former implementations kept as
 bit-for-bit references for the current ones: ``take_shmev_value_grad``
-(the spatial kernel before its gather went by block runs) and, at the end,
-the per-chain sampler with the one-row GEV and single-site kernels.
+(the spatial kernel before its gather went by block runs, on the event data
+it compiled before it shared a block kernel with the single-site model)
+and, at the end, the per-chain sampler with the one-row GEV and single-site
+kernels.  ``weibull_cdf`` is the vectorized Weibull cdf that the predictive
+tests compare the maxima cdf with.
 """
 import csv
 import datetime as dt
 import math
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
+from shmev.distributions import WeibullParams
 from shmev.errors import DataError, NumericError
 from shmev.hmc import SamplerConfig
 from shmev.ingest import QcLedger
@@ -101,6 +106,18 @@ def naive_gev_log_posterior(theta, maxima, prior):
     return total
 
 
+def hmev_params_view(layout, v):
+    """The attributes of a single-site vector that
+    ``naive_hmev_log_posterior`` reads: the five hyperparameters as floats,
+    ``log_gamma`` and ``log_delta`` as arrays."""
+    v = np.asarray(v, dtype=float)
+    return SimpleNamespace(
+        **{name: float(v[k]) for k, name in enumerate(layout.HYPER)},
+        log_gamma=v[layout.log_gamma].copy(),
+        log_delta=v[layout.log_delta].copy(),
+    )
+
+
 def naive_hmev_log_posterior(params, events, n_trials, prior):
     total = 0.0
     mu_g = math.exp(params.log_mu_gamma)
@@ -142,6 +159,28 @@ def naive_hmev_log_posterior(params, events, n_trials, prior):
         - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     )
     return total
+
+
+def weibull_logpdf_cdf(x, p: WeibullParams):
+    """Return ``(logpdf, cdf)`` of the Weibull family at ``x`` (> 0).
+
+    The cdf is ``1 - exp(-(x/scale)**shape)``; the log-density is its exact
+    derivative on the log scale.  Both are finite for valid inputs.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+        raise ValueError("Weibull support is x > 0")
+    shape = np.asarray(p.shape, dtype=float)
+    scale = np.asarray(p.scale, dtype=float)
+    logratio = np.log(x) - np.log(scale)
+    t = np.exp(shape * logratio)
+    logpdf = np.log(shape) - np.log(scale) + (shape - 1.0) * logratio - t
+    cdf = -np.expm1(-t)
+    return logpdf, cdf
+
+
+def weibull_cdf(x, p: WeibullParams):
+    return weibull_logpdf_cdf(x, p)[1]
 
 
 def central_difference(value_fn, v, step=1e-5):
@@ -230,12 +269,41 @@ def csv_writer_trace_export(draws, path):
     return path
 
 
+def _former_compiled_shmev(dataset):
+    """The event data that the spatial kernel compiled before it shared a
+    block kernel with the single-site model, computed as it was then."""
+    S, J = dataset.n_sites, dataset.n_blocks
+    counts = dataset.counts()
+    n_b = counts.ravel().astype(float)
+    logs, slx = [], np.zeros(S * J)
+    for s in range(S):
+        for j in range(J):
+            mags = dataset.events[s][j]
+            if mags.size:
+                lx = np.log(mags)
+                logs.append(lx)
+                slx[s * J + j] = lx.sum()
+    N = float(dataset.trials_per_block)
+    return SimpleNamespace(
+        S=S,
+        J=J,
+        trials=dataset.trials_per_block,
+        Z=dataset.design_matrix(),
+        n_b=n_b,
+        site_of_block=np.repeat(np.arange(S), J),
+        logx=np.concatenate(logs) if logs else np.zeros(0),
+        slx_b=slx,
+        sum_n_s=counts.sum(axis=1).astype(float),
+        binom_const=float(np.sum(gammaln(N + 1.0) - gammaln(n_b + 1.0) - gammaln(N - n_b + 1.0))),
+    )
+
+
 def take_shmev_value_grad(v, target):
     """``ShmevTarget``'s value and gradient with every event's log delta and
     gamma gathered by ``np.take`` over a per-event block index: the spatial
     kernel as it was before the gather went by block runs."""
-    c, prior, layout = target._compiled, target.prior, target.layout
-    dataset = target.dataset
+    prior, layout, dataset = target.prior, target.layout, target.dataset
+    c = _former_compiled_shmev(dataset)
     block_ids = [
         np.full(dataset.events[s][j].size, s * c.J + j, dtype=np.int64)
         for s in range(c.S)

@@ -1,39 +1,38 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.special import expit
 
 from shmev import distributions as dist
 from shmev.errors import NumericError
+from shmev.predictive import gev_per_draw_quantiles
+
+from .oracles import weibull_cdf, weibull_logpdf_cdf
 
 # frozen oracle values (quadrature / bisection, computed once; see comments)
 WEIBULL_CDF_50 = 0.9782314783997237          # quad of the pdf, shape .86 scale 10.5
-GUMBEL_LOGPDF_ORACLE = 0.641317965305226     # log of quadrature-normalized density
 TRUNC_GUMBEL_MEAN = 11.764102306134353       # quad on (0, inf), loc 10.5 scale 2.19
-BINOM_MEAN = 103.55044550957204              # 366 * expit(-0.93)
 GEV_Q99 = 140.72021291097172                 # bisection on the cdf, tau .114
 
 
 class TestWeibull:
     def test_cdf_at_scale(self):
         for shape in (0.5, 0.86, 1.0, 3.7):
-            _, cdf = dist.weibull_logpdf_cdf(10.5, dist.WeibullParams(shape, 10.5))
+            _, cdf = weibull_logpdf_cdf(10.5, dist.WeibullParams(shape, 10.5))
             assert cdf == pytest.approx(1.0 - np.exp(-1.0), abs=1e-12)
 
     def test_exponential_median(self):
         p = dist.WeibullParams(1.0, 7.0)
-        assert dist.weibull_cdf(7.0 * np.log(2.0), p) == pytest.approx(0.5, abs=1e-12)
+        assert weibull_cdf(7.0 * np.log(2.0), p) == pytest.approx(0.5, abs=1e-12)
 
     def test_cdf_matches_quadrature_oracle(self):
         p = dist.WeibullParams(0.86, 10.5)
-        assert dist.weibull_cdf(50.0, p) == pytest.approx(WEIBULL_CDF_50, abs=1e-8)
+        assert weibull_cdf(50.0, p) == pytest.approx(WEIBULL_CDF_50, abs=1e-8)
 
     def test_domain_errors(self):
         p = dist.WeibullParams(0.86, 10.5)
         with pytest.raises(ValueError):
-            dist.weibull_logpdf_cdf(-1.0, p)
+            weibull_logpdf_cdf(-1.0, p)
         with pytest.raises(ValueError):
-            dist.weibull_logpdf_cdf(0.0, p)
+            weibull_logpdf_cdf(0.0, p)
         with pytest.raises(ValueError):
             dist.WeibullParams(-0.5, 10.0)
         with pytest.raises(ValueError):
@@ -43,22 +42,12 @@ class TestWeibull:
         p = dist.WeibullParams(0.86, 10.5)
         x = 12.0
         h = 1e-6
-        deriv = (dist.weibull_cdf(x + h, p) - dist.weibull_cdf(x - h, p)) / (2 * h)
-        logpdf, _ = dist.weibull_logpdf_cdf(x, p)
+        deriv = (weibull_cdf(x + h, p) - weibull_cdf(x - h, p)) / (2 * h)
+        logpdf, _ = weibull_logpdf_cdf(x, p)
         assert np.exp(logpdf) == pytest.approx(deriv, rel=1e-8)
 
 
 class TestGumbel:
-    def test_logpdf_at_location(self):
-        assert dist.gumbel_logpdf(0.0, dist.GumbelParams(0.0, 1.0)) == pytest.approx(-1.0)
-        assert dist.gumbel_logpdf(3.0, dist.GumbelParams(3.0, 2.0)) == pytest.approx(
-            -np.log(2.0) - 1.0
-        )
-
-    def test_logpdf_matches_quadrature_normalized_density(self):
-        p = dist.GumbelParams(0.86, 0.09)
-        assert dist.gumbel_logpdf(1.0, p) == pytest.approx(GUMBEL_LOGPDF_ORACLE, abs=1e-10)
-
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             dist.GumbelParams(0.0, -1.0)
@@ -92,161 +81,28 @@ class TestGumbelSamplePositive:
             dist.gumbel_sample_positive(dist.GumbelParams(-20.0, 1.0), rng, size=10)
 
 
-class TestBinomial:
-    def test_single_trial(self):
-        p = dist.BinomialParams(1, 0.5)
-        assert dist.binomial_logpmf(1, p) == pytest.approx(np.log(0.5), abs=1e-14)
-
-    def test_sample_mean_matches_analytic(self, rng):
-        lam = float(expit(-0.93))
-        p = dist.BinomialParams(366, lam)
-        draws = dist.binomial_sample(p, rng, size=100_000)
-        se = np.sqrt(366 * lam * (1 - lam) / draws.size)
-        assert abs(draws.mean() - BINOM_MEAN) < 3.0 * se
-
-    def test_pmf_normalizes(self):
-        p = dist.BinomialParams(10, 0.3)
-        total = np.sum(np.exp(dist.binomial_logpmf(np.arange(11), p)))
-        assert abs(total - 1.0) < 1e-12
-
-    def test_out_of_range_count(self):
-        p = dist.BinomialParams(10, 0.3)
-        with pytest.raises(ValueError):
-            dist.binomial_logpmf(11, p)
-        with pytest.raises(ValueError):
-            dist.binomial_logpmf(-1, p)
-        with pytest.raises(ValueError):
-            dist.BinomialParams(10, 1.0)
+def gev_quantile(prob, loc, scale, shape):
+    """The CLI's per-draw GEV quantiles for the one draw ``(loc, scale, shape)``."""
+    return gev_per_draw_quantiles([[loc, np.log(scale), shape]], np.atleast_1d(prob))[0]
 
 
 class TestGev:
     def test_cdf_at_location(self):
+        # G(loc) = exp(-1) for every shape, so its quantile is loc
         for shape in (-0.3, 0.0, 0.114, 0.5):
-            p = dist.GevParams(50.0, 15.0, shape)
-            assert dist.gev_cdf(50.0, p) == pytest.approx(np.exp(-1.0), abs=1e-12)
+            assert gev_quantile(np.exp(-1.0), 50.0, 15.0, shape)[0] == pytest.approx(50.0, abs=1e-12)
 
     def test_gumbel_limit_quantile_roundtrip(self):
-        p = dist.GevParams(0.0, 1.0, 0.0)
-        assert dist.gev_quantile(np.exp(-1.0), p) == pytest.approx(0.0, abs=1e-12)
+        assert gev_quantile(np.exp(-1.0), 0.0, 1.0, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_quantile_matches_bisection_oracle(self):
-        p = dist.GevParams(50.0, 15.0, 0.114)
-        assert dist.gev_quantile(0.99, p) == pytest.approx(GEV_Q99, abs=1e-8)
+        assert gev_quantile(0.99, 50.0, 15.0, 0.114)[0] == pytest.approx(GEV_Q99, abs=1e-8)
 
     def test_support_conventions(self):
-        heavy = dist.GevParams(0.0, 1.0, 0.5)    # lower endpoint -2
-        assert dist.gev_cdf(-3.0, heavy) == 0.0
-        bounded = dist.GevParams(0.0, 1.0, -0.5)  # upper endpoint 2
-        assert dist.gev_cdf(3.0, bounded) == 1.0
-        assert dist.gev_logpdf(-3.0, heavy) == -np.inf
+        probs = np.linspace(1e-6, 1.0 - 1e-6, 101)
+        assert np.all(gev_quantile(probs, 0.0, 1.0, 0.5) > -2.0)   # lower endpoint -2
+        assert np.all(gev_quantile(probs, 0.0, 1.0, -0.5) < 2.0)   # upper endpoint 2
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            dist.gev_quantile(1.0, dist.GevParams(0.0, 1.0, 0.1))
-
-
-# ---------------------------------------------------------------------------
-# Cross-family invariants
-# ---------------------------------------------------------------------------
-
-def _families(rng):
-    out = []
-    for _ in range(10):
-        out.append(
-            (
-                "weibull",
-                dist.WeibullParams(rng.uniform(0.4, 3.0), rng.uniform(1.0, 30.0)),
-            )
-        )
-    for _ in range(10):
-        out.append(("gumbel", dist.GumbelParams(rng.uniform(-5, 15), rng.uniform(0.05, 4.0))))
-    for _ in range(10):
-        out.append(
-            ("gev", dist.GevParams(rng.uniform(-5, 60), rng.uniform(0.5, 20.0), rng.uniform(-0.4, 0.4)))
-        )
-    return out
-
-
-def _cdf(kind, x, p):
-    return {"weibull": dist.weibull_cdf, "gumbel": dist.gumbel_cdf, "gev": dist.gev_cdf}[kind](x, p)
-
-
-def _quantile(kind, q, p):
-    return {
-        "weibull": dist.weibull_quantile,
-        "gumbel": dist.gumbel_quantile,
-        "gev": dist.gev_quantile,
-    }[kind](q, p)
-
-
-def _logpdf(kind, x, p):
-    return {
-        "weibull": dist.weibull_logpdf,
-        "gumbel": dist.gumbel_logpdf,
-        "gev": dist.gev_logpdf,
-    }[kind](x, p)
-
-
-def test_cdfs_monotone_with_correct_limits(rng):
-    for kind, p in _families(rng):
-        lo = _quantile(kind, 1e-9, p)
-        hi = _quantile(kind, 1.0 - 1e-9, p)
-        grid = np.linspace(lo, hi, 1000)
-        values = _cdf(kind, grid, p)
-        assert np.all(np.diff(values) >= -1e-12)
-        assert values[0] < 1e-6
-        assert values[-1] > 1.0 - 1e-6
-
-
-def test_quantile_cdf_roundtrip(rng):
-    probs = np.linspace(0.01, 0.99, 21)
-    for kind, p in _families(rng):
-        x = _quantile(kind, probs, p)
-        assert np.max(np.abs(_cdf(kind, x, p) - probs)) < 1e-8
-
-
-def test_densities_integrate_to_one(rng):
-    for kind, p in _families(rng):
-        lo = float(_quantile(kind, 1e-12, p)) if kind != "weibull" else 0.0
-        hi = float(_quantile(kind, 1.0 - 1e-12, p))
-        total, _ = quad(lambda x: np.exp(_logpdf(kind, x, p)), lo, hi, limit=400)
-        assert total == pytest.approx(1.0, abs=1e-6)
-    for _ in range(10):
-        mean, sd = rng.uniform(-5, 5), rng.uniform(0.1, 3.0)
-        total, _ = quad(lambda x: np.exp(dist.normal_logpdf(x, mean, sd)), mean - 12 * sd, mean + 12 * sd)
-        assert total == pytest.approx(1.0, abs=1e-6)
-    for _ in range(10):
-        shape, scale = rng.uniform(1.5, 6.0), rng.uniform(0.5, 5.0)
-        mode = scale / (shape + 1.0)
-        left, _ = quad(lambda x: np.exp(dist.invgamma_logpdf(x, shape, scale)), 1e-12, mode, limit=400)
-        right, _ = quad(lambda x: np.exp(dist.invgamma_logpdf(x, shape, scale)), mode, np.inf, limit=400)
-        assert left + right == pytest.approx(1.0, abs=1e-6)
-
-
-def test_sampler_moments_match_analytic(rng):
-    n = 100_000
-    euler = 0.5772156649015329
-
-    p = dist.WeibullParams(0.86, 10.5)
-    from scipy.special import gamma as gamma_fn
-
-    draws = dist.weibull_sample(p, rng, size=n)
-    mean = 10.5 * gamma_fn(1 + 1 / 0.86)
-    assert abs(draws.mean() - mean) < 4 * draws.std(ddof=1) / np.sqrt(n)
-
-    g = dist.GumbelParams(2.0, 1.5)
-    draws = dist.gumbel_sample(g, rng, size=n)
-    assert abs(draws.mean() - (2.0 + 1.5 * euler)) < 4 * draws.std(ddof=1) / np.sqrt(n)
-
-    b = dist.BinomialParams(366, 0.283)
-    draws = dist.binomial_sample(b, rng, size=n)
-    assert abs(draws.mean() - 366 * 0.283) < 4 * draws.std(ddof=1) / np.sqrt(n)
-
-    v = dist.GevParams(10.0, 2.0, 0.1)
-    draws = dist.gev_sample(v, rng, size=n)
-    mean = 10.0 + 2.0 * (gamma_fn(1 - 0.1) - 1) / 0.1
-    assert abs(draws.mean() - mean) < 4 * draws.std(ddof=1) / np.sqrt(n)
-
-    t = dist.GumbelParams(10.5, 2.19)
-    draws = dist.gumbel_sample_positive(t, rng, size=n)
-    assert abs(draws.mean() - TRUNC_GUMBEL_MEAN) < 4 * draws.std(ddof=1) / np.sqrt(n)
+            gev_quantile(1.0, 0.0, 1.0, 0.1)

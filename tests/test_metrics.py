@@ -7,12 +7,19 @@ from scipy.stats import rankdata
 from shmev.metrics import (
     EvalResult,
     _average_ranks,
-    bias_and_width,
     empirical_return_times,
     evaluate_site,
-    fse,
     write_eval_report,
 )
+
+
+def fse(quantile_fn, maxima, **threshold):
+    return evaluate_site("s", quantile_fn, maxima, **threshold).fse
+
+
+def bias_and_width(quantile_fn, maxima):
+    result = evaluate_site("s", quantile_fn, maxima)
+    return result.bias, result.width
 
 
 def lookup_quantile_fn(maxima, factors):

@@ -8,7 +8,6 @@ from shmev.model import (
     GammaPrior,
     GevPriorSpec,
     GevTarget,
-    HmevParams,
     HmevTarget,
     InverseGammaPrior,
     NormalPrior,
@@ -16,13 +15,12 @@ from shmev.model import (
     ShmevParams,
     ShmevPriorSpec,
     ShmevTarget,
-    gev_log_posterior,
-    hmev_log_posterior,
     shmev_gradient,
     shmev_log_posterior,
 )
 
 from .oracles import (
+    hmev_params_view,
     naive_gev_log_posterior,
     naive_hmev_log_posterior,
     naive_shmev_log_posterior,
@@ -232,17 +230,17 @@ class TestGevModel:
     def test_support_violation_is_minus_infinity(self):
         prior = GevPriorSpec(loc=NormalPrior(0.0, 10.0), scale=__import__("shmev.model", fromlist=["GammaPrior"]).GammaPrior(1.0, 1.0))
         theta = np.array([0.0, 0.0, 0.5])  # lower endpoint -2
-        assert gev_log_posterior(theta, np.array([-3.0]), prior) == -np.inf
+        assert GevTarget(np.array([-3.0]), prior).value(theta) == -np.inf
 
     def test_shape_limit_continuity(self):
         maxima = np.array([40.0, 55.0, 62.0, 38.0, 71.0])
         prior = GevPriorSpec.from_maxima(maxima)
         base = np.array([50.0, np.log(12.0), 0.0])
-        at_zero = gev_log_posterior(base, maxima, prior)
+        at_zero = GevTarget(maxima, prior).value(base)
         for tau in (1e-12, -1e-12, 1e-9, -1e-9):
             theta = base.copy()
             theta[2] = tau
-            assert abs(gev_log_posterior(theta, maxima, prior) - at_zero) < 1e-6
+            assert abs(GevTarget(maxima, prior).value(theta) - at_zero) < 1e-6
 
     def test_matches_naive_oracle(self, rng):
         maxima = 40.0 + 20.0 * rng.weibull(1.5, size=60)
@@ -251,7 +249,7 @@ class TestGevModel:
             theta = np.array(
                 [rng.uniform(30, 70), np.log(rng.uniform(5, 25)), rng.uniform(-0.3, 0.4)]
             )
-            fast = gev_log_posterior(theta, maxima, prior)
+            fast = GevTarget(maxima, prior).value(theta)
             slow = naive_gev_log_posterior(theta, maxima, prior)
             assert fast == pytest.approx(slow, rel=1e-10)
 
@@ -334,8 +332,8 @@ class TestHmevModel:
         J = len(site_events)
         for _ in range(5):
             v = target.initial_vector() + 0.1 * rng.standard_normal(target.layout.dim)
-            params = HmevParams.from_vector(target.layout, v)
-            fast = hmev_log_posterior(params, site_events, trials, prior)
+            params = hmev_params_view(target.layout, v)
+            fast = HmevTarget(site_events, trials, prior).value(v)
             slow = naive_hmev_log_posterior(params, site_events, trials, prior)
             assert fast == pytest.approx(slow, rel=1e-10)
 
@@ -444,10 +442,10 @@ class TestModelInvariants:
         maxima = np.array([b.max() for b in site_events if b.size])
         gprior = GevPriorSpec.from_maxima(maxima)
         gtheta = np.array([maxima.mean(), np.log(maxima.std(ddof=1)), 0.1])
-        gbase = gev_log_posterior(gtheta, maxima, gprior)
+        gbase = GevTarget(maxima, gprior).value(gtheta)
         maxima2 = maxima.copy()
         maxima2[-1] *= 50.0
-        assert gev_log_posterior(gtheta, maxima2, gprior) < gbase
+        assert GevTarget(maxima2, gprior).value(gtheta) < gbase
 
 
 def _same_bits(a, b):
@@ -517,6 +515,30 @@ class TestRowBatchedKernels:
         gumbel = np.abs(shape) < 1e-10
         assert np.isfinite(logp[gumbel]).any() and np.isfinite(logp[~gumbel]).any()
         assert (logp[np.abs(shape) == 2.5] == -np.inf).any()
+
+    def test_shmev_rows(self, wei_small, wei_small_prior, rng):
+        # datasets of one layout, some with empty blocks, each row against
+        # its one-row call and the take reference
+        targets = [
+            ShmevTarget(_without_blocks(wei_small.train, empty), wei_small_prior)
+            for empty in TestShmevEventGather.EMPTY.values()
+        ]
+        pairs = [(t, lambda v, t=t: take_shmev_value_grad(v, t)) for t in targets]
+        rejected = 0
+        for _ in range(10):
+            pick = rng.integers(0, len(pairs), size=rng.integers(2, 5))
+            V = np.array([_random_params(pairs[i][0].layout, rng, rng.choice([0.0, 0.05, 0.3, 3.0])) for i in pick])
+            V[rng.random(len(pick)) < 0.2, pairs[0][0].layout.log_sigma_delta] = rng.choice([np.nan, np.inf, 800.0])
+            rejected += int(np.sum(self.check_rows([pairs[i] for i in pick], V) == -np.inf))
+        assert rejected > 0
+
+    def test_one_target_batch_uses_the_targets_own_kernel(self, wei_small, wei_small_prior):
+        # the sampler's kernel for a single row must not copy the events again
+        target = ShmevTarget(wei_small.train, wei_small_prior)
+        target(target.initial_vector())
+        kernel = ShmevTarget.batch_kernel([target])
+        assert kernel is target._kernel
+        assert kernel.events.logx is target._events.logx
 
     def test_value_and_parts_come_from_the_same_kernel(self, stations, rng):
         hmev, gev = stations

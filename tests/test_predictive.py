@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shmev.data import StandardizationSnapshot
-from shmev.distributions import WeibullParams, weibull_cdf
+from shmev.distributions import WeibullParams
 from shmev.errors import ConvergenceError
 from shmev.model import ShmevLayout
 from shmev.predictive import (
@@ -20,6 +20,8 @@ from shmev.predictive import (
 )
 from shmev.simulate import ScenarioConfig, simulate_scenario, true_maxima_sample
 
+from .oracles import weibull_cdf
+
 DEGENERATE_Q99 = 92.05369664023158  # -10 ln(1 - 0.99**(1/100))
 
 
@@ -32,6 +34,11 @@ def degenerate_params(n_draws, shape=0.86, scale=10.5, event_prob=0.283):
         sigma_delta=np.full(n_draws, 1e-12),
         event_prob=np.full(n_draws, event_prob),
     )
+
+
+def grid_cdf(est):
+    """Per-draw cdf at every point of the estimate's grid, (B, len(y))."""
+    return np.column_stack([est.cdf_at(y) for y in est.y])
 
 
 def estimate_from_blocks(gamma, delta, n, y, trials=366):
@@ -47,7 +54,7 @@ class TestPredictiveCdf:
         params = degenerate_params(20, event_prob=1e-15)
         y = np.geomspace(0.5, 100.0, 32)
         est = predictive_cdf(params, y, PredictiveConfig(blocks_per_draw=10), rng)
-        assert np.all(est.per_draw == 1.0)
+        assert np.all(grid_cdf(est) == 1.0)
         assert est.all_dry_draws == 20
         assert est.zero_event_blocks == 200
 
@@ -63,7 +70,7 @@ class TestPredictiveCdf:
         y = np.geomspace(1.0, 300.0, 64)
         est = predictive_cdf(params, y, PredictiveConfig(blocks_per_draw=7, trials_per_block=100), rng)
         expected = weibull_cdf(y, WeibullParams(0.9, 12.0)) ** 100
-        assert np.max(np.abs(est.pooled - expected)) < 1e-9
+        assert np.max(np.abs(grid_cdf(est).mean(axis=0) - expected)) < 1e-9
 
     def test_matches_brute_force_maxima_simulation(self, rng):
         shape, scale, event_prob = 0.86, 10.5, 0.283
@@ -257,10 +264,10 @@ class TestInvariants:
         )
         y = np.geomspace(0.5, 2000.0, 256)
         est = predictive_cdf(params, y, PredictiveConfig(blocks_per_draw=50), rng)
-        assert np.all((est.per_draw >= 0.0) & (est.per_draw <= 1.0))
-        assert np.all(np.diff(est.per_draw, axis=1) >= -1e-12)
-        assert np.all(est.per_draw[:, -1] > 1.0 - 1e-8)
-        assert np.max(np.abs(est.pooled - est.per_draw.mean(axis=0))) < 1e-12
+        per_draw = grid_cdf(est)
+        assert np.all((per_draw >= 0.0) & (per_draw <= 1.0))
+        assert np.all(np.diff(per_draw, axis=1) >= -1e-12)
+        assert np.all(per_draw[:, -1] > 1.0 - 1e-8)
 
     def test_quantile_curves_monotone_per_draw(self, rng):
         params = SitePredictiveParams(
@@ -294,43 +301,11 @@ class TestInvariants:
         # bisection from the global upper bracket needs about 20
         assert len(calls) / probs.size < 10
 
-    def test_grid_is_filled_only_when_read(self, rng):
-        params = SitePredictiveParams(
-            mu_gamma=0.8 + 0.05 * rng.standard_normal(150),
-            sigma_gamma=np.full(150, 0.05),
-            mu_delta=10.0 + rng.standard_normal(150),
-            sigma_delta=np.full(150, 1.5),
-            event_prob=np.full(150, 0.3),
-        )
-        y = np.geomspace(0.5, 500.0, 96)
-        est = predictive_cdf(params, y, PredictiveConfig(blocks_per_draw=30), rng)
-        est.per_draw_quantiles([0.5, 0.9])
-        assert "per_draw" not in est.__dict__
-        assert "pooled" not in est.__dict__
-
-        # the eager fill predictive_cdf used to run, 64 draws per chunk
-        blocks, b = est.blocks, est.blocks.n_draws
-        expected = np.empty((b, y.size))
-        logy = np.log(y)
-        for start in range(0, b, 64):
-            sl = slice(start, min(start + 64, b))
-            with np.errstate(over="ignore", under="ignore"):
-                f = -np.expm1(
-                    -np.exp(
-                        blocks.gamma[sl][:, :, None]
-                        * (logy[None, None, :] - np.log(blocks.delta[sl])[:, :, None])
-                    )
-                )
-            expected[sl] = np.power(f, blocks.n[sl][:, :, None]).mean(axis=1)
-        assert est.per_draw.tobytes() == expected.tobytes()
-        assert est.pooled.tobytes() == expected.mean(axis=0).tobytes()
-
     def test_default_grid_spans_observations(self):
         mags = np.array([0.5, 3.0, 80.0])
         grid = default_y_grid(mags)
         assert grid[0] == pytest.approx(0.05)
         assert grid[-1] == pytest.approx(400.0)
-        assert grid.size == 512
 
 
 def test_gev_per_draw_quantiles_closed_form():
