@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +48,9 @@ from .ingest import (
     write_covariate_file,
     write_event_file,
 )
-from .metrics import EvalResult, evaluate_site, write_eval_report
+# evaluate_site, the one-station form of cmd_evaluate's rank, inversion and
+# scoring steps, stays importable from here
+from .metrics import EvalResult, evaluate_site, qualifying_maxima, score_site, write_eval_report
 from .model import (
     GevPriorSpec,
     GevTarget,
@@ -64,6 +66,7 @@ from .predictive import (
     default_y_grid,
     gev_per_draw_quantiles,
     hmev_site_params,
+    invert_quantiles,
     predictive_cdf,
     return_level_map,
     shmev_site_params,
@@ -181,6 +184,12 @@ class FittedModel:
             if site["station"] == station:
                 return np.asarray(site["z"], dtype=float)
         raise DataError(f"station {station!r} not present in the fit")
+
+    def site_draws(self, station: str) -> np.ndarray:
+        """One station's draws from a per-site (hmev or gev) fit."""
+        if station not in self.per_site_draws:
+            raise DataError(f"station {station!r} not present in the fit")
+        return self.per_site_draws[station]
 
     def shmev_layout(self) -> ShmevLayout:
         lay = self.meta["layout"]
@@ -569,17 +578,26 @@ def _predictive_config(fitted: FittedModel, blocks_per_draw: int) -> PredictiveC
     )
 
 
-def _site_quantile_fn(fitted: FittedModel, station: str, config: PredictiveConfig, rng):
-    """Per-draw quantile provider for one station under any fitted model."""
+def _site_quantiles(
+    fitted: FittedModel, config: PredictiveConfig, jobs: Iterable[tuple[str, np.ndarray, np.random.SeedSequence]]
+) -> Iterator[np.ndarray]:
+    """Per-draw quantiles (B, k) of each ``(station, probs, stream)`` job, in
+    order, under any fitted model.  Predictive estimates are simulated from
+    their station's stream as the inversion reaches them; GEV fits have a
+    closed form."""
     if fitted.kind == "gev":
-        draws = fitted.per_site_draws[station]
-        return lambda probs: gev_per_draw_quantiles(draws, probs)
-    if fitted.kind == "shmev":
-        params = shmev_site_params(fitted.draws, fitted.shmev_layout(), fitted.site_z(station))
-    else:
-        params = hmev_site_params(fitted.per_site_draws[station], fitted.hmev_layout())
-    est = predictive_cdf(params, default_y_grid(fitted.magnitude_range(station)), config, rng)
-    return est.per_draw_quantiles
+        return (gev_per_draw_quantiles(fitted.site_draws(station), probs) for station, probs, _ in jobs)
+
+    def estimates():
+        for station, probs, stream in jobs:
+            if fitted.kind == "shmev":
+                params = shmev_site_params(fitted.draws, fitted.shmev_layout(), fitted.site_z(station))
+            else:
+                params = hmev_site_params(fitted.site_draws(station), fitted.hmev_layout())
+            y_grid = default_y_grid(fitted.magnitude_range(station))
+            yield predictive_cdf(params, y_grid, config, np.random.default_rng(stream)), probs
+
+    return invert_quantiles(estimates())
 
 
 def cmd_predict(section: PredictSection, session: ArtifactSession, seed: int, base_dir: Path) -> None:
@@ -589,20 +607,20 @@ def cmd_predict(section: PredictSection, session: ArtifactSession, seed: int, ba
     periods = np.asarray(sorted(section.return_periods), dtype=float)
     probs = 1.0 - 1.0 / periods
     streams = np.random.SeedSequence([seed, 3]).spawn(len(stations))
+    quantiles = _site_quantiles(fitted, config, ((s, probs, stream) for s, stream in zip(stations, streams)))
     rows = []
-    for idx, station in enumerate(stations):
-        rng = np.random.default_rng(streams[idx])
-        quantile_fn = _site_quantile_fn(fitted, station, config, rng)
-        q = quantile_fn(probs)
+    for station, q in zip(stations, quantiles):
+        # one call for both bands; the per-column means stay, as an axis-0
+        # mean can differ from them in the last bit
+        bands = np.quantile(q, [0.05, 0.95], axis=0)
         for t_idx, period in enumerate(periods):
-            col = q[:, t_idx]
             rows.append(
                 [
                     station,
                     _fmt(period),
-                    _fmt(col.mean()),
-                    _fmt(np.quantile(col, 0.05)),
-                    _fmt(np.quantile(col, 0.95)),
+                    _fmt(q[:, t_idx].mean()),
+                    _fmt(bands[0, t_idx]),
+                    _fmt(bands[1, t_idx]),
                 ]
             )
     _write_csv(
@@ -689,12 +707,14 @@ def cmd_evaluate(section: EvaluateSection, session: ArtifactSession, seed: int, 
         if not stations:
             raise DataError(f"fit {label!r} shares no stations with the test maxima")
         streams = np.random.SeedSequence([seed, 4, label_idx]).spawn(len(stations))
-        for idx, station in enumerate(stations):
-            rng = np.random.default_rng(streams[idx])
-            quantile_fn = _site_quantile_fn(fitted, station, config, rng)
-            results.append(
-                (label, evaluate_site(station, quantile_fn, maxima[station], section.threshold_return_time))
-            )
+        threshold = section.threshold_return_time
+        ranked = [qualifying_maxima(maxima[station], threshold) for station in stations]
+        # stations where no maximum qualifies are scored without an inversion
+        jobs = ((s, probs, stream) for s, (probs, _), stream in zip(stations, ranked, streams) if probs.size)
+        quantiles = _site_quantiles(fitted, config, jobs)
+        for station, (probs, observed) in zip(stations, ranked):
+            q = next(quantiles) if probs.size else None
+            results.append((label, score_site(station, q, observed, threshold, maxima[station].size)))
     write_eval_report(results, session.path("evaluation.csv"))
 
 

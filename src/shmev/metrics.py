@@ -23,6 +23,8 @@ __all__ = [
     "EvalResult",
     "empirical_return_times",
     "evaluate_site",
+    "qualifying_maxima",
+    "score_site",
     "write_eval_report",
 ]
 
@@ -68,36 +70,51 @@ def empirical_return_times(maxima) -> tuple[np.ndarray, np.ndarray]:
     return p, 1.0 / (1.0 - p)
 
 
+def qualifying_maxima(maxima, threshold: float = DEFAULT_RETURN_TIME_THRESHOLD):
+    """The rank step: plotting positions and values of the maxima whose
+    empirical return time exceeds ``threshold``, in the input order."""
+    maxima = np.asarray(maxima, dtype=float)
+    p, t = empirical_return_times(maxima)
+    mask = t > threshold
+    return p[mask], maxima[mask]
+
+
+def score_site(station: str, q, observed: np.ndarray, threshold: float, n_maxima: int) -> EvalResult:
+    """The scoring step: all three criteria from the per-draw quantiles ``q``
+    (B, m_T) at the plotting positions of the qualifying ``observed`` maxima;
+    ``fse``, ``bias`` and ``width`` are ``None`` when none qualifies.
+
+    The square root of the fractional squared error sits inside the outer
+    average: each qualifying observation contributes the RMS over draws of
+    its relative error.
+    """
+    if observed.size == 0:
+        return EvalResult(station, None, None, None, 0, threshold, n_maxima)
+    rel = (q - observed) / observed
+    return EvalResult(
+        station=station,
+        fse=float(np.mean(np.sqrt(np.mean(rel * rel, axis=0)))),
+        bias=float(np.mean(np.mean(rel, axis=0))),
+        width=float(np.mean(np.quantile(q, 0.95, axis=0) - np.quantile(q, 0.05, axis=0))),
+        m_t=observed.size,
+        threshold=threshold,
+        n_maxima=n_maxima,
+    )
+
+
 def evaluate_site(
     station: str,
     quantile_fn: QuantileFn,
     maxima,
     threshold: float = DEFAULT_RETURN_TIME_THRESHOLD,
 ) -> EvalResult:
-    """All three criteria for one station, from a single quantile pass;
-    ``fse``, ``bias`` and ``width`` are ``None`` when no observation qualifies.
-
-    The square root of the fractional squared error sits inside the outer
-    average: each qualifying observation contributes the RMS over draws of
-    its relative error.
-    """
+    """All three criteria for one station: the rank step, one quantile pass
+    at the qualifying plotting positions (none when none qualifies), and the
+    scoring step."""
     maxima = np.asarray(maxima, dtype=float)
-    p, t = empirical_return_times(maxima)
-    mask = t > threshold
-    m_t = int(mask.sum())
-    if m_t == 0:
-        return EvalResult(station, None, None, None, 0, threshold, maxima.size)
-    q = quantile_fn(p[mask])
-    rel = (q - maxima[mask]) / maxima[mask]
-    return EvalResult(
-        station=station,
-        fse=float(np.mean(np.sqrt(np.mean(rel * rel, axis=0)))),
-        bias=float(np.mean(np.mean(rel, axis=0))),
-        width=float(np.mean(np.quantile(q, 0.95, axis=0) - np.quantile(q, 0.05, axis=0))),
-        m_t=m_t,
-        threshold=threshold,
-        n_maxima=maxima.size,
-    )
+    probs, observed = qualifying_maxima(maxima, threshold)
+    q = quantile_fn(probs) if probs.size else None
+    return score_site(station, q, observed, threshold, maxima.size)
 
 
 def write_eval_report(results: Sequence[tuple[str, EvalResult]], path: str | Path) -> Path:

@@ -12,13 +12,22 @@ grid's upper end (doubled as needed) above and the previous, smaller
 probability's solution below, so per-draw quantile curves are nondecreasing
 in the probability.  Inversion reads just the grid's two ends, so the
 default grid is that two-point bracket.
+
+Every station or grid point of a command is inverted in one lockstep pass
+(:func:`invert_quantiles`): the draws of consecutive estimates are copied
+into row chunks of a fixed number of (draw, block) elements, and each
+Newton step evaluates the one cdf kernel over a chunk's active rows in
+reused buffers.  A row's arithmetic does not depend on its chunk, so the
+quantiles equal a one-estimate-at-a-time inversion bit for bit;
+:meth:`MaximaCdfEstimate.per_draw_quantiles` is the one-estimate call.
 """
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +47,7 @@ __all__ = [
     "simulate_future_blocks",
     "predictive_cdf",
     "predictive_quantile",
+    "invert_quantiles",
     "default_y_grid",
     "GridCovariates",
     "ReturnLevelField",
@@ -48,6 +58,11 @@ __all__ = [
 # the default grid spans these multiples of the smallest and largest magnitude
 _GRID_LOW_FACTOR = 0.1
 _GRID_HIGH_FACTOR = 5.0
+
+# quantile inversion solves draws in row chunks of at most this many (draw,
+# block) elements: enough rows to spread each Newton step's interpreter
+# overhead, few enough that the chunk's buffers stay in cache
+_CHUNK_ELEMENTS = 16384
 
 
 @dataclass(frozen=True)
@@ -137,32 +152,38 @@ class BlockDraws:
         return self.gamma.shape[0]
 
     def cdf_kernel(
-        self, y: np.ndarray, rows=slice(None), slope: bool = False
+        self, y: np.ndarray, rows=slice(None), slope: bool = False, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Exact maxima cdf ``G_b(y_b) = mean_j F(y_b; gamma_bj, delta_bj)^n_bj``
         of the draws ``rows`` at one point per row, and with ``slope`` also
         ``dG_b/dlog y = mean_j n F^(n-1) e^(-t) t gamma`` with
-        ``t = (y/delta)^gamma``; otherwise the second entry is None."""
+        ``t = (y/delta)^gamma``; otherwise the second entry is None.
+
+        The three (rows, M) temporaries live in ``out``, a (3, R, M) float
+        array with R at least the number of rows, and are allocated when it
+        is None."""
         y = np.asarray(y, dtype=float)[:, None]
-        gamma, n = self.gamma[rows], self.n[rows]
+        gamma, n, delta = self.gamma[rows], self.n[rows], self.delta[rows]
+        z, t, f = np.empty((3, *gamma.shape)) if out is None else out[:, : gamma.shape[0]]
         # in place: at thousands of draws each fresh (rows, M) temporary
         # costs page faults comparable to its arithmetic
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logy = np.where(y > 0.0, np.log(np.maximum(y, 1e-300)), -np.inf)
-            z = np.log(self.delta[rows])
+            np.log(delta, out=z)
             np.subtract(logy, z, out=z)
             z *= gamma
-            t = np.exp(z)
-            f = np.negative(t)
+            np.exp(z, out=t)
+            np.negative(t, out=f)
             np.expm1(f, out=f)
             np.negative(f, out=f)
-        members = np.power(f, n)
+        if slope:
+            np.subtract(z, t, out=z)  # before t's buffer takes the members
+        members = np.power(f, n, out=t)
         cdf = members.mean(axis=1)
         if not slope:
             return cdf, None
         # n F^n / F stands for n F^(n-1): where F < 1e-300, t < 1e-300 and the
         # e^(-t) t = exp(z - t) factor makes the member slope vanish anyway
-        np.subtract(z, t, out=z)
         np.exp(z, out=z)
         z *= gamma
         members *= n
@@ -220,62 +241,200 @@ class MaximaCdfEstimate:
     def per_draw_quantiles(self, probs, tol: float | None = None) -> np.ndarray:
         """Invert each draw's cdf at every probability; (k,) -> (B, k).
 
-        Safeguarded Newton in log y on the exact mixture cdf: a draw stops
-        once ``|G - p| < tol`` or its bracket is narrower than 1e-12
-        relative, and converged draws drop out of the evaluation.  A Newton
-        step is taken only when it lands strictly inside the draw's bracket;
-        otherwise the bracket is bisected.  The distinct probabilities are
-        solved in increasing order, each starting from the previous solution,
-        which is also its lower bracket, so per-draw quantile curves are
-        nondecreasing in the probability by construction; the upper bracket
-        is the grid's upper end, doubled until it reaches the largest
-        probability.  Equal probabilities get identical columns.
+        The one-estimate call of :func:`invert_quantiles`, which documents
+        the solver; equal probabilities get identical columns.
         """
+        return next(invert_quantiles([(self, probs)], tol))
+
+
+class _Inversion:
+    """One estimate's share of :func:`invert_quantiles`: its distinct
+    levels, bracket and solver settings, and its (B, levels) solutions as
+    the chunks fill them."""
+
+    def __init__(self, est: MaximaCdfEstimate, probs, tol: float | None):
         probs = np.atleast_1d(np.asarray(probs, dtype=float))
         if np.any(probs <= 0.0) or np.any(probs >= 1.0):
             raise ValueError("probabilities must lie in (0, 1)")
-        tol = self.config.cdf_tol if tol is None else tol
-        levels, inverse = np.unique(probs, return_inverse=True)
-        b = self.n_draws
-        out = np.empty((b, levels.size))
+        self.levels, self.inverse = np.unique(probs, return_inverse=True)
+        self.tol = est.config.cdf_tol if tol is None else tol
+        self.max_extensions = est.config.max_extensions
+        self.bracket = (float(est.y[0]), float(est.y[-1]))
+        self.solved = np.empty((est.n_draws, self.levels.size))
+        self.rows_left = est.n_draws
 
-        hi_global = np.full(b, float(self.y[-1]))
-        pmax = float(levels[-1])
-        for _ in range(self.config.max_extensions):
-            short = self.cdf_at(hi_global) < pmax
-            if not short.any():
+    def unreachable(self) -> ConvergenceError:
+        return ConvergenceError(
+            f"target probability {float(self.levels[-1])} unreachable after "
+            f"{self.max_extensions} grid extensions"
+        )
+
+
+class _RowChunk:
+    """Draws of consecutive estimates solved in lockstep: copies of their
+    (rows, M) blocks, the per-row bracket and levels, and the reused buffers
+    the active rows' blocks and the kernel's temporaries go to."""
+
+    def __init__(self, m: int):
+        self.capacity = max(1, _CHUNK_ELEMENTS // m)
+        self.gamma, self.delta, self.n = np.empty((3, self.capacity, m))
+        self.active = np.empty((3, self.capacity, m))
+        self.scratch = np.empty((3, self.capacity, m))
+        # (estimate's share, its draws, their chunk rows) in chunk order
+        self.segments: list[tuple[_Inversion, slice, slice]] = []
+        self.size = 0
+        self.trials = 0
+
+    @property
+    def free(self) -> int:
+        return self.capacity - self.size
+
+    def add(self, job: _Inversion, est: MaximaCdfEstimate, start: int, stop: int) -> None:
+        """Copy the draws ``start:stop`` of ``job``'s estimate into the chunk."""
+        draws, rows = slice(start, stop), slice(self.size, self.size + stop - start)
+        self.gamma[rows] = est.blocks.gamma[draws]
+        self.delta[rows] = est.blocks.delta[draws]
+        self.n[rows] = est.blocks.n[draws]
+        self.trials = est.blocks.trials
+        self.segments.append((job, draws, rows))
+        self.size = rows.stop
+
+    def kernel(self, y: np.ndarray, act: np.ndarray, slope: bool):
+        """``BlockDraws.cdf_kernel`` of the chunk rows ``act`` at ``y``."""
+        k = act.size
+        gamma, delta, n = self.active[:, :k]
+        np.take(self.gamma, act, axis=0, out=gamma)
+        np.take(self.delta, act, axis=0, out=delta)
+        np.take(self.n, act, axis=0, out=n)
+        blocks = BlockDraws(gamma=gamma, delta=delta, n=n, trials=self.trials)
+        return blocks.cdf_kernel(y, slope=slope, out=self.scratch)
+
+    def solve(self) -> None:
+        """Invert every row at its estimate's levels, hand each estimate its
+        rows, and empty the chunk."""
+        size, segments = self.size, self.segments
+        n_levels = np.empty(size, dtype=int)
+        levels = np.full((size, max(job.levels.size for job, _, _ in segments)), np.nan)
+        y_lo, hi_global, tol = np.empty((3, size))
+        max_ext = np.empty(size, dtype=int)
+        for job, _, rows in segments:
+            n_levels[rows] = job.levels.size
+            levels[rows, : job.levels.size] = job.levels
+            y_lo[rows], hi_global[rows] = job.bracket
+            tol[rows] = job.tol
+            max_ext[rows] = job.max_extensions
+        p_max = levels[np.arange(size), n_levels - 1]
+
+        # double each row's upper bracket until its cdf reaches its largest
+        # level; a row still short after its estimate's last extension fails
+        # it, and the first failed estimate is reported
+        act, failed, extensions = np.arange(size), np.zeros(size, dtype=bool), 0
+        while True:
+            spent = max_ext[act] <= extensions
+            failed[act[spent]] = True
+            act = act[~spent]
+            if act.size == 0:
                 break
-            hi_global[short] *= 2.0
-        else:
-            raise ConvergenceError(
-                f"target probability {pmax} unreachable after "
-                f"{self.config.max_extensions} grid extensions"
-            )
+            short = self.kernel(hi_global[act], act, slope=False)[0] < p_max[act]
+            act = act[short]
+            hi_global[act] *= 2.0
+            extensions += 1
+        if failed.any():
+            first = np.flatnonzero(failed)[0]
+            raise next(job for job, _, rows in segments if first < rows.stop).unreachable()
 
-        lo = np.zeros(b)
-        # the smallest probability starts midway, in log y, inside the grid
-        x = np.sqrt(self.y[0] * hi_global)
-        g, dg = self.blocks.cdf_kernel(x, slope=True)
-        for k, p in enumerate(levels):
-            hi = hi_global.copy()
-            act = np.arange(b)
+        all_rows = np.arange(size)
+        x = np.sqrt(y_lo * hi_global)  # the smallest level starts midway, in log y
+        g, dg = self.kernel(x, all_rows, slope=True)
+        lo = np.zeros(size)
+        solved = np.empty_like(levels)
+        for k in range(levels.shape[1]):
+            act = all_rows[n_levels > k]
+            xa, ga, dga, pa, ta = x[act], g[act], dg[act], levels[act, k], tol[act]
+            la, ha = lo[act], hi_global[act]
             for _ in range(200):
-                below = g[act] < p
-                lo[act] = np.where(below, x[act], lo[act])
-                hi[act] = np.where(below, hi[act], x[act])
-                stop = np.abs(g[act] - p) < tol
-                stop |= (hi[act] - lo[act]) <= 1e-12 * np.maximum(hi[act], 1.0)
-                act = act[~stop]
-                if act.size == 0:
-                    break
+                below = ga < pa
+                la = np.where(below, xa, la)
+                ha = np.where(below, ha, xa)
+                stop = np.abs(ga - pa) < ta
+                stop |= (ha - la) <= 1e-12 * np.maximum(ha, 1.0)
+                if stop.any():
+                    done = act[stop]
+                    x[done], g[done], dg[done] = xa[stop], ga[stop], dga[stop]
+                    keep = ~stop
+                    act, xa, ga, dga, pa, ta, la, ha = (
+                        v[keep] for v in (act, xa, ga, dga, pa, ta, la, ha)
+                    )
+                    if act.size == 0:
+                        break
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    step = x[act] * np.exp((p - g[act]) / dg[act])
-                inside = (lo[act] < step) & (step < hi[act])
-                x[act] = np.where(inside, step, 0.5 * (lo[act] + hi[act]))
-                g[act], dg[act] = self.blocks.cdf_kernel(x[act], act, slope=True)
-            out[:, k] = x
-            lo = x.copy()  # the next, larger probability's lower bracket
-        return out[:, inverse]
+                    step = xa * np.exp((pa - ga) / dga)
+                inside = (la < step) & (step < ha)
+                xa = np.where(inside, step, 0.5 * (la + ha))
+                ga, dga = self.kernel(xa, act, slope=True)
+            else:
+                x[act], g[act], dg[act] = xa, ga, dga
+            solved[:, k] = x
+            lo = x.copy()  # the next, larger level's lower bracket
+        for job, draws, rows in segments:
+            job.solved[draws] = solved[rows, : job.levels.size]
+            job.rows_left -= rows.stop - rows.start
+        self.segments, self.size = [], 0
+
+
+def invert_quantiles(
+    jobs: Iterable[tuple[MaximaCdfEstimate, Sequence[float]]], tol: float | None = None
+) -> Iterator[np.ndarray]:
+    """Per-draw quantiles of many estimates, each at its own probabilities:
+    ``jobs`` yields ``(estimate, probs)`` pairs, and each estimate's (B, k)
+    quantiles are yielded in order.
+
+    Draws of consecutive estimates are solved together, as the rows of
+    chunks of at most ``_CHUNK_ELEMENTS`` (draw, block) elements; a large
+    estimate splits across chunks.  An estimate is read only while its
+    draws are copied into a chunk, so a lazy ``jobs`` holds few estimates
+    at once.  Each row runs the same arithmetic whichever chunk it is in:
+
+    * its upper bracket is the grid's upper end, doubled until the cdf
+      reaches the estimate's largest probability, at most
+      ``max_extensions`` times (else ``ConvergenceError``);
+    * the distinct probabilities are solved in increasing order by
+      safeguarded Newton in log y on the exact mixture cdf, the smallest
+      starting midway, in log y, inside the grid, and each next one from
+      the previous solution, which is also its lower bracket, so per-draw
+      quantile curves are nondecreasing in the probability;
+    * a Newton step is taken only when it lands strictly inside the row's
+      bracket, otherwise the bracket is bisected, and the row stops once
+      ``|G - p| < tol`` (the estimate's ``cdf_tol`` unless ``tol`` is
+      given) or its bracket is narrower than 1e-12 relative.
+
+    Rows with fewer distinct probabilities than others in their chunk sit
+    out the extra levels.
+    """
+    waiting: deque[_Inversion] = deque()
+    chunk: _RowChunk | None = None
+    for est, probs in jobs:
+        job = _Inversion(est, probs, tol)
+        waiting.append(job)
+        m = est.blocks.gamma.shape[1]
+        if chunk is None or chunk.gamma.shape[1] != m:
+            if chunk is not None and chunk.size:
+                chunk.solve()
+            chunk = _RowChunk(m)
+        start = 0
+        while start < est.n_draws:
+            stop = min(est.n_draws, start + chunk.free)
+            chunk.add(job, est, start, stop)
+            start = stop
+            if chunk.free == 0:
+                chunk.solve()
+                while waiting and waiting[0].rows_left == 0:
+                    done = waiting.popleft()
+                    yield done.solved[:, done.inverse]
+    if chunk is not None and chunk.size:
+        chunk.solve()
+    for done in waiting:
+        yield done.solved[:, done.inverse]
 
 
 def default_y_grid(magnitudes) -> np.ndarray:
@@ -398,7 +557,8 @@ def return_level_map(
 
     Return periods ``T`` map to probabilities ``1 - 1/T``.  Each point uses
     an independent random stream spawned from ``seed``, so the output is
-    deterministic and points are safe to evaluate concurrently.
+    deterministic; the points' draws are inverted together, each point's
+    blocks simulated as the inversion reaches it.
     """
     periods = np.asarray(sorted(return_periods), dtype=float)
     if np.any(periods <= 1.0):
@@ -409,11 +569,13 @@ def return_level_map(
     mean = np.empty((grid.n_points, periods.size))
     q05 = np.empty_like(mean)
     q95 = np.empty_like(mean)
-    for i in range(grid.n_points):
-        rng = np.random.default_rng(streams[i])
-        params = shmev_site_params(draws, layout, z_rows[i])
-        est = predictive_cdf(params, y_grid, config, rng)
-        q = est.per_draw_quantiles(probs)
+
+    def estimates():
+        for z, stream in zip(z_rows, streams):
+            params = shmev_site_params(draws, layout, z)
+            yield predictive_cdf(params, y_grid, config, np.random.default_rng(stream)), probs
+
+    for i, q in enumerate(invert_quantiles(estimates())):
         mean[i] = q.mean(axis=0)
         q05[i] = np.quantile(q, 0.05, axis=0)
         q95[i] = np.quantile(q, 0.95, axis=0)

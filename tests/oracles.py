@@ -5,10 +5,11 @@ loops over every observation, deliberately sharing no code with the
 vectorized package internals, except the former implementations kept as
 bit-for-bit references for the current ones: ``take_shmev_value_grad``
 (the spatial kernel before its gather went by block runs, on the event data
-it compiled before it shared a block kernel with the single-site model)
-and, at the end, the per-chain sampler with the one-row GEV and single-site
-kernels.  ``weibull_cdf`` is the vectorized Weibull cdf that the predictive
-tests compare the maxima cdf with.
+it compiled before it shared a block kernel with the single-site model),
+the per-chain sampler with the one-row GEV and single-site kernels and, at
+the end, the one-estimate quantile inversion.  ``weibull_cdf`` is the
+vectorized Weibull cdf that the predictive tests compare the maxima cdf
+with.
 """
 import csv
 import datetime as dt
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from shmev.distributions import WeibullParams
-from shmev.errors import DataError, NumericError
+from shmev.errors import ConvergenceError, DataError, NumericError
 from shmev.hmc import SamplerConfig
 from shmev.ingest import QcLedger
 from shmev.model import GevPriorSpec, HmevLayout, HmevPriorSpec
@@ -759,3 +760,54 @@ def oracle_hmev_target(target, events, trials):
     """``HmevTarget``'s value and gradient by the former one-row kernel."""
     c = _CompiledHmev(events, trials)
     return lambda v: _hmev_value_grad(np.asarray(v, dtype=float), c, target.prior, True)[:2]
+
+
+def per_draw_quantiles_reference(est, probs, tol=None):
+    """``MaximaCdfEstimate.per_draw_quantiles`` as it was before the draws of
+    many estimates were solved together in row chunks: one estimate, all its
+    draws at once.  The chunked solver must equal it bit for bit."""
+    probs = np.atleast_1d(np.asarray(probs, dtype=float))
+    if np.any(probs <= 0.0) or np.any(probs >= 1.0):
+        raise ValueError("probabilities must lie in (0, 1)")
+    tol = est.config.cdf_tol if tol is None else tol
+    levels, inverse = np.unique(probs, return_inverse=True)
+    b = est.n_draws
+    out = np.empty((b, levels.size))
+
+    hi_global = np.full(b, float(est.y[-1]))
+    pmax = float(levels[-1])
+    for _ in range(est.config.max_extensions):
+        short = est.cdf_at(hi_global) < pmax
+        if not short.any():
+            break
+        hi_global[short] *= 2.0
+    else:
+        raise ConvergenceError(
+            f"target probability {pmax} unreachable after "
+            f"{est.config.max_extensions} grid extensions"
+        )
+
+    lo = np.zeros(b)
+    # the smallest probability starts midway, in log y, inside the grid
+    x = np.sqrt(est.y[0] * hi_global)
+    g, dg = est.blocks.cdf_kernel(x, slope=True)
+    for k, p in enumerate(levels):
+        hi = hi_global.copy()
+        act = np.arange(b)
+        for _ in range(200):
+            below = g[act] < p
+            lo[act] = np.where(below, x[act], lo[act])
+            hi[act] = np.where(below, hi[act], x[act])
+            stop = np.abs(g[act] - p) < tol
+            stop |= (hi[act] - lo[act]) <= 1e-12 * np.maximum(hi[act], 1.0)
+            act = act[~stop]
+            if act.size == 0:
+                break
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                step = x[act] * np.exp((p - g[act]) / dg[act])
+            inside = (lo[act] < step) & (step < hi[act])
+            x[act] = np.where(inside, step, 0.5 * (lo[act] + hi[act]))
+            g[act], dg[act] = est.blocks.cdf_kernel(x[act], act, slope=True)
+        out[:, k] = x
+        lo = x.copy()  # the next, larger probability's lower bracket
+    return out[:, inverse]

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,18 @@ class TestDeterminism:
         if stations is not None:
             assert sorted(p.name for p in (tmp_path / "fit_1" / "sites").iterdir()) == body["fit"]["stations"]
 
+    def test_worker_count_does_not_change_predictive_artifacts(self, study, tmp_path):
+        base, out, config = study
+        for command in ("predict", "map", "evaluate"):
+            manifests = []
+            for threads in ("1", "2"):
+                cmd_dir = tmp_path / f"{command}_{threads}"
+                code = main([command, "--config", str(config), "--out", str(cmd_dir), "--threads", threads])
+                assert code == 0
+                assert multiprocessing.active_children() == []
+                manifests.append((cmd_dir / "manifest.json").read_bytes())
+            assert manifests[0] == manifests[1], command
+
 
 class TestValidation:
     def test_negative_blocks_per_draw_fails_before_any_work(self, tmp_path, capsys):
@@ -323,6 +336,49 @@ class TestValidation:
         assert err["command"] == "evaluate"
         assert f"{maxima}:2: non-finite maximum" in err["message"]
         assert not (out / "evaluate" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("model", ["shmev", "hmev", "gev"])
+    def test_station_missing_from_the_fit_is_data_error(self, study, tmp_path, capsys, model):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        fit_dir = {"shmev": out / "fit", "gev": out / "fit_gev", "hmev": tmp_path / "fit_hmev"}[model]
+        if model == "hmev":
+            body["fit"].update(model="hmev", stations=["S01", "S02"])
+            body["fit"]["sampler"]["iterations"] = 20
+            assert main(["fit", "--config", str(write_config(tmp_path / "hmev.yaml", body)),
+                         "--out", str(fit_dir)]) == 0
+        body["predict"].update(fit_dir=str(fit_dir), stations=["S01", "S09"])
+        bad = write_config(tmp_path / "predict.yaml", body)
+        capsys.readouterr()
+        code = main(["predict", "--config", str(bad), "--out", str(tmp_path / "predict")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {
+            "error": "DataError",
+            "message": "station 'S09' not present in the fit",
+            "command": "predict",
+            "exit_code": 3,
+        }
+        assert not (tmp_path / "predict" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "map", "evaluate"])
+    def test_unreachable_probability_is_numeric_error(self, study, tmp_path, capsys, monkeypatch, command):
+        import shmev.cli as cli
+
+        base, out, config = study
+        predictive_config = cli._predictive_config
+        # with no grid extensions allowed, no upper bracket is ever confirmed
+        monkeypatch.setattr(
+            cli, "_predictive_config",
+            lambda fitted, blocks: replace(predictive_config(fitted, blocks), max_extensions=0),
+        )
+        code = main([command, "--config", str(config), "--out", str(tmp_path / command)])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConvergenceError"
+        assert err["exit_code"] == 4
+        assert err["message"].endswith("unreachable after 0 grid extensions")
+        assert not (tmp_path / command / "manifest.json").exists()
 
     def test_chain_error_in_a_worker_is_numeric_error(self, study, tmp_path, capsys, monkeypatch):
         from shmev.model import GevTarget
@@ -538,3 +594,16 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert report["exit_codes"] == [0] * len(runs)
     for command in ("simulate", "fit", "fit_hmev", "fit_gev", "diagnose", "predict", "map", "evaluate"):
         assert (out / command / "manifest.json").exists()
+
+
+def test_predict_bands_in_one_call_equal_the_per_column_quantiles():
+    sim = np.random.default_rng(12)
+    for _ in range(500):
+        b, k = int(sim.integers(1, 301)), int(sim.integers(1, 8))
+        q = sim.gamma(2.0, 30.0, size=(b, k))
+        if sim.random() < 0.5:  # ties
+            q = np.round(q, int(sim.integers(-1, 2)))
+        bands = np.quantile(q, [0.05, 0.95], axis=0)
+        for t in range(k):
+            assert bands[0, t].tobytes() == np.quantile(q[:, t], 0.05).tobytes()
+            assert bands[1, t].tobytes() == np.quantile(q[:, t], 0.95).tobytes()

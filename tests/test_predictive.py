@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import shmev.predictive as predictive
 from shmev.data import StandardizationSnapshot
 from shmev.distributions import WeibullParams
 from shmev.errors import ConvergenceError
@@ -13,6 +14,7 @@ from shmev.predictive import (
     SitePredictiveParams,
     default_y_grid,
     gev_per_draw_quantiles,
+    invert_quantiles,
     predictive_cdf,
     predictive_quantile,
     return_level_map,
@@ -20,7 +22,7 @@ from shmev.predictive import (
 )
 from shmev.simulate import ScenarioConfig, simulate_scenario, true_maxima_sample
 
-from .oracles import weibull_cdf
+from .oracles import per_draw_quantiles_reference, weibull_cdf
 
 DEGENERATE_Q99 = 92.05369664023158  # -10 ln(1 - 0.99**(1/100))
 
@@ -196,6 +198,87 @@ class TestPredictiveQuantile:
         est.blocks.delta = np.full((2, 4), 1e6)
         with pytest.raises(ConvergenceError):
             est.per_draw_quantiles([0.999999])
+
+
+def site_estimate(n_draws, m, seed, bracket, event_prob=0.3):
+    sim = np.random.default_rng(seed)
+    params = SitePredictiveParams(
+        mu_gamma=0.8 + 0.05 * sim.standard_normal(n_draws),
+        sigma_gamma=np.full(n_draws, 0.05),
+        mu_delta=10.0 + sim.standard_normal(n_draws),
+        sigma_delta=np.full(n_draws, 1.5),
+        event_prob=np.full(n_draws, event_prob),
+    )
+    return predictive_cdf(params, np.array(bracket), PredictiveConfig(blocks_per_draw=m), sim)
+
+
+def mixed_jobs():
+    """Estimates with their own brackets and level sets: unsorted,
+    duplicated, of different lengths; one all dry, one with dry draws."""
+    ests = [
+        site_estimate(7, 12, 1, [0.05, 400.0]),
+        site_estimate(30, 12, 2, [1.0, 20.0]),  # the upper end needs doubling
+        site_estimate(5, 12, 3, [0.5, 900.0], event_prob=1e-15),  # every draw dry
+        site_estimate(12, 12, 4, [0.2, 150.0], event_prob=3e-4),  # some draws dry
+        site_estimate(1, 12, 5, [2.0, 60.0]),
+    ]
+    probs = [
+        [0.99, 0.5, 0.9],
+        [0.5, 0.98, 0.5, 0.8, 0.99, 0.98],
+        [0.3],
+        [0.96, 0.2, 0.96, 0.7],
+        [0.9, 0.1],
+    ]
+    return ests, probs
+
+
+class TestInvertQuantiles:
+    # 12 blocks a draw: 10_000 elements hold every draw in one chunk, 120
+    # put 10 draws in a chunk, so the 30-draw estimate spans four chunks and
+    # chunk boundaries fall inside estimates; 12 solves one draw at a time
+    @pytest.mark.parametrize("budget", [10_000, 120, 12])
+    def test_chunks_equal_the_per_estimate_reference_bit_for_bit(self, budget, monkeypatch):
+        monkeypatch.setattr(predictive, "_CHUNK_ELEMENTS", budget)
+        ests, probs = mixed_jobs()
+        got = list(invert_quantiles(zip(ests, probs)))
+        assert len(got) == len(ests)
+        for est, p, q in zip(ests, probs, got):
+            expected = per_draw_quantiles_reference(est, p)
+            assert q.shape == expected.shape
+            assert q.tobytes() == expected.tobytes()
+            assert est.per_draw_quantiles(p).tobytes() == expected.tobytes()
+        assert np.all(got[2] == got[2][:, :1])  # all dry: the bracket collapses
+
+    def test_estimates_are_read_as_the_chunks_reach_them(self, monkeypatch):
+        monkeypatch.setattr(predictive, "_CHUNK_ELEMENTS", 10 * 12)
+        read = []
+
+        def jobs():
+            for seed in range(6):
+                read.append(seed)
+                yield site_estimate(5, 12, seed, [0.5, 300.0]), [0.9]
+
+        results = invert_quantiles(jobs())
+        next(results)
+        assert read == [0, 1]  # the first chunk holds two estimates
+        assert len(list(results)) == 5
+        assert read == list(range(6))
+
+    @pytest.mark.parametrize("budget", [10_000, 24])
+    def test_unreachable_probability_in_a_chunk_names_its_estimate(self, budget, monkeypatch):
+        monkeypatch.setattr(predictive, "_CHUNK_ELEMENTS", budget)
+        ests = [site_estimate(3, 12, seed, [0.5, 300.0]) for seed in range(3)]
+        stuck = ests[1]
+        stuck.config = PredictiveConfig(blocks_per_draw=12, max_extensions=2)
+        stuck.blocks.gamma[1:] = 0.2
+        stuck.blocks.delta[1:] = 1e6
+        probs = [[0.9], [0.5, 0.999999], [0.9]]
+        with pytest.raises(ConvergenceError) as expected:
+            per_draw_quantiles_reference(stuck, probs[1])
+        assert str(expected.value) == "target probability 0.999999 unreachable after 2 grid extensions"
+        with pytest.raises(ConvergenceError) as got:
+            list(invert_quantiles(zip(ests, probs)))
+        assert str(got.value) == str(expected.value)
 
 
 @pytest.fixture(scope="module")

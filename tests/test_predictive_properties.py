@@ -1,4 +1,6 @@
 """Property tests for per-draw quantile inversion at extreme block parameters."""
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from shmev.predictive import BlockDraws, MaximaCdfEstimate, PredictiveConfig
+import shmev.predictive as predictive
+from shmev.predictive import BlockDraws, MaximaCdfEstimate, PredictiveConfig, invert_quantiles
+
+from .oracles import per_draw_quantiles_reference
 
 TOL = PredictiveConfig().cdf_tol
 
 
 @st.composite
-def estimates(draw):
+def estimates(draw, m=None):
     b = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8)) if m is None else m
 
     def block(elements):
         return draw(hnp.arrays(float, (b, m), elements=elements))
@@ -57,3 +62,17 @@ def test_per_draw_quantiles_properties(est, probs, data):
 
     perm = np.array(data.draw(st.permutations(range(probs.size))))
     assert est.per_draw_quantiles(probs[perm]).tobytes() == q[:, perm].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 8), budget=st.integers(1, 60))
+def test_row_chunks_equal_the_per_estimate_reference(data, m, budget):
+    ests = data.draw(st.lists(estimates(m=m), min_size=1, max_size=4))
+    for est in ests:  # each with its own bracket
+        lo = data.draw(st.floats(1e-3, 1.0))
+        est.y = np.array([lo, lo * data.draw(st.floats(2.0, 1e5))])
+    probs = [data.draw(probabilities()) for _ in ests]
+    with mock.patch.object(predictive, "_CHUNK_ELEMENTS", budget):
+        got = list(invert_quantiles(zip(ests, probs)))
+    for est, p, q in zip(ests, probs, got, strict=True):
+        assert q.tobytes() == per_draw_quantiles_reference(est, p).tobytes()
