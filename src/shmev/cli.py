@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -34,6 +34,7 @@ from .config import (
 )
 from .data import StandardizationSnapshot
 from .errors import ConfigError, ConvergenceError, DataError, NumericError, ShmevError
+# run_hmc, the one-job form of run_hmc_jobs, stays importable from here
 from .hmc import HmcJob, PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, run_hmc_jobs, trace_export
 from .ingest import (
     ElicitationRules,
@@ -165,14 +166,12 @@ def _fmt(value) -> str:
 
 @dataclass(eq=False)
 class FittedModel:
-    """In-memory view of a fit directory."""
+    """In-memory view of a fit directory: one posterior per key, ``""`` for
+    the spatial fit and the station for a per-site (hmev or gev) fit."""
 
     kind: str
     meta: dict
-    draws: np.ndarray | None = None
-    chain: np.ndarray | None = None
-    per_site_draws: dict[str, np.ndarray] = field(default_factory=dict)
-    per_site_chain: dict[str, np.ndarray] = field(default_factory=dict)
+    posteriors: dict[str, PosteriorDraws]
     snapshot: StandardizationSnapshot | None = None
 
     @property
@@ -186,17 +185,15 @@ class FittedModel:
         raise DataError(f"station {station!r} not present in the fit")
 
     def site_draws(self, station: str) -> np.ndarray:
-        """One station's draws from a per-site (hmev or gev) fit."""
-        if station not in self.per_site_draws:
+        """The draws that describe one station: its own in a per-site fit,
+        the shared ones in a spatial fit."""
+        if station not in self.meta["stations"]:
             raise DataError(f"station {station!r} not present in the fit")
-        return self.per_site_draws[station]
+        return self.posteriors[station if station in self.posteriors else ""].draws
 
     def shmev_layout(self) -> ShmevLayout:
         lay = self.meta["layout"]
         return ShmevLayout(lay["p"], lay["J"], lay["S"])
-
-    def hmev_layout(self) -> HmevLayout:
-        return HmevLayout(self.meta["layout"]["J"])
 
     def magnitude_range(self, station: str | None = None) -> tuple[float, float]:
         ranges = self.meta["magnitude_range"]
@@ -205,6 +202,12 @@ class FittedModel:
         else:
             lo, hi = ranges["__pooled__"]
         return float(lo), float(hi)
+
+
+def _posterior_dir(key: str) -> tuple[str, ...]:
+    """Where a posterior's files live in a fit directory: the spatial fit's
+    at the top, a per-site fit's under ``sites/<station>``."""
+    return ("sites", key) if key else ()
 
 
 def load_fit(fit_dir: str | Path) -> FittedModel:
@@ -218,29 +221,25 @@ def load_fit(fit_dir: str | Path) -> FittedModel:
     snapshot = (
         StandardizationSnapshot.from_dict(meta["snapshot"]) if meta.get("snapshot") else None
     )
-    fitted = FittedModel(kind=meta["model"], meta=meta, snapshot=snapshot)
-    if fitted.kind == "shmev":
-        fitted.draws = np.load(fit_dir / "draws.npy")
-        fitted.chain = np.load(fit_dir / "chain.npy")
-    else:
-        for station in meta["stations"]:
-            fitted.per_site_draws[station] = np.load(fit_dir / "sites" / station / "draws.npy")
-            fitted.per_site_chain[station] = np.load(fit_dir / "sites" / station / "chain.npy")
-    return fitted
-
-
-def _posterior_from_arrays(draws, chain, names, diag) -> PosteriorDraws:
-    n_chains = int(diag["n_chains"])
-    return PosteriorDraws(
-        draws=draws,
-        chain=chain,
-        param_names=list(names),
-        n_chains=n_chains,
-        n_kept_per_chain=draws.shape[0] // n_chains,
-        accept_prob=np.asarray(diag["accept_prob"], dtype=float),
-        divergences=np.asarray(diag["divergences"], dtype=int),
-        step_sizes=np.asarray(diag["step_sizes"], dtype=float),
-    )
+    # a spatial fit's diagnostics are stored unkeyed
+    diags = meta["diagnostics"]
+    posteriors = {}
+    for key in [""] if meta["model"] == "shmev" else meta["stations"]:
+        diag = diags.get(key, diags)
+        post_dir = fit_dir.joinpath(*_posterior_dir(key))
+        draws = np.load(post_dir / "draws.npy")
+        n_chains = int(diag["n_chains"])
+        posteriors[key] = PosteriorDraws(
+            draws=draws,
+            chain=np.load(post_dir / "chain.npy"),
+            param_names=list(meta["param_names"]),
+            n_chains=n_chains,
+            n_kept_per_chain=draws.shape[0] // n_chains,
+            accept_prob=np.asarray(diag["accept_prob"], dtype=float),
+            divergences=np.asarray(diag["divergences"], dtype=int),
+            step_sizes=np.asarray(diag["step_sizes"], dtype=float),
+        )
+    return FittedModel(kind=meta["model"], meta=meta, posteriors=posteriors, snapshot=snapshot)
 
 
 def _diag_dict(post: PosteriorDraws) -> dict:
@@ -447,9 +446,8 @@ def cmd_fit(
         },
     }
 
-    summary_path = session.path("summary.csv")
-    summary_header = ["station", "param", "mean", "sd", "q05", "q50", "q95", "rhat", "ess"]
-
+    # every fit is a list of (key, job, prior): one keyed "" for the spatial
+    # fit, one per station, in station order, for a per-site fit
     if section.model == "shmev":
         dataset = build_dataset(
             selected,
@@ -466,27 +464,19 @@ def cmd_fit(
                 prior = elicit_priors(dataset, _elicitation_rules(section))
         target = ShmevTarget(dataset, prior)
         init = _chain_inits(target, sampler_cfg, seed)
-        post = run_hmc(target, sampler_cfg, init, target.layout.param_names(), n_workers=threads)
-        np.save(session.path("draws.npy"), post.draws)
-        np.save(session.path("chain.npy"), post.chain)
+        fits = [("", HmcJob(target, sampler_cfg, init, target.layout.param_names()), prior)]
         meta["layout"] = {
             "p": dataset.n_covariates,
             "J": dataset.n_blocks,
             "S": dataset.n_sites,
         }
-        meta["param_names"] = post.param_names
         meta["sites"] = [
             {"station": s.station, "z": [float(v) for v in s.z], "raw": dict(s.raw)}
             for s in dataset.sites
         ]
         meta["snapshot"] = dataset.snapshot.to_dict()
-        meta["priors"] = prior.to_dict()
-        meta["diagnostics"] = _diag_dict(post)
-        _write_csv(summary_path, summary_header, _summary_rows("", post))
     else:
-        # every station's target first, in station order; then all their
-        # chains in one sampler call
-        jobs, priors = [], []
+        fits = []
         for idx, rec in enumerate(selected):
             blocks = events_by_station[rec.station]
             site_seed = _site_seed(seed, idx)
@@ -506,62 +496,45 @@ def cmd_fit(
                     )
                 target = HmevTarget(blocks, section.trials_per_block, prior)
                 names = target.layout.param_names()
-            jobs.append(HmcJob(target, site_cfg, _chain_inits(target, site_cfg, site_seed), names))
-            priors.append(prior)
-        posts = run_hmc_jobs(jobs, n_workers=threads)
-        per_site_meta = {}
-        per_site_priors = {}
-        summary_rows = []
-        sites_meta = []
-        for rec, prior, post in zip(selected, priors, posts):
-            np.save(session.path("sites", rec.station, "draws.npy"), post.draws)
-            np.save(session.path("sites", rec.station, "chain.npy"), post.chain)
-            per_site_meta[rec.station] = _diag_dict(post)
-            per_site_priors[rec.station] = prior.to_dict()
-            summary_rows.extend(_summary_rows(rec.station, post))
-            sites_meta.append({"station": rec.station, "z": [1.0], "raw": dict(rec.covariates)})
+            job = HmcJob(target, site_cfg, _chain_inits(target, site_cfg, site_seed), names)
+            fits.append((rec.station, job, prior))
         meta["layout"] = {"J": section.train_blocks}
-        meta["param_names"] = names
-        meta["sites"] = sites_meta
+        meta["sites"] = [{"station": rec.station, "z": [1.0], "raw": dict(rec.covariates)} for rec in selected]
         meta["snapshot"] = None
-        meta["priors"] = per_site_priors
-        meta["diagnostics"] = per_site_meta
-        _write_csv(summary_path, summary_header, summary_rows)
 
+    posts = run_hmc_jobs([job for _, job, _ in fits], n_workers=threads)
+    diagnostics, priors, summary_rows = {}, {}, []
+    for (key, _, prior), post in zip(fits, posts):
+        np.save(session.path(*_posterior_dir(key), "draws.npy"), post.draws)
+        np.save(session.path(*_posterior_dir(key), "chain.npy"), post.chain)
+        diagnostics[key] = _diag_dict(post)
+        priors[key] = prior.to_dict()
+        summary_rows.extend(_summary_rows(key, post))
+    meta["param_names"] = posts[0].param_names
+    # the spatial fit's priors and diagnostics are stored unkeyed
+    meta["priors"] = priors.get("", priors)
+    meta["diagnostics"] = diagnostics.get("", diagnostics)
+    _write_csv(
+        session.path("summary.csv"),
+        ["station", "param", "mean", "sd", "q05", "q50", "q95", "rhat", "ess"],
+        summary_rows,
+    )
     session.path("model.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
-
-
-def _fit_posteriors(fitted: FittedModel):
-    """Yield (station, PosteriorDraws) pairs for diagnostics/export."""
-    if fitted.kind == "shmev":
-        post = _posterior_from_arrays(
-            fitted.draws, fitted.chain, fitted.meta["param_names"], fitted.meta["diagnostics"]
-        )
-        yield "", post
-    else:
-        for station in fitted.stations:
-            diag = fitted.meta["diagnostics"][station]
-            yield station, _posterior_from_arrays(
-                fitted.per_site_draws[station],
-                fitted.per_site_chain[station],
-                fitted.meta["param_names"],
-                diag,
-            )
 
 
 def cmd_diagnose(section, session: ArtifactSession, base_dir: Path) -> None:
     fitted = load_fit(base_dir / section.fit_dir)
     rows = []
-    for station, post in _fit_posteriors(fitted):
-        rhat, ess, degenerate = (post.rhat, post.ess, post.degenerate)
-        if rhat is None and post.n_chains >= 2:
+    for key, post in fitted.posteriors.items():
+        # the guard run_hmc_jobs applies when it samples
+        rhat = ess = degenerate = None
+        if post.n_chains >= 2 and post.n_kept_per_chain >= 4:
             rhat, ess, degenerate = rhat_ess(post)
-        prefix = ("sites", station) if station else ()
-        trace_export(post, session.path(*prefix, "trace.csv"))
+        trace_export(post, session.path(*_posterior_dir(key), "trace.csv"))
         for k, name in enumerate(post.param_names):
             rows.append(
                 [
-                    station,
+                    key,
                     name,
                     "" if rhat is None else _fmt(rhat[k]),
                     "" if ess is None or np.isnan(ess[k]) else _fmt(ess[k]),
@@ -590,10 +563,11 @@ def _site_quantiles(
 
     def estimates():
         for station, probs, stream in jobs:
+            draws = fitted.site_draws(station)
             if fitted.kind == "shmev":
-                params = shmev_site_params(fitted.draws, fitted.shmev_layout(), fitted.site_z(station))
+                params = shmev_site_params(draws, fitted.shmev_layout(), fitted.site_z(station))
             else:
-                params = hmev_site_params(fitted.site_draws(station), fitted.hmev_layout())
+                params = hmev_site_params(draws, HmevLayout(fitted.meta["layout"]["J"]))
             y_grid = default_y_grid(fitted.magnitude_range(station))
             yield predictive_cdf(params, y_grid, config, np.random.default_rng(stream)), probs
 
@@ -660,7 +634,7 @@ def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: 
     config = _predictive_config(fitted, section.blocks_per_draw)
     grid = _read_grid_file(base_dir / section.grid, fitted.snapshot)
     field_ = return_level_map(
-        fitted.draws,
+        fitted.posteriors[""].draws,
         fitted.shmev_layout(),
         grid,
         section.return_periods,

@@ -137,9 +137,10 @@ class SamplerSection:
     def from_mapping(cls, m: Mapping, context: str = "sampler") -> "SamplerSection":
         _check_keys(m, set(cls.__dataclass_fields__), context)
         kwargs: dict[str, Any] = {}
-        for key in ("chains", "iterations", "leapfrog_steps"):
+        # a chain needs a warmup and a kept iteration
+        for key, minimum in (("chains", 1), ("iterations", 2), ("leapfrog_steps", 1)):
             if key in m:
-                kwargs[key] = _as_int(m[key], f"{context}.{key}", minimum=1)
+                kwargs[key] = _as_int(m[key], f"{context}.{key}", minimum=minimum)
         for key in ("warmup_fraction", "target_accept", "step_jitter"):
             if key in m:
                 kwargs[key] = _as_float(m[key], f"{context}.{key}")
@@ -148,8 +149,6 @@ class SamplerSection:
                 raise ConfigError(f"{context}.{key}: must lie in (0, 1)")
         if "step_jitter" in kwargs and not 0.0 <= kwargs["step_jitter"] < 1.0:
             raise ConfigError(f"{context}.step_jitter: must lie in [0, 1)")
-        if kwargs.get("leapfrog_steps", 1) < 1:
-            raise ConfigError(f"{context}.leapfrog_steps: must be >= 1")
         return cls(**kwargs)
 
 
@@ -244,8 +243,8 @@ class FitSection:
             kwargs["covariate_columns"] = tuple(cols)
         if "stations" in m:
             stations = m["stations"]
-            if not isinstance(stations, (list, tuple)) or not all(isinstance(s, str) for s in stations):
-                raise ConfigError(f"{context}.stations: expected a list of station ids")
+            if not isinstance(stations, (list, tuple)) or not stations or not all(isinstance(s, str) for s in stations):
+                raise ConfigError(f"{context}.stations: expected a non-empty list of station ids")
             kwargs["stations"] = tuple(stations)
         if "trials_per_block" in m:
             kwargs["trials_per_block"] = _as_int(m["trials_per_block"], f"{context}.trials_per_block", minimum=1)

@@ -163,12 +163,6 @@ class Dataset:
     def design_matrix(self) -> np.ndarray:
         return np.vstack([s.z for s in self.sites]) if self.sites else np.zeros((0, 1))
 
-    def site_index(self, station: str) -> int:
-        for i, s in enumerate(self.sites):
-            if s.station == station:
-                return i
-        raise KeyError(f"unknown station {station!r}")
-
     def block_maxima(self) -> np.ndarray:
         """Per-site, per-block maxima as an (S, J) array; NaN for empty blocks."""
         out = np.full((self.n_sites, self.n_blocks), np.nan)

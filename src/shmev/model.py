@@ -336,9 +336,6 @@ class ShmevLayout:
                     names.append(f"{field}[{j}][{s}]")
         return names
 
-    def top_level_names(self) -> list[str]:
-        return self.param_names()[: 3 * (self.n_covariates + 1) + 2]
-
 
 @dataclass(eq=False)
 class ShmevParams:

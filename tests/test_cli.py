@@ -127,13 +127,27 @@ class TestEndToEnd:
         assert meta["seed"] == 777
         assert meta["blocks_per_draw"] == 10
 
-    def test_fit_artifact_reload(self, study):
+    @pytest.mark.parametrize("model", ["shmev", "gev"])
+    def test_fit_artifact_reload(self, study, model):
         base, out, config = study
-        fitted = load_fit(out / "fit")
-        assert fitted.kind == "shmev"
-        assert fitted.draws.shape[0] == 2 * 40
-        assert fitted.snapshot is not None
+        fit_dir = out / {"shmev": "fit", "gev": "fit_gev"}[model]
+        fitted = load_fit(fit_dir)
+        assert fitted.kind == model
+        assert (fitted.snapshot is not None) == (model == "shmev")
         assert len(fitted.stations) == 4
+        # the spatial fit is one posterior at the top, a per-site fit one per
+        # station under sites/<station>/
+        keys = [""] if model == "shmev" else fitted.stations
+        assert list(fitted.posteriors) == keys
+        posterior_dirs = [""] if model == "shmev" else [f"sites/{s}/" for s in fitted.stations]
+        files = {p.relative_to(fit_dir).as_posix() for p in fit_dir.rglob("*") if p.is_file()}
+        assert files == {"manifest.json", "model.json", "qc_ledger.csv", "summary.csv"} | {
+            d + name for d in posterior_dirs for name in ("draws.npy", "chain.npy")
+        }
+        for post in fitted.posteriors.values():
+            assert post.n_chains == 2
+            assert post.n_kept_per_chain == 40
+            assert post.draws.shape[0] == 2 * 40
 
     def test_hmev_fit_runs_per_site(self, study):
         base, out, config = study
@@ -144,10 +158,23 @@ class TestEndToEnd:
         run_command("fit", hmev_config, out / "fit_hmev")
         fitted = load_fit(out / "fit_hmev")
         assert fitted.kind == "hmev"
-        assert sorted(fitted.per_site_draws) == fitted.stations
+        assert sorted(fitted.posteriors) == fitted.stations
         assert len(fitted.stations) == 4
-        for draws in fitted.per_site_draws.values():
-            assert draws.shape == (2 * 30, 5 + 2 * 4)
+        for post in fitted.posteriors.values():
+            assert post.draws.shape == (2 * 30, 5 + 2 * 4)
+
+    def test_diagnose_short_chains_leaves_rhat_empty(self, study, tmp_path):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        body["fit"]["sampler"]["iterations"] = 6  # three kept draws per chain
+        body["diagnose"]["fit_dir"] = str(tmp_path / "fit")
+        short_config = write_config(tmp_path / "short.yaml", body)
+        assert main(["fit", "--config", str(short_config), "--out", str(tmp_path / "fit")]) == 0
+        assert main(["diagnose", "--config", str(short_config), "--out", str(tmp_path / "diagnose")]) == 0
+        with open(tmp_path / "diagnose" / "diagnostics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        assert all(r["rhat"] == "" and r["ess"] == "" and r["degenerate"] == "" for r in rows)
 
 
 class TestDeterminism:
@@ -246,6 +273,7 @@ class TestValidation:
             ("target_accept", 1.0),
             ("step_jitter", 1.0),
             ("step_jitter", -0.1),
+            ("iterations", 1),
         ],
     )
     def test_sampler_range_is_config_error(self, tmp_path, capsys, key, value):
@@ -260,6 +288,19 @@ class TestValidation:
         assert err["exit_code"] == 2
         assert err["command"] == "fit"
         assert f"fit.sampler.{key}" in err["message"]
+        assert not (out / "fit" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("model", ["shmev", "gev"])
+    def test_empty_station_list_is_config_error(self, tmp_path, capsys, model):
+        out = tmp_path / "runs"
+        body = yaml.safe_load(tiny_study_config(tmp_path, out).read_text())
+        body["fit"].update(model=model, stations=[])
+        bad = write_config(tmp_path / "bad.yaml", body)
+        code = main(["fit", "--config", str(bad), "--out", str(out / "fit")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "fit.stations" in err["message"]
         assert not (out / "fit" / "manifest.json").exists()
 
     @staticmethod
