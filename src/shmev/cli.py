@@ -39,6 +39,7 @@ from .hmc import HmcJob, PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, run_h
 from .ingest import (
     ElicitationRules,
     QcPolicy,
+    _open_text,
     build_dataset,
     dataset_to_rows,
     elicit_hmev_priors,
@@ -607,7 +608,7 @@ def cmd_predict(section: PredictSection, session: ArtifactSession, seed: int, ba
 def _read_grid_file(path: Path, snapshot: StandardizationSnapshot) -> GridCovariates:
     if not path.exists():
         raise DataError(f"grid file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
         rows = []
@@ -651,7 +652,7 @@ def _read_test_maxima(path: Path) -> dict[str, np.ndarray]:
     if not path.exists():
         raise DataError(f"test maxima file not found: {path}")
     per_station: dict[str, list[float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["station", "block", "max_mm"]:

@@ -19,10 +19,11 @@ from __future__ import annotations
 import calendar
 import csv
 import datetime as dt
+import io
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -175,30 +176,173 @@ def _parse_prcp(text: str) -> float | str:
     return value
 
 
-def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger | None = None):
-    """Parse canonical event files into per-station day series.
+def _utf8(path: Path, data: bytes, offset: int = 0) -> str:
+    """``data``, which starts at byte ``offset`` of ``path``, as text; a byte
+    that is not UTF-8 is a ``DataError`` naming its offset in the file."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: invalid UTF-8 at byte {offset + exc.start}") from exc
 
-    Returns ``{station: (dates, values, flags)}`` with missing values as NaN.
-    Malformed rows go to the ledger's rejects report, each with the
-    physical line on which its record ends (a quoted field may span lines).
 
-    A daily archive repeats few distinct texts (one date string per day for
-    every station, mostly ``0.0`` values), so each distinct date and
-    precipitation text is parsed once per call and looked up in a cache
-    afterwards; rows append to per-station day, value and flag columns,
-    sorted only for a station whose days do not already increase.
-    """
-    if isinstance(paths, (str, Path)):
-        paths = [paths]
-    ledger = ledger if ledger is not None else QcLedger()
-    day_of = _ParseCache(_parse_day)
-    value_of = _ParseCache(_parse_prcp)
-    columns: dict[str, tuple[list[int], list[float], list[str]]] = {}
-    current = None
-    for path in paths:
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"event file not found: {path}")
+def _open_text(path: Path) -> io.StringIO:
+    """A small table as a text file for ``csv.reader``; a byte that is not
+    UTF-8 is a ``DataError`` naming its offset."""
+    return io.StringIO(_utf8(path, path.read_bytes()), newline="")
+
+
+_NL, _CR, _COMMA, _DASH, _ZERO, _DOT = b"\n\r,-0."  # byte values
+_BLOCK_BYTES = 1 << 18  # whole lines split per pass, to bound the transient arrays
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # the digit bytes of YYYY-MM-DD
+# by month number; month 13 stands for any number over 12, which no date has
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0], np.int32)
+_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_DAYS[:-1]))).astype(np.int32)
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """A binary file's bytes in blocks of whole lines (the last block's last
+    line may lack its newline)."""
+    while block := fh.read(_BLOCK_BYTES):
+        if block[-1] != _NL:
+            block += fh.readline()
+        yield block
+
+
+def _splittable(path: Path) -> bool:
+    """Checks that the file is UTF-8, and says whether cutting it at newline
+    and comma bytes reads it as ``csv.reader`` does: no quote (a quoted field
+    may hold commas and newlines), no NUL (Python 3.10's ``csv`` rejects it)
+    and no carriage return but in a CRLF line end.  Blocks end after a
+    newline, so no character and no CRLF spans two of them."""
+    splittable, offset = True, 0
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            if not block.isascii():
+                _utf8(path, block, offset)
+            if b'"' in block or b"\0" in block:
+                splittable = False
+            elif b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+                splittable = False
+            offset += len(block)
+    return splittable
+
+
+def _iso_days(data: bytes, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the 10-byte fields starting at ``at``: whether each is ``YYYY-MM-DD``
+    in ASCII digits, whether that is a calendar date, and its day since
+    1970-01-01 as ``date.toordinal`` counts them."""
+    # 10 bytes per field, gathered through a view of data at a 1-byte stride
+    text = np.ndarray((len(data) - 9,), "S10", data, 0, (1,))[at].view(np.uint8).reshape(-1, 10)
+    digit = text - np.uint8(_ZERO)  # bytes below '0' wrap past 9
+    iso = (digit[:, _DATE_DIGITS].max(axis=1) <= 9) & (text[:, 4] == _DASH) & (text[:, 7] == _DASH)
+    digit = digit.astype(np.int32)
+    year = digit[:, 0] * 1000 + digit[:, 1] * 100 + digit[:, 2] * 10 + digit[:, 3]
+    month = np.minimum(digit[:, 5] * 10 + digit[:, 6], 13)
+    mday = digit[:, 8] * 10 + digit[:, 9]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[month] + ((month == 2) & leap)
+    valid = iso & (year >= 1) & (month >= 1) & (mday >= 1) & (mday <= month_days)
+    before = year - 1
+    ordinal = (
+        before * 365 + before // 4 - before // 100 + before // 400
+        + _DAYS_BEFORE_MONTH[month] + ((month > 2) & leap) + mday
+    )
+    return iso, valid, ordinal.astype(np.int64) - _EPOCH_ORDINAL
+
+
+def _raws(data: bytes, start: np.ndarray, end: np.ndarray) -> list[bytes]:
+    return [data[a:b] for a, b in zip(start.tolist(), end.tolist())]
+
+
+def _texts(data: bytes, start: np.ndarray, end: np.ndarray) -> list[str]:
+    return [raw.decode() for raw in _raws(data, start, end)]
+
+
+class _Columns:
+    """Accepted rows of the files read so far, in file and line order: a
+    station id, a day since 1970-01-01 and a value per row, and the rows
+    whose flag is not empty."""
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}  # station -> id, in order of first sight
+        self.parts: tuple[list, list, list] = ([], [], [])  # ids, days, values
+        self.flags: dict[int, str] = {}
+        self.n_rows = 0
+
+    def station(self, name: str) -> int:
+        return self.ids.setdefault(name, len(self.ids))
+
+    def add(self, ids: np.ndarray, days: np.ndarray, values: np.ndarray, flags: Mapping[int, str]):
+        for row, flag in flags.items():
+            self.flags[self.n_rows + row] = flag
+        for part, column in zip(self.parts, (ids, days, values)):
+            part.append(column)
+        self.n_rows += ids.size
+
+    def series(self) -> dict[str, tuple[np.ndarray, np.ndarray, list[str]]]:
+        """Each station's rows, sorted by day (stably, and only where the
+        days do not already increase); a repeated day is a ``DataError``.
+        The dates and values of a station whose rows need no sort are views."""
+        if not self.n_rows:
+            return {}
+        ids, days, values = (np.concatenate(part) for part in self.parts)
+        for part in self.parts:
+            part.clear()
+        flag_of_row = self.flags
+        if np.any(np.diff(ids) < 0):  # ids follow first sight, so a sorted file needs no sort
+            order = np.argsort(ids, kind="stable")
+            ids, days, values = ids[order], days[order], values[order]
+            position = np.empty_like(order)
+            position[order] = np.arange(order.size)
+            flag_of_row = {int(position[row]): flag for row, flag in flag_of_row.items()}
+        counts = np.bincount(ids, minlength=len(self.ids))
+        first = np.concatenate(([0], np.cumsum(counts)))
+        station_flags = [[""] * n for n in counts.tolist()]
+        for row, flag in flag_of_row.items():
+            k = ids[row]
+            station_flags[k][row - first[k]] = flag
+        out = {}
+        for station in sorted(self.ids):
+            k = self.ids[station]
+            if not counts[k]:  # seen only in a file that csv.reader then re-read
+                continue
+            rows = slice(first[k], first[k + 1])
+            station_days, station_values, flags = days[rows], values[rows], station_flags[k]
+            if np.any(np.diff(station_days) <= 0):
+                by_day = np.argsort(station_days, kind="stable")
+                station_days, station_values = station_days[by_day], station_values[by_day]
+                flags = [flags[i] for i in by_day]
+            dates = station_days.view("datetime64[D]")
+            repeated = np.flatnonzero(np.diff(station_days) == 0)
+            if repeated.size:
+                raise DataError(f"station {station}: duplicate date {dates[repeated[0]]}")
+            out[station] = (dates, station_values, flags)
+        return out
+
+
+class _EventReader:
+    """Reads event files into one ``_Columns``; each distinct text that needs
+    ``_parse_day``, ``_parse_prcp`` or a station lookup meets it once over
+    all files."""
+
+    def __init__(self):
+        self.columns = columns = _Columns()
+        self.day_of = _ParseCache(_parse_day)
+        self.value_of = _ParseCache(_parse_prcp)
+        # keyed by a field's raw bytes; the closures keep no reference to self
+        self.raw_day = _ParseCache(lambda raw: _parse_day(raw.decode().strip()))
+        self.raw_prcp = _ParseCache(lambda raw: _parse_prcp(raw.decode().strip()))
+        self.raw_station = _ParseCache(lambda raw: columns.station(raw.decode().strip()))
+
+    def read(self, path: Path) -> list[tuple[int, str, str]]:
+        """One file's rejects as (line, reason, row); its accepted rows go to
+        ``columns``."""
+        rejects = self._split(path) if _splittable(path) else None
+        return self._csv(path) if rejects is None else rejects
+
+    def _csv(self, path: Path) -> list[tuple[int, str, str]]:
+        ids, days, values, flags, rejects = [], [], [], {}, []
+        current = None
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -207,52 +351,221 @@ def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger |
             for row in reader:
                 if len(row) != 4:
                     if any(c.strip() for c in row):
-                        ledger.reject(str(path), reader.line_num, "wrong field count", ",".join(row))
+                        rejects.append((reader.line_num, "wrong field count", ",".join(row)))
                     continue
-                station, date_s, prcp_s, qflag = row
-                station, date_s, prcp_s, qflag = station.strip(), date_s.strip(), prcp_s.strip(), qflag.strip()
+                station, date_s, prcp_s, qflag = (c.strip() for c in row)
                 if not (station or date_s or prcp_s or qflag):
                     continue
-                day = day_of[date_s]
+                day = self.day_of[date_s]
                 if day is None:
-                    ledger.reject(str(path), reader.line_num, "unparseable date", ",".join(row))
+                    rejects.append((reader.line_num, "unparseable date", ",".join(row)))
                     continue
-                value = value_of[prcp_s]
+                value = self.value_of[prcp_s]
                 if isinstance(value, str):
-                    ledger.reject(str(path), reader.line_num, value, ",".join(row))
+                    rejects.append((reader.line_num, value, ",".join(row)))
                     continue
                 if station != current:
-                    current = station
-                    days, values, flags = columns.setdefault(station, ([], [], []))
+                    current, station_id = station, self.columns.station(station)
+                if qflag:
+                    flags[len(ids)] = qflag
+                ids.append(station_id)
                 days.append(day)
                 values.append(value)
-                flags.append(qflag)
-    out = {}
-    for station in sorted(columns):
-        days, values, flags = columns[station]
-        days = np.array(days, dtype=np.int64)
-        values = np.array(values, dtype=float)
-        if np.any(np.diff(days) <= 0):
-            order = np.argsort(days, kind="stable")
-            days, values, flags = days[order], values[order], [flags[i] for i in order]
-        dates = days.astype("datetime64[D]")
-        repeated = np.flatnonzero(np.diff(days) == 0)
-        if repeated.size:
-            raise DataError(f"station {station}: duplicate date {dates[repeated[0]]}")
-        out[station] = (dates, values, flags)
-    return out, ledger
+        self.columns.add(np.array(ids, np.int32), np.array(days, np.int64), np.array(values, float), flags)
+        return rejects
+
+    def _split(self, path: Path) -> list[tuple[int, str, str]] | None:
+        """The ``csv.reader`` rows of a file ``_splittable`` accepts, cut at its
+        newline and comma bytes block by block; None where a line is longer
+        than ``csv.field_size_limit()``, on which ``csv.reader`` raises."""
+        limit = csv.field_size_limit()
+        pieces, rejects, line = [], [], 1
+        with open(path, "rb") as fh:
+            for block in _blocks(fh):
+                start = 0
+                if line == 1:
+                    start = block.find(b"\n") + 1 or len(block)
+                    header = block[:start].removesuffix(b"\n").removesuffix(b"\r")
+                    if len(header) > limit:
+                        return None
+                    if [h.strip() for h in header.decode().split(",")] != EVENT_HEADER:
+                        raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
+                    line = 2
+                    if start == len(block):
+                        continue
+                split = self._block(block, start, line, limit)
+                if split is None:
+                    return None
+                piece, block_rejects, n_lines = split
+                pieces.append(piece)
+                rejects += block_rejects
+                line += n_lines
+        if line == 1:
+            raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
+        for piece in pieces:
+            self.columns.add(*piece)
+        return rejects
+
+    def _block(self, data: bytes, start: int, first_line: int, limit: int):
+        """Accepted rows, rejects and line count of the lines in
+        ``data[start:]``, or None for a line over ``limit`` bytes."""
+        arr = np.frombuffer(data, np.uint8)
+        ends = np.flatnonzero(arr[start:] == _NL) + start
+        if data[-1] != _NL:
+            ends = np.append(ends, len(data))
+        starts = np.concatenate(([start], ends[:-1] + 1))
+        crlf = np.flatnonzero(ends > starts)
+        crlf = crlf[arr[ends[crlf] - 1] == _CR]
+        ends[crlf] -= 1
+        if np.max(ends - starts) > limit:
+            return None
+        commas = np.flatnonzero(arr[start:] == _COMMA) + start
+        through = np.searchsorted(commas, ends)  # commas up to each line's end
+        first = np.concatenate(([0], through[:-1]))
+        four = through - first == 3
+        rejects = []
+        other = np.flatnonzero(~four & (ends > starts))  # an empty line is no row
+        for k, text in zip(other.tolist(), _texts(data, starts[other], ends[other])):
+            if any(c.strip() for c in text.split(",")):
+                rejects.append((first_line + k, "wrong field count", text))
+        four = np.flatnonzero(four)
+        comma = first[four]
+        c1, c2, c3 = commas[comma], commas[comma + 1], commas[comma + 2]
+        line_start, line_end = starts[four], ends[four]
+
+        line = (first_line + four).tolist()
+        day, dated = self._days(data, c1 + 1, c2)
+        undated = np.flatnonzero(~dated)
+        for k, text in zip(undated.tolist(), _texts(data, line_start[undated], line_end[undated])):
+            if any(c.strip() for c in text.split(",")):  # else a blank row
+                rejects.append((line[k], "unparseable date", text))
+        value, reasons = self._values(data, arr, c2 + 1, c3)
+        bad = np.array([k for k in reasons if dated[k]], dtype=np.int64)
+        for k, text in zip(bad.tolist(), _texts(data, line_start[bad], line_end[bad])):
+            rejects.append((line[k], reasons[k], text))
+        rejects.sort()
+
+        dated[bad] = False
+        accepted = np.flatnonzero(dated)
+        flag_start, flag_end = c3[accepted] + 1, line_end[accepted]
+        flagged = np.flatnonzero(flag_end > flag_start)
+        flags = {}
+        for row, text in zip(flagged.tolist(), _texts(data, flag_start[flagged], flag_end[flagged])):
+            if text.strip():
+                flags[row] = text.strip()
+        ids = self._station_ids(data, arr, line_start[accepted], c1[accepted])
+        return (ids, day[accepted], value[accepted], flags), rejects, ends.size
+
+    def _days(self, data: bytes, start: np.ndarray, end: np.ndarray):
+        """Each date field's day and whether it parses: ``YYYY-MM-DD`` by digit
+        arithmetic, any other text by ``_parse_day``."""
+        day = np.zeros(start.size, np.int64)
+        dated = np.zeros(start.size, bool)
+        ten = np.flatnonzero(end - start == 10)
+        if ten.size:
+            iso, dated[ten], day[ten] = _iso_days(data, start[ten])
+            ten = ten[iso]
+        other = np.ones(start.size, bool)
+        other[ten] = False
+        other = np.flatnonzero(other)
+        for k, raw in zip(other.tolist(), _raws(data, start[other], end[other])):
+            parsed = self.raw_day[raw]
+            if parsed is not None:
+                day[k], dated[k] = parsed, True
+        return day, dated
+
+    def _values(self, data: bytes, arr: np.ndarray, start: np.ndarray, end: np.ndarray):
+        """Each value field in mm, and the reject reason of each rejected one
+        by index.  The empty field is missing and ``0.0`` is zero.  Any other
+        text is first read by ``float`` on its bytes: where that gives a
+        finite value >= 0 it is ``_parse_prcp``'s value, as both strip ASCII
+        spaces and parse the same ASCII text (``float`` raises on the
+        non-ASCII bytes and the other spaces ``str.strip`` removes, and on
+        the ``NA`` and blank missing markers).  The rest, or every text of a
+        block where ``float`` raises, goes through ``_parse_prcp`` once per
+        distinct text."""
+        value = np.full(start.size, np.nan)
+        three = np.flatnonzero(end - start == 3)
+        at = start[three]
+        value[three[(arr[at] == _ZERO) & (arr[at + 1] == _DOT) & (arr[at + 2] == _ZERO)]] = 0.0
+        other = np.flatnonzero((end > start) & (value != 0.0))
+        raws = _raws(data, start[other], end[other])
+        try:
+            value[other] = np.fromiter(map(float, raws), float, len(raws))
+            exact = other[~(value[other] >= 0.0) | (value[other] == np.inf)]
+        except ValueError:
+            exact = other
+        reasons = {}
+        for k, raw in zip(exact.tolist(), _raws(data, start[exact], end[exact])):
+            parsed = self.raw_prcp[raw]
+            if isinstance(parsed, str):
+                reasons[k], parsed = parsed, np.nan
+            value[k] = parsed
+        return value, reasons
+
+    def _station_ids(self, data: bytes, arr: np.ndarray, start: np.ndarray, end: np.ndarray):
+        """Each row's station id; a run of rows with the same station bytes
+        looks its name up once."""
+        if not start.size:
+            return np.zeros(0, np.int32)
+        length = end - start
+        repeats = np.zeros(start.size, bool)  # row k has row k-1's station bytes
+        pending = np.flatnonzero(length[1:] == length[:-1]) + 1
+        offset = 0
+        while pending.size:
+            done = length[pending] == offset
+            repeats[pending[done]] = True
+            pending = pending[~done]
+            pending = pending[arr[start[pending] + offset] == arr[start[pending - 1] + offset]]
+            offset += 1
+        runs = np.flatnonzero(~repeats)
+        run_ids = [self.raw_station[raw] for raw in _raws(data, start[runs], end[runs])]
+        return np.repeat(np.array(run_ids, np.int32), np.diff(runs, append=start.size))
+
+
+def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger | None = None):
+    """Parse canonical event files into per-station day series.
+
+    Returns ``{station: (dates, values, flags)}`` with missing values as NaN.
+    Malformed rows go to the ledger's rejects report, each with the
+    physical line on which its record ends (a quoted field may span lines).
+    A byte that is not UTF-8 is a ``DataError`` naming its offset.
+
+    A file without quotes (see ``_splittable``) is cut into fields at its
+    newline and comma bytes with numpy, block by block.  ``YYYY-MM-DD``
+    dates, ``0.0`` and empty values are parsed by array arithmetic, other
+    values by ``float`` where that settles them, and every other distinct
+    text once, by the same functions as the ``csv.reader`` loop that reads
+    the other files.  Each station's rows are sorted by day only where the
+    days do not already increase.
+    """
+    if isinstance(paths, (str, Path)):
+        paths = [paths]
+    ledger = ledger if ledger is not None else QcLedger()
+    reader = _EventReader()
+    for path in paths:
+        path = Path(path)
+        if not path.exists():
+            raise DataError(f"event file not found: {path}")
+        for line, reason, row in reader.read(path):
+            ledger.reject(str(path), line, reason, row)
+    return reader.columns.series(), ledger
 
 
 def read_covariate_file(path: str | Path) -> tuple[list[str], dict[str, dict[str, float]]]:
-    """Header-driven covariate table: ``station`` plus numeric columns."""
+    """Header-driven covariate table: ``station`` plus numeric columns; a
+    repeated column or station is a ``DataError``."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"covariate file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
         if not header or header[0] != "station":
             raise DataError(f"{path}: first covariate column must be 'station'")
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise DataError(f"{path}:{reader.line_num}: repeated column {repeated[0]!r}")
         names = header[1:]
         table: dict[str, dict[str, float]] = {}
         for row in reader:
@@ -266,7 +579,10 @@ def read_covariate_file(path: str | Path) -> tuple[list[str], dict[str, dict[str
                 raise DataError(f"{path}:{reader.line_num}: non-numeric covariate") from exc
             if not all(np.isfinite(v) for v in values.values()):
                 raise DataError(f"{path}:{reader.line_num}: non-finite covariate")
-            table[row[0].strip()] = values
+            station = row[0].strip()
+            if station in table:
+                raise DataError(f"{path}:{reader.line_num}: repeated station {station!r}")
+            table[station] = values
     return names, table
 
 
@@ -318,15 +634,22 @@ def load_and_qc(
             values = values.copy()
             values[flagged] = np.nan
         observed = ~np.isnan(values)
-        years_all = dates.astype("datetime64[Y]").astype(int) + 1970
+        # dates increase, so year offsets from the first date's year are >= 0
+        year_index = dates.astype("datetime64[Y]").astype(np.int64)
+        first_year = int(year_index[0]) + 1970
+        year_index -= year_index[0]
+        present = np.flatnonzero(np.bincount(year_index))
+        n_observed = np.bincount(year_index[observed], minlength=present[-1] + 1)
+        retained = np.zeros(present[-1] + 1, bool)
         retained_years: list[int] = []
-        for year in np.unique(years_all):
-            n_obs = int(np.count_nonzero(observed & (years_all == year)))
-            missing = _days_in_year(int(year)) - n_obs
+        for offset, n_obs in zip(present.tolist(), n_observed[present].tolist()):
+            year = first_year + offset
+            missing = _days_in_year(year) - n_obs
             if missing > policy.max_missing_days:
-                ledger.add(station, "YEAR_MISSING_BUDGET", f"{missing} missing days", int(year))
+                ledger.add(station, "YEAR_MISSING_BUDGET", f"{missing} missing days", year)
             else:
-                retained_years.append(int(year))
+                retained[offset] = True
+                retained_years.append(year)
         if len(retained_years) <= policy.min_retained_years:
             ledger.add(
                 station,
@@ -334,7 +657,7 @@ def load_and_qc(
                 f"{len(retained_years)} retained years <= {policy.min_retained_years}",
             )
             continue
-        keep = observed & np.isin(years_all, retained_years)
+        keep = observed & retained[year_index]
         record = StationRecord(
             station=station,
             dates=dates[keep],

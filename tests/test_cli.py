@@ -466,6 +466,42 @@ class TestValidation:
         assert spread in err["message"]
         assert not (out / "fit" / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("fit", "events"), ("fit", "covariates"), ("map", "grid"), ("evaluate", "test_maxima")],
+    )
+    def test_input_that_is_not_utf8_is_data_error(self, study, tmp_path, capsys, command, key):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        data = Path(body[command][key]).read_bytes()
+        offset = data.index(b"\n") + 2  # in the first row after the header
+        bad = tmp_path / "input.csv"
+        bad.write_bytes(data[:offset] + b"\xff" + data[offset + 1 :])
+        body[command][key] = str(bad)
+        config = write_config(tmp_path / "config.yaml", body)
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "command": command,
+            "error": "DataError",
+            "exit_code": 3,
+            "message": f"{bad}: invalid UTF-8 at byte {offset}",
+        }
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_repeated_covariate_station_is_data_error(self, study, tmp_path, capsys):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        header, first, *rest = Path(body["fit"]["covariates"]).read_text().splitlines()
+        covariates = tmp_path / "covariates.csv"
+        covariates.write_text("\n".join([header, first, *rest, first]) + "\n")
+        body["fit"]["covariates"] = str(covariates)
+        config = write_config(tmp_path / "config.yaml", body)
+        assert main(["fit", "--config", str(config), "--out", str(tmp_path / "fit")]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        station = first.split(",")[0]
+        assert err["message"] == f"{covariates}:{len(rest) + 3}: repeated station {station!r}"
+
     def test_malformed_rows_are_written_to_rejects_csv(self, study, tmp_path, capsys):
         base, out, config = study
         assert not (out / "fit" / "rejects.csv").exists()  # a clean input writes none

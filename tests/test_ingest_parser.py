@@ -1,12 +1,14 @@
 """The event-file parser equals the row-by-row reference parser in
 ``tests/oracles.py``: dates and values bit for bit, flags, rejects, and the
 ``DataError`` text."""
+import csv
 import datetime as dt
 import math
 
 import numpy as np
 import pytest
 
+import shmev.ingest
 from shmev.cli import _read_grid_file, _read_test_maxima
 from shmev.data import StandardizationSnapshot
 from shmev.errors import DataError
@@ -26,8 +28,8 @@ HEADER = "station,date,prcp_mm,qflag\n"
 def parse(reader, paths):
     try:
         return reader(paths)
-    except DataError as exc:
-        return str(exc)
+    except (DataError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def assert_same_parse(paths):
@@ -64,11 +66,20 @@ CASES = {
     "compact and invalid dates": (
         "A,20010110,1.0,\nA,2001-02-30,1.0,\nA,not-a-date,1.0,\nA,,1.0,\nA,2001-W02-3,1.0,\n"
     ),
+    "calendar dates": (
+        "A,2001-02-29,1.0,\nA,2000-02-29,1.0,\nA,1900-02-29,1.0,\nA,2001-04-31,1.0,\nA,2001-13-01,1.0,\n"
+        "A,2001-00-10,1.0,\nA,2001-12-00,1.0,\nA,0000-01-01,1.0,\nA,0001-01-01,1.0,\nA,9999-12-31,1.0,\n"
+        "A,1969-12-31,1.0,\nA,2001-1a-01,1.0,\nA,2001/01/02,1.0,\nA,2001-01-0\u0663,1.0,\n"
+    ),
     "missing markers": "A,2001-01-01,NA,\nA,2001-01-02,NaN,\nA,2001-01-03,nan,\nA,2001-01-04,,\n",
     "nan and zero spellings": "A,2001-01-01,NAN,\nA,2001-01-02,-nan,\nA,2001-01-03,-0.0,\nA,2001-01-04,0,\n",
     "bad values": (
         "A,2001-01-01,-3.0,\nA,2001-01-02,oops,\nA,2001-01-03,inf,\nA,2001-01-04,-inf,\n"
         "A,2001-01-05,Infinity,\nA,2001-01-06,1e999,\nA,2001-01-07,-1e999,\nA,2001-01-08,1_0,\n"
+    ),
+    "values float reads": (
+        "A,2001-01-01,-3.0,\nA,2001-01-02,-0.0,\nA,2001-01-03,inf,\nA,2001-01-04,-nan,\n"
+        "A,2001-01-05,1e999,\nA,2001-01-06, 3.0 ,\nA,2001-01-07,NaN,\nA,2001-01-08,-inf,\nA,2001-01-09,1_0,\n"
     ),
     "unsorted and interleaved": (
         "B,2001-01-03,3.0,\nA,2001-01-02,2.0,\nB,2001-01-01,1.0,\nA,2001-01-01,1.0,X\n"
@@ -78,12 +89,67 @@ CASES = {
     "duplicate after a reject": "A,2001-01-01,1.0,\nA,2001-01-01,oops,\nA,2001-01-02,1.0,\n",
     "empty": "",
     "only rejects": "A,bad,1.0,\n",
+    "nul byte": "A,2001-01-01,1.0,\nA,2001-01-02,1\x00.0,\nA,2001-01-03,2.0,\x00\n",
+    "non-ascii station": "Zürich,2001-01-01,1.5,\n Zürich ,2001-01-02,0.0,\n\u00a0Zürich,2001-01-03,,Q\n",
+    "blank and whitespace lines": (
+        "\n   \n\t\n,,,\n , ,\t, \n,\x1c,\u00a0,\u2003\nA,2001-01-01,1.0,\n\n  ,\n"
+    ),
+    "crlf line ends": "A,2001-01-01,1.0,\r\nA,bad,1.0,\r\n\r\nA,2001-01-02,x,Q\r\nA,2001-01-03,2.0,Q",
+    "lone cr line ends": "A,2001-01-01,1.0,\rA,bad,1.0,\r\rA,2001-01-02,2.0,\r",
+    "one station in two runs": "A,2001-01-01,1.0,\nB,2001-01-01,2.0,\nA,2001-01-02,3.0,Q\nB,2001-01-02,0.0,\n",
+    "no final newline": "A,2001-01-01,1.0,\nA,2001-01-02,2.0,Q",
 }
 
 
 @pytest.mark.parametrize("body", CASES.values(), ids=CASES.keys())
 def test_matches_reference_on_one_file(tmp_path, body):
     assert_same_parse(write_files(tmp_path, [body]))
+
+
+@pytest.mark.parametrize("body", CASES.values(), ids=CASES.keys())
+def test_matches_reference_in_small_blocks(tmp_path, monkeypatch, body):
+    # blocks of a few lines put line ends and CRLF pairs at block edges
+    monkeypatch.setattr(shmev.ingest, "_BLOCK_BYTES", 16)
+    assert_same_parse(write_files(tmp_path, [body]))
+
+
+def test_rejects_give_the_physical_line_of_a_crlf_file(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"station,date,prcp_mm,qflag\r\nA,2001-01-01,1.0,\r\nA,bad,1.0,\r\n\r\nA,2001-01-02,x,\r\n")
+    series, ledger = read_event_file(path)
+    assert [(r["line"], r["reason"], r["row"]) for r in ledger.rejects] == [
+        (3, "unparseable date", "A,bad,1.0,"),
+        (5, "unparseable precipitation", "A,2001-01-02,x,"),
+    ]
+    assert_same_parse(path)
+
+
+def test_a_byte_order_mark_is_part_of_the_header(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + HEADER.encode() + b"A,2001-01-01,1.0,\n")
+    with pytest.raises(DataError, match="expected header"):
+        read_event_file(path)
+    assert_same_parse(path)
+
+
+def test_a_line_over_the_csv_field_limit_raises_as_csv_does(tmp_path):
+    paths = write_files(tmp_path, ["A,2001-01-01,1.0,\n" + "B" * 40 + ",2001-01-01,1.0,\n"])
+    limit = csv.field_size_limit(30)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_event_file(paths)
+        assert_same_parse(paths)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_iso_dates_count_days_as_toordinal():
+    days = [dt.date(1600, 1, 1) + dt.timedelta(days=i) for i in range(800 * 366)]
+    days += [dt.date(y, m, d) for y in range(1, 10000) for m, d in ((1, 1), (2, 28), (3, 1), (12, 31))]
+    text = "".join(d.isoformat() for d in days).encode()
+    iso, valid, day = shmev.ingest._iso_days(text, np.arange(0, len(text), 10))
+    assert iso.all() and valid.all()
+    assert day.tolist() == [d.toordinal() - dt.date(1970, 1, 1).toordinal() for d in days]
 
 
 def test_matches_reference_across_files(tmp_path):
@@ -96,6 +162,22 @@ def test_matches_reference_across_files(tmp_path):
     assert_same_parse(paths)
     assert_same_parse(paths[::-1])
     assert_same_parse([paths[0], paths[1], paths[0]])  # a file read twice repeats every date
+
+
+def test_one_station_across_files_and_runs(tmp_path):
+    bodies = [
+        "A,2001-01-03,1.0,\nB,2001-01-01,2.0,\nA,2001-01-01,3.0,Q\n",
+        'B,2001-01-02,1.0,\nA,2001-01-02,0.0,\n"C",2001-01-01,1.0,\n',  # read by csv.reader
+    ]
+    paths = write_files(tmp_path, bodies)
+    series, _ = read_event_file(paths)
+    dates, values, flags = series["A"]
+    assert dates.astype(str).tolist() == ["2001-01-01", "2001-01-02", "2001-01-03"]
+    assert values.tolist() == [3.0, 0.0, 1.0]
+    assert flags == ["Q", "", ""]
+    assert list(series) == ["A", "B", "C"]
+    assert_same_parse(paths)
+    assert_same_parse(paths[::-1])
 
 
 def test_matches_reference_on_a_daily_series(tmp_path):
@@ -146,6 +228,19 @@ def test_rejects_give_the_physical_line(tmp_path):
     assert_same_parse(path)
 
 
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_a_byte_that_is_not_utf8_is_a_data_error(tmp_path, monkeypatch, quote):
+    monkeypatch.setattr(shmev.ingest, "_BLOCK_BYTES", 64)  # the bad byte is some blocks in
+    rows = "".join(f"{quote}A{quote},2001-01-{d:02d},1.0,\n" for d in range(1, 29))
+    data = (HEADER + rows).encode()
+    offset = data.rindex(b"1.0")
+    path = tmp_path / "events.csv"
+    path.write_bytes(data[:offset] + b"\xff" + data[offset + 1 :])
+    with pytest.raises(DataError) as excinfo:
+        read_event_file(path)
+    assert str(excinfo.value) == f"{path}: invalid UTF-8 at byte {offset}"
+
+
 SNAPSHOT = StandardizationSnapshot(("lat", "alt_m"), np.zeros(2), np.ones(2))
 LINE_ERRORS = {
     "covariates": (
@@ -163,6 +258,16 @@ LINE_ERRORS = {
         'station,block,max_mm\n"A\n",1,3.0\nA,2,inf\n',
         ":4: non-finite maximum",
     ),
+    "repeated covariate station": (
+        read_covariate_file,
+        "station,z1,z2\nA,1,2\nB,3,4\n\nA,5,6\n",
+        ":5: repeated station 'A'",
+    ),
+    "repeated covariate column": (
+        read_covariate_file,
+        "station,z1, z1\nA,1,2\n",
+        ":1: repeated column 'z1'",
+    ),
 }
 
 
@@ -173,3 +278,14 @@ def test_data_errors_give_the_physical_line(tmp_path, read, body, message):
     with pytest.raises(DataError) as excinfo:
         read(path)
     assert str(excinfo.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("read, body, message", LINE_ERRORS.values(), ids=LINE_ERRORS.keys())
+def test_tables_name_a_byte_that_is_not_utf8(tmp_path, read, body, message):
+    data = body.encode()
+    offset = data.index(b"\n") + 1
+    path = tmp_path / "table.csv"
+    path.write_bytes(data[:offset] + b"\xc3(" + data[offset:])
+    with pytest.raises(DataError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path}: invalid UTF-8 at byte {offset}"
