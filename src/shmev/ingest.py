@@ -199,32 +199,19 @@ _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0], n
 _DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_DAYS[:-1]))).astype(np.int32)
 
 
-def _blocks(fh) -> Iterator[bytes]:
-    """A binary file's bytes in blocks of whole lines (the last block's last
-    line may lack its newline)."""
-    while block := fh.read(_BLOCK_BYTES):
-        if block[-1] != _NL:
-            block += fh.readline()
-        yield block
-
-
-def _splittable(path: Path) -> bool:
-    """Checks that the file is UTF-8, and says whether cutting it at newline
-    and comma bytes reads it as ``csv.reader`` does: no quote (a quoted field
-    may hold commas and newlines), no NUL (Python 3.10's ``csv`` rejects it)
-    and no carriage return but in a CRLF line end.  Blocks end after a
-    newline, so no character and no CRLF spans two of them."""
-    splittable, offset = True, 0
+def _blocks(path: Path) -> Iterator[bytes]:
+    """A file's bytes in blocks of whole lines (the last block's last line
+    may lack its newline); a byte that is not UTF-8 is a ``DataError``
+    naming its offset.  No character and no CRLF spans two blocks."""
+    offset = 0
     with open(path, "rb") as fh:
-        for block in _blocks(fh):
+        while block := fh.read(_BLOCK_BYTES):
+            if block[-1] != _NL:
+                block += fh.readline()
             if not block.isascii():
                 _utf8(path, block, offset)
-            if b'"' in block or b"\0" in block:
-                splittable = False
-            elif b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-                splittable = False
             offset += len(block)
-    return splittable
+            yield block
 
 
 def _iso_days(data: bytes, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,7 +310,8 @@ class _Columns:
 class _EventReader:
     """Reads event files into one ``_Columns``; each distinct text that needs
     ``_parse_day``, ``_parse_prcp`` or a station lookup meets it once over
-    all files."""
+    all files, but for the value texts of a split file, which meet it once
+    per block."""
 
     def __init__(self):
         self.columns = columns = _Columns()
@@ -337,10 +325,12 @@ class _EventReader:
     def read(self, path: Path) -> list[tuple[int, str, str]]:
         """One file's rejects as (line, reason, row); its accepted rows go to
         ``columns``."""
-        rejects = self._split(path) if _splittable(path) else None
+        rejects = self._split(path)
         return self._csv(path) if rejects is None else rejects
 
     def _csv(self, path: Path) -> list[tuple[int, str, str]]:
+        for _ in _blocks(path):  # a byte that is not UTF-8 raises with its offset
+            pass
         ids, days, values, flags, rejects = [], [], [], {}, []
         current = None
         with open(path, newline="", encoding="utf-8") as fh:
@@ -375,31 +365,36 @@ class _EventReader:
         return rejects
 
     def _split(self, path: Path) -> list[tuple[int, str, str]] | None:
-        """The ``csv.reader`` rows of a file ``_splittable`` accepts, cut at its
-        newline and comma bytes block by block; None where a line is longer
-        than ``csv.field_size_limit()``, on which ``csv.reader`` raises."""
+        """The ``csv.reader`` rows of a file cut at its newline and comma bytes
+        block by block; None where that would not read it as ``csv.reader``
+        does: a quote (a quoted field may hold commas and newlines), a NUL
+        (Python 3.10's ``csv`` rejects it), a carriage return outside a CRLF
+        line end, or a line longer than ``csv.field_size_limit()``."""
         limit = csv.field_size_limit()
         pieces, rejects, line = [], [], 1
-        with open(path, "rb") as fh:
-            for block in _blocks(fh):
-                start = 0
-                if line == 1:
-                    start = block.find(b"\n") + 1 or len(block)
-                    header = block[:start].removesuffix(b"\n").removesuffix(b"\r")
-                    if len(header) > limit:
-                        return None
-                    if [h.strip() for h in header.decode().split(",")] != EVENT_HEADER:
-                        raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
-                    line = 2
-                    if start == len(block):
-                        continue
-                split = self._block(block, start, line, limit)
-                if split is None:
+        for block in _blocks(path):
+            if b'"' in block or b"\0" in block:
+                return None
+            if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+                return None
+            start = 0
+            if line == 1:
+                start = block.find(b"\n") + 1 or len(block)
+                header = block[:start].removesuffix(b"\n").removesuffix(b"\r")
+                if len(header) > limit:
                     return None
-                piece, block_rejects, n_lines = split
-                pieces.append(piece)
-                rejects += block_rejects
-                line += n_lines
+                if [h.strip() for h in header.decode().split(",")] != EVENT_HEADER:
+                    raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
+                line = 2
+                if start == len(block):
+                    continue
+            split = self._block(block, start, line, limit)
+            if split is None:
+                return None
+            piece, block_rejects, n_lines = split
+            pieces.append(piece)
+            rejects += block_rejects
+            line += n_lines
         if line == 1:
             raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
         for piece in pieces:
@@ -433,16 +428,16 @@ class _EventReader:
         c1, c2, c3 = commas[comma], commas[comma + 1], commas[comma + 2]
         line_start, line_end = starts[four], ends[four]
 
-        line = (first_line + four).tolist()
+        line = first_line + four
         day, dated = self._days(data, c1 + 1, c2)
         undated = np.flatnonzero(~dated)
-        for k, text in zip(undated.tolist(), _texts(data, line_start[undated], line_end[undated])):
+        for k, text in zip(line[undated].tolist(), _texts(data, line_start[undated], line_end[undated])):
             if any(c.strip() for c in text.split(",")):  # else a blank row
-                rejects.append((line[k], "unparseable date", text))
+                rejects.append((k, "unparseable date", text))
         value, reasons = self._values(data, arr, c2 + 1, c3)
         bad = np.array([k for k in reasons if dated[k]], dtype=np.int64)
         for k, text in zip(bad.tolist(), _texts(data, line_start[bad], line_end[bad])):
-            rejects.append((line[k], reasons[k], text))
+            rejects.append((int(line[k]), reasons[k], text))
         rejects.sort()
 
         dated[bad] = False
@@ -476,31 +471,22 @@ class _EventReader:
 
     def _values(self, data: bytes, arr: np.ndarray, start: np.ndarray, end: np.ndarray):
         """Each value field in mm, and the reject reason of each rejected one
-        by index.  The empty field is missing and ``0.0`` is zero.  Any other
-        text is first read by ``float`` on its bytes: where that gives a
-        finite value >= 0 it is ``_parse_prcp``'s value, as both strip ASCII
-        spaces and parse the same ASCII text (``float`` raises on the
-        non-ASCII bytes and the other spaces ``str.strip`` removes, and on
-        the ``NA`` and blank missing markers).  The rest, or every text of a
-        block where ``float`` raises, goes through ``_parse_prcp`` once per
-        distinct text."""
+        by index: the empty field is missing, ``0.0`` is zero, and every
+        other text goes through ``_parse_prcp`` once per distinct text of
+        the block."""
         value = np.full(start.size, np.nan)
         three = np.flatnonzero(end - start == 3)
         at = start[three]
         value[three[(arr[at] == _ZERO) & (arr[at + 1] == _DOT) & (arr[at + 2] == _ZERO)]] = 0.0
         other = np.flatnonzero((end > start) & (value != 0.0))
-        raws = _raws(data, start[other], end[other])
-        try:
-            value[other] = np.fromiter(map(float, raws), float, len(raws))
-            exact = other[~(value[other] >= 0.0) | (value[other] == np.inf)]
-        except ValueError:
-            exact = other
-        reasons = {}
-        for k, raw in zip(exact.tolist(), _raws(data, start[exact], end[exact])):
-            parsed = self.raw_prcp[raw]
-            if isinstance(parsed, str):
-                reasons[k], parsed = parsed, np.nan
-            value[k] = parsed
+        parsed = list(map(self.raw_prcp.__getitem__, _raws(data, start[other], end[other])))
+        # wet-day amounts seldom repeat over a series, so a cache kept over
+        # the whole file would end up holding nearly every one of them
+        self.raw_prcp.clear()
+        reasons = {k: p for k, p in zip(other.tolist(), parsed) if isinstance(p, str)}
+        if reasons:
+            parsed = [np.nan if isinstance(p, str) else p for p in parsed]
+        value[other] = parsed
         return value, reasons
 
     def _station_ids(self, data: bytes, arr: np.ndarray, start: np.ndarray, end: np.ndarray):
@@ -531,13 +517,12 @@ def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger |
     physical line on which its record ends (a quoted field may span lines).
     A byte that is not UTF-8 is a ``DataError`` naming its offset.
 
-    A file without quotes (see ``_splittable``) is cut into fields at its
-    newline and comma bytes with numpy, block by block.  ``YYYY-MM-DD``
-    dates, ``0.0`` and empty values are parsed by array arithmetic, other
-    values by ``float`` where that settles them, and every other distinct
-    text once, by the same functions as the ``csv.reader`` loop that reads
-    the other files.  Each station's rows are sorted by day only where the
-    days do not already increase.
+    A file without quotes (see ``_EventReader._split``) is cut into fields
+    at its newline and comma bytes with numpy, block by block.
+    ``YYYY-MM-DD`` dates, ``0.0`` and empty values are parsed by array
+    arithmetic, and every other text by the same functions as the
+    ``csv.reader`` loop that reads the other files.  Each station's rows
+    are sorted by day only where the days do not already increase.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]

@@ -77,7 +77,7 @@ CASES = {
         "A,2001-01-01,-3.0,\nA,2001-01-02,oops,\nA,2001-01-03,inf,\nA,2001-01-04,-inf,\n"
         "A,2001-01-05,Infinity,\nA,2001-01-06,1e999,\nA,2001-01-07,-1e999,\nA,2001-01-08,1_0,\n"
     ),
-    "values float reads": (
+    "signed and special values": (
         "A,2001-01-01,-3.0,\nA,2001-01-02,-0.0,\nA,2001-01-03,inf,\nA,2001-01-04,-nan,\n"
         "A,2001-01-05,1e999,\nA,2001-01-06, 3.0 ,\nA,2001-01-07,NaN,\nA,2001-01-08,-inf,\nA,2001-01-09,1_0,\n"
     ),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from shmev.ingest import elicit_hmev_priors, elicit_priors
-from shmev.model import GevPriorSpec, GevTarget, HmevTarget, ShmevTarget
+from shmev.model import _GEV_GRAD_EPS, GevPriorSpec, GevTarget, HmevTarget, ShmevTarget
 from shmev.simulate import ScenarioConfig, simulate_scenario
 
 from .oracles import central_difference
@@ -42,31 +42,44 @@ def points(draw, target):
     return draw(hnp.arrays(float, init.size, elements=st.floats(-30.0, 30.0)))
 
 
-def check(target, v):
+def check(target, v) -> tuple[int, int]:
+    """Asserts the properties at ``v``; returns how many coordinates the
+    finite-difference comparison judged and how many it could have."""
     logp, grad = target(v)
     assert not np.isnan(logp)
     assert np.isfinite(logp) or logp == -np.inf
     assert grad.shape == v.shape
     assert np.all(np.isfinite(grad))
     assert target.value(v) == logp
-    if np.isfinite(logp) and abs(logp) < MODERATE:
-        fd = np.array(central_difference(target.value, v, STEP))
-        half = np.array(central_difference(target.value, v, STEP / 2))
-        # where the difference quotient itself has not settled (it moves
-        # between the step and half of it), it cannot judge the gradient
-        settled = np.abs(fd - half) < TOL * np.maximum(1.0, np.abs(fd))
-        rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
-        assert np.all(rel[settled] < TOL), (rel.max(), v)
+    if not (np.isfinite(logp) and abs(logp) < MODERATE):
+        return 0, 0
+    fd = np.array(central_difference(target.value, v, STEP))
+    half = np.array(central_difference(target.value, v, STEP / 2))
+    # the difference quotient's own error is about 4/3 of its move between
+    # the step and half of it; where that is not well below TOL, it cannot
+    # judge the gradient
+    settled = np.abs(fd - half) < TOL / 4 * np.maximum(1.0, np.abs(fd))
+    if isinstance(target, GevTarget) and abs(v[2]) < _GEV_GRAD_EPS:
+        # there the shape gradient is its limit at shape 0, whose error grows
+        # with |shape| and with z: 1e-5 relative at shape 6e-8, loc 0, scale 1
+        settled[2] = False
+    rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
+    assert np.all(rel[settled] < TOL), (rel.max(), v)
+    return int(settled.sum()), v.size
 
 
 @pytest.mark.parametrize("name", TARGETS)
 def test_value_and_gradient_are_well_formed(name):
     target = TARGETS[name]
+    judged = np.zeros(2, int)
 
     @settings(max_examples=60, deadline=None)
     @given(points(target))
     def run(v):
-        check(target, v)
+        judged[:] += check(target, v)
 
     run()
-
+    # the gradient check must not pass by judging almost nothing
+    settled, moderate = judged
+    assert moderate > 0
+    assert settled >= 0.5 * moderate, judged
