@@ -652,6 +652,7 @@ def _read_test_maxima(path: Path) -> dict[str, np.ndarray]:
     if not path.exists():
         raise DataError(f"test maxima file not found: {path}")
     per_station: dict[str, list[float]] = {}
+    seen: set[tuple[str, str]] = set()
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -668,7 +669,11 @@ def _read_test_maxima(path: Path) -> dict[str, np.ndarray]:
                 raise DataError(f"{path}:{reader.line_num}: non-numeric maximum") from exc
             if not np.isfinite(value):
                 raise DataError(f"{path}:{reader.line_num}: non-finite maximum")
-            per_station.setdefault(row[0].strip(), []).append(value)
+            station, block = row[0].strip(), row[1].strip()
+            if (station, block) in seen:
+                raise DataError(f"{path}:{reader.line_num}: repeated block {block} of station {station}")
+            seen.add((station, block))
+            per_station.setdefault(station, []).append(value)
     return {k: np.asarray(v, dtype=float) for k, v in per_station.items()}
 
 
@@ -791,6 +796,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return report(exc, EXIT_CONFIG)
     except DataError as exc:
         return report(exc, EXIT_DATA)
+    except csv.Error as exc:  # an input table csv.reader cannot read, e.g. a field over its size limit
+        return report(DataError(f"unreadable CSV input: {exc}"), EXIT_DATA)
     except (NumericError, ConvergenceError) as exc:
         return report(exc, EXIT_NUMERIC)
     except ShmevError as exc:

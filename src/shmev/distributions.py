@@ -1,8 +1,9 @@
 """Parameter families of the rainfall hierarchy, Weibull event magnitudes
 and Gumbel latent layers, and the positivity-truncated Gumbel sampler that
 the simulator and the predictive layer draw latent parameters with.  The
-sampler takes a caller-supplied ``numpy.random.Generator``; the model's
-densities are in ``model``.
+sampler inverts the truncated cdf, one uniform per draw, from a
+caller-supplied ``numpy.random.Generator``; the model's densities are in
+``model``.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ __all__ = [
     "gumbel_sample_positive",
 ]
 
-#: truncated-Gumbel sampling refuses to run below this acceptance probability
+#: truncated-Gumbel sampling refuses to run where Pr(X > 0) is below this
 MIN_POSITIVE_PROB = 1e-6
 
 
@@ -60,23 +61,19 @@ def gumbel_positive_prob(p: GumbelParams):
         return -np.expm1(-np.exp(np.asarray(p.loc, dtype=float) / p.scale))
 
 
-def gumbel_sample_positive(
-    p: GumbelParams,
-    rng: np.random.Generator,
-    size=None,
-    return_attempts: bool = False,
-    max_rounds: int = 5_000_000,
-):
-    """Draw from the Gumbel distribution conditioned on being > 0.
+def gumbel_sample_positive(p: GumbelParams, rng: np.random.Generator, size=None):
+    """Draw from the Gumbel distribution conditioned on being > 0, by inverse cdf.
 
-    Uses rejection of non-positive proposals.  Fails with a diagnostic when
-    the acceptance probability drops below ``MIN_POSITIVE_PROB`` instead of
-    looping unboundedly.  ``loc``/``scale`` may be arrays broadcastable to
-    ``size``.  With ``return_attempts`` the total proposal count is returned
-    alongside the draws.
+    ``E = -log F(X)`` is a unit exponential, and ``X > 0`` exactly when
+    ``E < exp(loc / scale)``; so with ``u`` uniform on (0, 1] and
+    ``P = Pr(X > 0)``, ``E = -log1p(-u * P)`` is that exponential truncated,
+    and ``X = loc - scale * log(E)``.  One uniform per draw; every draw is
+    finite and > 0.  Fails with a diagnostic when ``P`` drops below
+    ``MIN_POSITIVE_PROB``.  ``loc``/``scale`` may be arrays broadcastable to
+    ``size``.
     """
-    accept_prob = gumbel_positive_prob(p)
-    min_prob = float(np.min(accept_prob))
+    prob = gumbel_positive_prob(p)
+    min_prob = float(np.min(prob))
     if min_prob < MIN_POSITIVE_PROB:
         raise NumericError(
             "truncated Gumbel sampling is infeasible: min Pr(X > 0) = "
@@ -87,22 +84,10 @@ def gumbel_sample_positive(
     shape = np.broadcast_shapes(
         np.shape(p.loc), np.shape(p.scale), () if size is None else tuple(np.atleast_1d(size))
     )
-    loc = np.broadcast_to(np.asarray(p.loc, dtype=float), shape).ravel()
-    scale = np.broadcast_to(np.asarray(p.scale, dtype=float), shape).ravel()
-    out = np.empty(loc.shape, dtype=float)
-    pending = np.arange(out.size)
-    attempts = 0
-    rounds = 0
-    while pending.size:
-        draw = rng.gumbel(loc[pending], scale[pending])
-        attempts += pending.size
-        ok = draw > 0.0
-        out[pending[ok]] = draw[ok]
-        pending = pending[~ok]
-        rounds += 1
-        if rounds > max_rounds:
-            raise NumericError("truncated Gumbel rejection did not terminate")
-    result = float(out[0]) if scalar else out.reshape(shape)
-    if return_attempts:
-        return result, attempts
-    return result
+    u = 1.0 - rng.random(shape)  # never 0, so E > 0 and X < inf
+    with np.errstate(divide="ignore"):
+        x = p.loc - p.scale * np.log(-np.log1p(-u * prob))
+    # at u = 1, X is the truncation point 0, which rounding can put below 0,
+    # and where P rounds to 1 it is -inf (E = inf)
+    x = np.maximum(x, np.finfo(float).tiny)
+    return float(x) if scalar else x

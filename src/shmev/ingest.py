@@ -141,18 +141,6 @@ class QcLedger:
 # File IO
 # ---------------------------------------------------------------------------
 
-class _ParseCache(dict):
-    """Text -> parsed value, calling ``parse`` once per distinct text."""
-
-    def __init__(self, parse):
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, text: str):
-        value = self[text] = self.parse(text)
-        return value
-
-
 def _parse_day(text: str) -> int | None:
     """Days since 1970-01-01, or None for an unparseable date."""
     try:
@@ -237,12 +225,8 @@ def _iso_days(data: bytes, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return iso, valid, ordinal.astype(np.int64) - _EPOCH_ORDINAL
 
 
-def _raws(data: bytes, start: np.ndarray, end: np.ndarray) -> list[bytes]:
-    return [data[a:b] for a, b in zip(start.tolist(), end.tolist())]
-
-
 def _texts(data: bytes, start: np.ndarray, end: np.ndarray) -> list[str]:
-    return [raw.decode() for raw in _raws(data, start, end)]
+    return [data[a:b].decode() for a, b in zip(start.tolist(), end.tolist())]
 
 
 class _Columns:
@@ -308,19 +292,10 @@ class _Columns:
 
 
 class _EventReader:
-    """Reads event files into one ``_Columns``; each distinct text that needs
-    ``_parse_day``, ``_parse_prcp`` or a station lookup meets it once over
-    all files, but for the value texts of a split file, which meet it once
-    per block."""
+    """Reads event files into one ``_Columns``."""
 
     def __init__(self):
-        self.columns = columns = _Columns()
-        self.day_of = _ParseCache(_parse_day)
-        self.value_of = _ParseCache(_parse_prcp)
-        # keyed by a field's raw bytes; the closures keep no reference to self
-        self.raw_day = _ParseCache(lambda raw: _parse_day(raw.decode().strip()))
-        self.raw_prcp = _ParseCache(lambda raw: _parse_prcp(raw.decode().strip()))
-        self.raw_station = _ParseCache(lambda raw: columns.station(raw.decode().strip()))
+        self.columns = _Columns()
 
     def read(self, path: Path) -> list[tuple[int, str, str]]:
         """One file's rejects as (line, reason, row); its accepted rows go to
@@ -346,11 +321,11 @@ class _EventReader:
                 station, date_s, prcp_s, qflag = (c.strip() for c in row)
                 if not (station or date_s or prcp_s or qflag):
                     continue
-                day = self.day_of[date_s]
+                day = _parse_day(date_s)
                 if day is None:
                     rejects.append((reader.line_num, "unparseable date", ",".join(row)))
                     continue
-                value = self.value_of[prcp_s]
+                value = _parse_prcp(prcp_s)
                 if isinstance(value, str):
                     rejects.append((reader.line_num, value, ",".join(row)))
                     continue
@@ -463,8 +438,8 @@ class _EventReader:
         other = np.ones(start.size, bool)
         other[ten] = False
         other = np.flatnonzero(other)
-        for k, raw in zip(other.tolist(), _raws(data, start[other], end[other])):
-            parsed = self.raw_day[raw]
+        for k, text in zip(other.tolist(), _texts(data, start[other], end[other])):
+            parsed = _parse_day(text.strip())
             if parsed is not None:
                 day[k], dated[k] = parsed, True
         return day, dated
@@ -472,17 +447,13 @@ class _EventReader:
     def _values(self, data: bytes, arr: np.ndarray, start: np.ndarray, end: np.ndarray):
         """Each value field in mm, and the reject reason of each rejected one
         by index: the empty field is missing, ``0.0`` is zero, and every
-        other text goes through ``_parse_prcp`` once per distinct text of
-        the block."""
+        other text goes through ``_parse_prcp``."""
         value = np.full(start.size, np.nan)
         three = np.flatnonzero(end - start == 3)
         at = start[three]
         value[three[(arr[at] == _ZERO) & (arr[at + 1] == _DOT) & (arr[at + 2] == _ZERO)]] = 0.0
         other = np.flatnonzero((end > start) & (value != 0.0))
-        parsed = list(map(self.raw_prcp.__getitem__, _raws(data, start[other], end[other])))
-        # wet-day amounts seldom repeat over a series, so a cache kept over
-        # the whole file would end up holding nearly every one of them
-        self.raw_prcp.clear()
+        parsed = [_parse_prcp(text.strip()) for text in _texts(data, start[other], end[other])]
         reasons = {k: p for k, p in zip(other.tolist(), parsed) if isinstance(p, str)}
         if reasons:
             parsed = [np.nan if isinstance(p, str) else p for p in parsed]
@@ -505,7 +476,7 @@ class _EventReader:
             pending = pending[arr[start[pending] + offset] == arr[start[pending - 1] + offset]]
             offset += 1
         runs = np.flatnonzero(~repeats)
-        run_ids = [self.raw_station[raw] for raw in _raws(data, start[runs], end[runs])]
+        run_ids = [self.columns.station(text.strip()) for text in _texts(data, start[runs], end[runs])]
         return np.repeat(np.array(run_ids, np.int32), np.diff(runs, append=start.size))
 
 

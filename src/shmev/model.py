@@ -22,9 +22,8 @@ two log scales and each site's logit and event count, it gives the Weibull,
 latent-Gumbel and binomial terms with their block-level gradients.  Each
 hierarchy keeps only its parameter map, its priors and the chain rule back
 to its own coordinates: the spatial model through the design matrix ``Z``,
-the single-site model through ``exp(log mu)``.  The per-block segment sums
-stay per model (``np.add.reduceat`` spatial, ``np.bincount`` single-site),
-since the two differ in the last bit.
+the single-site model through ``exp(log mu)``.  Both sum each block's
+events with one segment sum, ``np.add.reduceat`` over the blocks' runs.
 
 Unconstrained layouts
 ---------------------
@@ -458,15 +457,13 @@ class _EventRows:
     The rows' events are concatenated row by row (one row's are used as they
     are), so a per-block value reaches its run of events by ``np.repeat``.
     Per-block totals are segment sums over the runs, by ``np.add.reduceat``
-    over the runs' starts or by ``np.bincount`` over row-offset block ids
-    (``reduceat`` picks one); the two differ in the last bit, so each target
-    keeps the one its results were defined with.  Each row's event total is
+    over the starts of the non-empty blocks' runs.  Each row's event total is
     a sum along the last axis of the ``(rows, events)`` block that its run of
     equal-sized rows forms, as a one-row sum is.  One pair of scratch
     buffers, allocated on first use, holds the per-event terms.
     """
 
-    def __init__(self, events: Sequence[_Events], reduceat: bool):
+    def __init__(self, events: Sequence[_Events]):
         self.R, self.K = len(events), events[0].counts.size
         if any(e.counts.size != self.K for e in events):
             raise ValueError("rows of one kernel call must have equally many blocks")
@@ -481,12 +478,8 @@ class _EventRows:
         sizes = [e.logx.size for e in events]
         offsets = np.cumsum([0] + sizes).tolist()
         self.runs = [(a, b, offsets[a], sizes[a]) for a, b in _equal_runs(sizes)]
-        if reduceat:
-            self.block_id = None
-            self.seg_blocks = np.flatnonzero(self.counts)  # the non-empty blocks
-            self.seg_starts = (np.cumsum(self.counts) - self.counts)[self.seg_blocks]
-        else:
-            self.block_id = np.repeat(np.arange(self.R * self.K), self.counts)
+        self.seg_blocks = np.flatnonzero(self.counts)  # the non-empty blocks
+        self.seg_starts = (np.cumsum(self.counts) - self.counts)[self.seg_blocks]
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def scratch(self) -> tuple[np.ndarray, np.ndarray]:
@@ -496,8 +489,6 @@ class _EventRows:
 
     def block_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-event values summed into ``(R, K)`` block totals (empty blocks get 0)."""
-        if self.block_id is not None:
-            return np.bincount(self.block_id, weights=values, minlength=self.R * self.K).reshape(self.R, self.K)
         out = np.zeros(self.R * self.K)
         if self.seg_starts.size:
             out[self.seg_blocks] = np.add.reduceat(values, self.seg_starts)
@@ -676,9 +667,9 @@ class _ShmevRows:
     """The spatial kernel over one ``ShmevTarget`` per row; the rows share a
     layout.  Each row's regressions (``Z @ beta``) and their transposes run
     one row at a time, as a batched product could change a row's bits; the
-    block kernel runs on all rows at once, with ``np.add.reduceat`` block
-    sums.  A block's Gumbel locations are its site's regressions, and the
-    location gradients go back through ``Z.T`` from per-site sums.
+    block kernel runs on all rows at once.  A block's Gumbel locations are
+    its site's regressions, and the location gradients go back through
+    ``Z.T`` from per-site sums.
     """
 
     def __init__(self, targets: Sequence["ShmevTarget"]):
@@ -687,7 +678,7 @@ class _ShmevRows:
         if any((t.layout.n_covariates, t.layout.n_blocks, t.layout.n_sites) != shape for t in targets):
             raise ValueError("rows of one spatial kernel call must share a layout")
         self.targets, self.layout = list(targets), L
-        self.events = _EventRows([t._events for t in targets], reduceat=True)
+        self.events = _EventRows([t._events for t in targets])
         S, J = L.n_sites, L.n_blocks
         self.site_of_block = np.repeat(np.arange(S), J)
         self.sum_n = np.array([t._events.counts.reshape(S, J).sum(axis=1).astype(float) for t in targets])
@@ -777,7 +768,15 @@ class ShmevTarget(_RowBatchedTarget):
 # ---------------------------------------------------------------------------
 
 _GEV_LIMIT_EPS = 1e-10     # value switches to the Gumbel limit below this |shape|
-_GEV_GRAD_EPS = 1e-5       # shape gradient uses the series limit below this
+_GEV_GRAD_EPS = 1e-5       # shape gradient uses the series below this
+
+
+def _gev_shape_series(z, ez, tau):
+    """Each maximum's shape gradient to first order in ``tau``, from its
+    ``z`` and ``ez = exp(-z)``."""
+    z2 = z * z
+    z3 = z2 * z
+    return -z + 0.5 * z2 * (1.0 - ez) + tau * (z2 - 2.0 / 3.0 * z3 - ez * (0.25 * z2 * z2 - 2.0 / 3.0 * z3))
 
 
 class _GevRows:
@@ -786,8 +785,9 @@ class _GevRows:
     Consecutive rows with equally many maxima share one ``(rows, n)`` block,
     so each row's sums run along the last axis as a one-row call's do.  Rows
     take the general branch; those whose shape is small enough take the
-    series shape gradient or the Gumbel limit in its place.  A general-branch
-    row with some ``1 + shape z <= 0`` is rejected.
+    shape gradient's series to first order in the shape, or the Gumbel
+    limit, in its place.  A general-branch row with some ``1 + shape z <= 0``
+    is rejected.
     """
 
     def __init__(self, targets: Sequence["GevTarget"]):
@@ -822,7 +822,7 @@ class _GevRows:
                 small = np.abs(tau[:, 0]) < _GEV_GRAD_EPS
                 if small.any():
                     ez = np.exp(-z)
-                    series = np.sum(-z + 0.5 * z * z * (1.0 - ez), axis=1)
+                    series = np.sum(_gev_shape_series(z, ez, tau), axis=1)
                     grad[a:b, 2] = np.where(small, series, grad[a:b, 2])
                     gumbel = np.abs(tau[:, 0]) < _GEV_LIMIT_EPS
                     if gumbel.any():
@@ -896,14 +896,14 @@ class _HmevRows:
 
     A row is one site with no covariates: its blocks' Gumbel locations are
     ``exp(log_mu)``, so the location gradients go back through that map from
-    the per-row sums, and the block kernel sums by ``np.bincount``.  The
-    hyperparameter priors are evaluated side by side for all rows.
+    the per-row sums.  The hyperparameter priors are evaluated side by side
+    for all rows.
     """
 
     def __init__(self, targets: Sequence["HmevTarget"]):
         events = [t._events for t in targets]
         self.J = targets[0].layout.n_blocks
-        self.events = _EventRows(events, reduceat=False)
+        self.events = _EventRows(events)
         self.sum_n = np.array([[float(e.n_b.sum())] for e in events])
         self.group_trials = self.J * np.array([[float(e.trials)] for e in events])
         # the four hyperparameter priors side by side, as the columns of V[:, :4]

@@ -1,7 +1,8 @@
 """Synthetic-data generators for the three study scenarios.
 
-``WEI`` draws per-block Weibull parameters from Gumbel layers whose
-locations follow a linear spatial trend; ``WEI_gp`` adds a zero-mean
+``WEI`` draws per-block Weibull parameters from Gumbel layers truncated to
+positive values (``distributions.gumbel_sample_positive``, by inverse cdf)
+whose locations follow a linear spatial trend; ``WEI_gp`` adds a zero-mean
 Gaussian process with exponential covariance to both location trends;
 ``GM`` replaces the magnitude family with a gamma distribution whose
 parameters follow the trends directly (no inter-block variability), so it
@@ -81,7 +82,6 @@ class SyntheticDataset:
     fields: SiteFields
     train: Dataset
     test_maxima: np.ndarray  # (S, test_blocks), NaN where a block had no events
-    rejections: int          # non-positive latent draws resampled
 
 
 def gp_sample(coords: np.ndarray, variance: float, corr_range: float, rng: np.random.Generator) -> np.ndarray:
@@ -138,38 +138,23 @@ def _site_fields(cfg: ScenarioConfig, rng: np.random.Generator) -> SiteFields:
     return SiteFields(coords, shape_loc, scale_loc, event_prob, family)
 
 
-class _RejectionCounter:
-    def __init__(self):
-        self.count = 0
-
-
-def _draw_block_params(loc: float, spread: float, size: int, rng, counter: _RejectionCounter) -> np.ndarray:
+def _draw_block_params(loc: float, spread: float, size: int, rng) -> np.ndarray:
     """Per-block positive parameter draws; a zero spread degenerates to the location."""
     if spread == 0.0:
         if loc <= 0.0:
             raise NumericError("degenerate latent layer needs a positive location")
         return np.full(size, float(loc))
-    draws, attempts = gumbel_sample_positive(
-        GumbelParams(loc, spread), rng, size=size, return_attempts=True
-    )
-    counter.count += attempts - size
-    return draws
+    return gumbel_sample_positive(GumbelParams(loc, spread), rng, size=size)
 
 
-def _simulate_blocks(
-    cfg: ScenarioConfig,
-    fields: SiteFields,
-    n_blocks: int,
-    rng: np.random.Generator,
-    counter: _RejectionCounter,
-):
+def _simulate_blocks(cfg: ScenarioConfig, fields: SiteFields, n_blocks: int, rng: np.random.Generator):
     """Per-site lists of per-block magnitude arrays, drawn per the scenario."""
     events: list[list[np.ndarray]] = []
     for s in range(cfg.n_sites):
         n_events = rng.binomial(cfg.trials_per_block, fields.event_prob[s], size=n_blocks)
         if fields.family == "weibull":
-            gam = _draw_block_params(fields.shape_loc[s], cfg.shape_spread, n_blocks, rng, counter)
-            dlt = _draw_block_params(fields.scale_loc[s], cfg.scale_spread, n_blocks, rng, counter)
+            gam = _draw_block_params(fields.shape_loc[s], cfg.shape_spread, n_blocks, rng)
+            dlt = _draw_block_params(fields.scale_loc[s], cfg.scale_spread, n_blocks, rng)
             site_events = [
                 dlt[j] * rng.weibull(gam[j], size=int(n_events[j])) for j in range(n_blocks)
             ]
@@ -212,9 +197,8 @@ def simulate_scenario(cfg: ScenarioConfig) -> SyntheticDataset:
     root = np.random.SeedSequence(cfg.seed)
     field_ss, train_ss, test_ss = root.spawn(3)
     fields = _site_fields(cfg, np.random.default_rng(field_ss))
-    counter = _RejectionCounter()
-    train_events = _simulate_blocks(cfg, fields, cfg.train_blocks, np.random.default_rng(train_ss), counter)
-    test_events = _simulate_blocks(cfg, fields, cfg.test_blocks, np.random.default_rng(test_ss), counter)
+    train_events = _simulate_blocks(cfg, fields, cfg.train_blocks, np.random.default_rng(train_ss))
+    test_events = _simulate_blocks(cfg, fields, cfg.test_blocks, np.random.default_rng(test_ss))
     test_maxima = np.full((cfg.n_sites, cfg.test_blocks), np.nan)
     for s in range(cfg.n_sites):
         for j in range(cfg.test_blocks):
@@ -226,7 +210,6 @@ def simulate_scenario(cfg: ScenarioConfig) -> SyntheticDataset:
         fields=fields,
         train=_train_dataset(cfg, fields, train_events),
         test_maxima=test_maxima,
-        rejections=counter.count,
     )
 
 
@@ -240,7 +223,6 @@ def true_maxima_sample(
     """
     fields = _site_fields(cfg, np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0]))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, oracle_seed, site)))
-    counter = _RejectionCounter()
     out = np.empty(n_years)
     filled = 0
     remaining = n_years
@@ -248,8 +230,8 @@ def true_maxima_sample(
         chunk = min(_ORACLE_YEAR_CHUNK, remaining)
         n_events = rng.binomial(cfg.trials_per_block, fields.event_prob[site], size=chunk)
         if fields.family == "weibull":
-            gam = _draw_block_params(fields.shape_loc[site], cfg.shape_spread, chunk, rng, counter)
-            dlt = _draw_block_params(fields.scale_loc[site], cfg.scale_spread, chunk, rng, counter)
+            gam = _draw_block_params(fields.shape_loc[site], cfg.shape_spread, chunk, rng)
+            dlt = _draw_block_params(fields.scale_loc[site], cfg.scale_spread, chunk, rng)
             x = np.repeat(dlt, n_events) * rng.weibull(np.repeat(gam, n_events))
         else:
             x = rng.gamma(fields.shape_loc[site], fields.scale_loc[site], size=int(n_events.sum()))

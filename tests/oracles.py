@@ -568,6 +568,13 @@ def _run_chain(target, config: SamplerConfig, q0: np.ndarray, rng: np.random.Gen
     }
 
 
+def _gev_shape_series(z, ez, tau):
+    # the shape gradient to first order in tau, in the model's order of operations
+    z2 = z * z
+    z3 = z2 * z
+    return -z + 0.5 * z2 * (1.0 - ez) + tau * (z2 - 2.0 / 3.0 * z3 - ez * (0.25 * z2 * z2 - 2.0 / 3.0 * z3))
+
+
 def _gev_value_grad(v: np.ndarray, y: np.ndarray, prior: GevPriorSpec, want_grad: bool):
     mu, lsig, tau = float(v[0]), float(v[1]), float(v[2])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
@@ -581,7 +588,7 @@ def _gev_value_grad(v: np.ndarray, y: np.ndarray, prior: GevPriorSpec, want_grad
             if want_grad:
                 grad[0] = np.sum(1.0 - ez) / sig
                 grad[1] = np.sum(-1.0 + z * (1.0 - ez))
-                grad[2] = np.sum(-z + 0.5 * z * z * (1.0 - ez))
+                grad[2] = np.sum(_gev_shape_series(z, ez, tau))
         else:
             t = 1.0 + tau * z
             if np.any(t <= 0.0):
@@ -595,7 +602,7 @@ def _gev_value_grad(v: np.ndarray, y: np.ndarray, prior: GevPriorSpec, want_grad
                 grad[1] = np.sum(-1.0 - z * tauA)
                 if abs(tau) < _GEV_GRAD_EPS:
                     ez = np.exp(-z)
-                    grad[2] = np.sum(-z + 0.5 * z * z * (1.0 - ez))
+                    grad[2] = np.sum(_gev_shape_series(z, ez, tau))
                 else:
                     grad[2] = np.sum(logt * (1.0 - w) / tau**2 + z * tauA / tau)
 
@@ -668,8 +675,12 @@ def _hmev_value_grad(
         gam_e = gam[c.block_of_event]
         a_e = gam_e * (c.logx - ud[c.block_of_event])
         t_e = np.exp(a_e)
-        T1 = np.bincount(c.block_of_event, weights=t_e, minlength=c.J)
-        U = np.bincount(c.block_of_event, weights=t_e * c.logx, minlength=c.J)
+        T1, U = np.zeros(c.J), np.zeros(c.J)
+        blocks = np.flatnonzero(c.n_b)  # the non-empty blocks, summed by their runs
+        if blocks.size:
+            starts = np.searchsorted(c.block_of_event, blocks)
+            T1[blocks] = np.add.reduceat(t_e, starts)
+            U[blocks] = np.add.reduceat(t_e * c.logx, starts)
         weibull = float(
             np.sum(c.n_b * ug - c.n_b * ud + (gam - 1.0) * (c.slx_b - c.n_b * ud)) - t_e.sum()
         )

@@ -378,6 +378,43 @@ class TestValidation:
         assert f"{maxima}:2: non-finite maximum" in err["message"]
         assert not (out / "evaluate" / "manifest.json").exists()
 
+    def test_repeated_test_maximum_block_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        config = tiny_study_config(tmp_path, out)
+        run_command("simulate", config, out / "simulate")
+        maxima = out / "simulate" / "test_maxima.csv"
+        header, first, *rest = maxima.read_text().splitlines()
+        station, block, value = first.split(",")
+        maxima.write_text("\n".join([header, first, f"{station},{block},{float(value) + 1.0}", *rest]) + "\n")
+        code = main(["evaluate", "--config", str(config), "--out", str(out / "evaluate")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError"
+        assert err["exit_code"] == 3
+        assert err["command"] == "evaluate"
+        assert f"{maxima}:3: repeated block {block} of station {station}" in err["message"]
+        assert not (out / "evaluate" / "manifest.json").exists()
+
+    def test_field_over_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        config = tiny_study_config(tmp_path, out)
+        run_command("simulate", config, out / "simulate")
+        maxima = out / "simulate" / "test_maxima.csv"
+        header, first, *rest = maxima.read_text().splitlines()
+        maxima.write_text("\n".join([header, first, f"{'S' * 40},1,2.5", *rest]) + "\n")
+        limit = csv.field_size_limit(30)
+        try:
+            code = main(["evaluate", "--config", str(config), "--out", str(out / "evaluate")])
+        finally:
+            csv.field_size_limit(limit)
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError"
+        assert err["exit_code"] == 3
+        assert err["command"] == "evaluate"
+        assert "field larger than field limit" in err["message"]
+        assert not (out / "evaluate" / "manifest.json").exists()
+
     @pytest.mark.parametrize("model", ["shmev", "hmev", "gev"])
     def test_station_missing_from_the_fit_is_data_error(self, study, tmp_path, capsys, model):
         base, out, config = study

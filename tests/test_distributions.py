@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from shmev import distributions as dist
 from shmev.errors import NumericError
@@ -61,20 +62,29 @@ class TestGumbelSamplePositive:
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - TRUNC_GUMBEL_MEAN) < 3.0 * se
 
-    def test_acceptance_rate_matches_tail_probability(self, rng):
-        p = dist.GumbelParams(0.0, 1.0)
-        n = 100_000
-        draws, attempts = dist.gumbel_sample_positive(p, rng, size=n, return_attempts=True)
-        rate = n / attempts
-        target = 1.0 - np.exp(-1.0)  # Pr(X > 0) at loc 0, scale 1
-        se = np.sqrt(target * (1.0 - target) / attempts)
-        assert abs(rate - target) < 3.0 * se
+    def test_draws_follow_the_truncated_cdf(self, rng):
+        # at loc 0, scale 1 a plain Gumbel draw is <= 0 with probability 0.37
+        f0 = np.exp(-1.0)
+        draws = dist.gumbel_sample_positive(dist.GumbelParams(0.0, 1.0), rng, size=100_000)
+        assert kstest(draws, lambda x: (np.exp(-np.exp(-x)) - f0) / (1.0 - f0)).pvalue > 0.01
 
-    def test_far_from_zero_accepts_everything(self, rng):
-        draws, attempts = dist.gumbel_sample_positive(
-            dist.GumbelParams(100.0, 1.0), rng, size=10_000, return_attempts=True
-        )
-        assert attempts == 10_000
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize(
+        "loc, scale",
+        [
+            (800.0, 1.0),  # exp(loc / scale) overflows
+            (1600.0, 2.0),
+            (np.log(-np.log1p(-1.01 * dist.MIN_POSITIVE_PROB)), 1.0),  # near the feasibility floor
+            (3.0 * np.log(-np.log1p(-1.01 * dist.MIN_POSITIVE_PROB)), 3.0),
+        ],
+    )
+    def test_every_uniform_gives_a_finite_positive_draw(self, u, loc, scale):
+        class Stub:
+            def random(self, size):
+                return np.full(size, u)
+
+        draws = dist.gumbel_sample_positive(dist.GumbelParams(loc, scale), Stub(), size=4)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
 
     def test_infeasible_truncation_fails_with_diagnostic(self, rng):
         with pytest.raises(NumericError, match="Pr\\(X > 0\\)"):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from shmev.ingest import elicit_hmev_priors, elicit_priors
-from shmev.model import _GEV_GRAD_EPS, GevPriorSpec, GevTarget, HmevTarget, ShmevTarget
+from shmev.model import GevPriorSpec, GevTarget, HmevTarget, ShmevTarget
 from shmev.simulate import ScenarioConfig, simulate_scenario
 
 from .oracles import central_difference
@@ -59,10 +59,6 @@ def check(target, v) -> tuple[int, int]:
     # the step and half of it; where that is not well below TOL, it cannot
     # judge the gradient
     settled = np.abs(fd - half) < TOL / 4 * np.maximum(1.0, np.abs(fd))
-    if isinstance(target, GevTarget) and abs(v[2]) < _GEV_GRAD_EPS:
-        # there the shape gradient is its limit at shape 0, whose error grows
-        # with |shape| and with z: 1e-5 relative at shape 6e-8, loc 0, scale 1
-        settled[2] = False
     rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
     assert np.all(rel[settled] < TOL), (rel.max(), v)
     return int(settled.sum()), v.size
@@ -83,3 +79,11 @@ def test_value_and_gradient_are_well_formed(name):
     settled, moderate = judged
     assert moderate > 0
     assert settled >= 0.5 * moderate, judged
+
+
+def test_gev_shape_gradient_below_the_series_threshold():
+    # hypothesis seldom draws a shape below the model's series threshold
+    # (1e-5); at loc 0, scale 1 the maxima sit near z = 100, where the
+    # series needs its first-order term to meet the tolerance
+    for shape in (6e-8, -6e-8, 9e-6, -9e-6):
+        assert check(TARGETS["gev"], np.array([0.0, 0.0, shape])) == (3, 3)
