@@ -9,7 +9,7 @@ GEV and single-site hierarchical benchmarks.
 
 __version__ = "0.1.0"
 
-from .data import Dataset, OrdinaryEventRecord, SiteCovariates, StandardizationSnapshot
+from .data import Dataset, SiteCovariates, StandardizationSnapshot
 from .hmc import PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, trace_export
 from .model import (
     GevPriorSpec,
@@ -34,7 +34,6 @@ from .simulate import ScenarioConfig, simulate_scenario, true_quantile_oracle
 __all__ = [
     "__version__",
     "Dataset",
-    "OrdinaryEventRecord",
     "SiteCovariates",
     "StandardizationSnapshot",
     "PosteriorDraws",

@@ -27,7 +27,6 @@ from .config import (
     FitSection,
     MapSection,
     PredictSection,
-    SimulateSection,
     _as_int,
     load_config,
     parse_section,
@@ -37,8 +36,6 @@ from .errors import ConfigError, ConvergenceError, DataError, NumericError, Shme
 # run_hmc, the one-job form of run_hmc_jobs, stays importable from here
 from .hmc import HmcJob, PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, run_hmc_jobs, trace_export
 from .ingest import (
-    ElicitationRules,
-    QcPolicy,
     _open_text,
     build_dataset,
     dataset_to_rows,
@@ -83,6 +80,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# the spread of each chain's start around the target's initial vector
+_INIT_SPREAD = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +268,7 @@ def _summary_rows(station: str, post: PosteriorDraws):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(section: SimulateSection, session: ArtifactSession, seed: int) -> None:
-    cfg = ScenarioConfig(
-        scenario=section.scenario,
-        n_sites=section.sites,
-        train_blocks=section.train_blocks,
-        test_blocks=section.test_blocks,
-        shape_trend=section.shape_trend,
-        scale_trend=section.scale_trend,
-        count_trend=section.count_trend,
-        shape_spread=section.shape_spread,
-        scale_spread=section.scale_spread,
-        gp_variance=section.gp_variance,
-        gp_range=section.gp_range,
-        trials_per_block=section.trials_per_block,
-        seed=seed,
-    )
+def cmd_simulate(cfg: ScenarioConfig, session: ArtifactSession) -> None:
     synth = simulate_scenario(cfg)
     write_event_file(session.path("events.csv"), dataset_to_rows(synth.train))
     names = list(synth.train.snapshot.names)
@@ -316,23 +301,6 @@ def cmd_simulate(section: SimulateSection, session: ArtifactSession, seed: int) 
     synth.train.snapshot.save(session.path("snapshot.json"))
 
 
-def _qc_policy(section: FitSection) -> QcPolicy:
-    if section.qc is None:
-        # pre-cleaned input (e.g. simulator output): no year/station filtering
-        return QcPolicy(
-            max_missing_days=366,
-            min_retained_years=0,
-            drop_flagged=True,
-            wet_day_threshold=section.wet_day_threshold,
-        )
-    return QcPolicy(
-        max_missing_days=section.qc.max_missing_days,
-        min_retained_years=section.qc.min_retained_years,
-        drop_flagged=section.qc.drop_flagged,
-        wet_day_threshold=section.wet_day_threshold,
-    )
-
-
 def _select_records(records, stations):
     by_name = {rec.station: rec for rec in records}
     if stations is None:
@@ -343,31 +311,10 @@ def _select_records(records, stations):
     return [by_name[name] for name in stations]
 
 
-def _elicitation_rules(section: FitSection) -> ElicitationRules:
-    return ElicitationRules(
-        gamma_intercept_center=section.priors.gamma_intercept_center,
-        interval_fraction=section.priors.interval_fraction,
-        intervals=section.priors.intervals,
-    )
-
-
-def _sampler_config(section: FitSection, seed: int) -> SamplerConfig:
-    s = section.sampler
-    return SamplerConfig(
-        n_chains=s.chains,
-        n_iterations=s.iterations,
-        warmup_fraction=s.warmup_fraction,
-        leapfrog_steps=s.leapfrog_steps,
-        target_accept=s.target_accept,
-        step_jitter=s.step_jitter,
-        seed=seed,
-    )
-
-
 def _chain_inits(target, config: SamplerConfig, seed: int) -> np.ndarray:
     base = target.initial_vector()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    return base[None, :] + config.init_spread * rng.standard_normal((config.n_chains, base.size))
+    return base[None, :] + _INIT_SPREAD * rng.standard_normal((config.n_chains, base.size))
 
 
 def _site_seed(seed: int, index: int) -> int:
@@ -405,11 +352,10 @@ def cmd_fit(
     threads: int,
     base_dir: Path,
 ) -> None:
-    policy = _qc_policy(section)
     cov_table: dict | None = None
     if section.covariates is not None:
         _, cov_table = read_covariate_file(base_dir / section.covariates)
-    records, ledger = load_and_qc(base_dir / section.events, policy, cov_table)
+    records, ledger = load_and_qc(base_dir / section.events, section.qc, cov_table)
     if not records:
         raise DataError("no stations survive quality control")
     ledger.save(session.path("qc_ledger.csv"))
@@ -423,7 +369,6 @@ def cmd_fit(
         )
         print(f"fit: {len(ledger.rejects)} malformed rows rejected; see rejects.csv", file=sys.stderr)
     selected = _select_records(records, section.stations)
-    sampler_cfg = _sampler_config(section, seed)
 
     events_by_station = {
         rec.station: training_events(rec, section.train_blocks, section.wet_day_threshold)
@@ -438,11 +383,11 @@ def cmd_fit(
         "stations": [rec.station for rec in selected],
         "magnitude_range": _magnitude_ranges(events_by_station),
         "sampler": {
-            "chains": sampler_cfg.n_chains,
-            "iterations": sampler_cfg.n_iterations,
-            "warmup_fraction": sampler_cfg.warmup_fraction,
-            "leapfrog_steps": sampler_cfg.leapfrog_steps,
-            "target_accept": sampler_cfg.target_accept,
+            "chains": section.sampler.n_chains,
+            "iterations": section.sampler.n_iterations,
+            "warmup_fraction": section.sampler.warmup_fraction,
+            "leapfrog_steps": section.sampler.leapfrog_steps,
+            "target_accept": section.sampler.target_accept,
             "seed": seed,
         },
     }
@@ -458,14 +403,14 @@ def cmd_fit(
             section.trials_per_block,
             events=list(events_by_station.values()),
         )
-        if section.priors.mode == "explicit":
-            prior = ShmevPriorSpec.from_dict(section.priors.explicit)
+        if isinstance(section.priors, ShmevPriorSpec):
+            prior = section.priors
         else:
             with _elicitation("prior elicitation"):
-                prior = elicit_priors(dataset, _elicitation_rules(section))
+                prior = elicit_priors(dataset, section.priors)
         target = ShmevTarget(dataset, prior)
-        init = _chain_inits(target, sampler_cfg, seed)
-        fits = [("", HmcJob(target, sampler_cfg, init, target.layout.param_names()), prior)]
+        init = _chain_inits(target, section.sampler, seed)
+        fits = [("", HmcJob(target, section.sampler, init, target.layout.param_names()), prior)]
         meta["layout"] = {
             "p": dataset.n_covariates,
             "J": dataset.n_blocks,
@@ -481,7 +426,7 @@ def cmd_fit(
         for idx, rec in enumerate(selected):
             blocks = events_by_station[rec.station]
             site_seed = _site_seed(seed, idx)
-            site_cfg = replace(sampler_cfg, seed=site_seed)
+            site_cfg = replace(section.sampler, seed=site_seed)
             if section.model == "gev":
                 maxima = np.array([b.max() for b in blocks if b.size])
                 if maxima.size < 2:
@@ -492,9 +437,7 @@ def cmd_fit(
                 names = list(GevTarget.layout_names)
             else:
                 with _elicitation(f"station {rec.station}"):
-                    prior = elicit_hmev_priors(
-                        blocks, section.trials_per_block, _elicitation_rules(section)
-                    )
+                    prior = elicit_hmev_priors(blocks, section.trials_per_block, section.priors)
                 target = HmevTarget(blocks, section.trials_per_block, prior)
                 names = target.layout.param_names()
             job = HmcJob(target, site_cfg, _chain_inits(target, site_cfg, site_seed), names)
@@ -731,8 +674,11 @@ def run_command(command: str, config_path: str | Path, out_dir: str | Path | Non
     """Programmatic equivalent of the CLI; returns the output directory."""
     config_path = Path(config_path)
     raw = load_config(config_path)
+    if seed is not None:
+        # the seed the simulate and fit configs are parsed with
+        raw["seed"] = _as_int(int(seed), "--seed", minimum=0)
+    seed = raw["seed"]
     section = parse_section(raw, command)
-    seed = int(raw["seed"]) if seed is None else int(seed)
     out = Path(out_dir) if out_dir is not None else (
         Path(raw["out_dir"]) / command if "out_dir" in raw else None
     )
@@ -743,7 +689,7 @@ def run_command(command: str, config_path: str | Path, out_dir: str | Path | Non
     session = ArtifactSession(out)
     try:
         if command == "simulate":
-            cmd_simulate(section, session, seed)
+            cmd_simulate(section, session)
         elif command == "fit":
             cmd_fit(section, session, seed, threads, base_dir)
         elif command == "diagnose":

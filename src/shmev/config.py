@@ -2,17 +2,26 @@
 
 Unknown keys are rejected and every value is type-checked before any work
 starts.  A file may carry several command sections (a whole study); each
-command validates and consumes only its own section plus the globals.
+command validates and consumes only its own section plus the globals.  The
+``simulate`` section and the ``fit`` section's ``sampler``, ``qc`` and
+``priors`` parse straight into the library's own configs (``ScenarioConfig``,
+``SamplerConfig``, ``QcPolicy``, and ``ElicitationRules`` or an explicit
+``ShmevPriorSpec``), so a key left out takes that config's default.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 import yaml
 
 from .errors import ConfigError
+from .hmc import SamplerConfig
+from .ingest import ElicitationRules, QcPolicy
+from .model import ShmevPriorSpec
+from .simulate import SCENARIOS, ScenarioConfig
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -23,13 +32,19 @@ _GLOBAL_KEYS = {"schema_version", "seed", "out_dir", "threads",
 def _check_keys(mapping: Mapping, allowed: set[str], context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown, key=str)}")
 
 
 def _need(mapping: Mapping, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required key '{key}'")
     return mapping[key]
+
+
+def _as_mapping(value, context: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{context}: expected a mapping, got {value!r}")
+    return value
 
 
 def _as_int(value, context: str, minimum: int | None = None) -> int:
@@ -43,6 +58,8 @@ def _as_int(value, context: str, minimum: int | None = None) -> int:
 def _as_float(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{context}: must be finite, got {value}")
     return float(value)
 
 
@@ -85,123 +102,129 @@ def load_config(path: str | Path) -> dict:
     return raw
 
 
-@dataclass(frozen=True)
-class SimulateSection:
-    scenario: str = "WEI"
-    sites: int = 27
-    train_blocks: int = 20
-    test_blocks: int = 100
-    shape_trend: tuple[float, float, float] = (0.7, 0.1, -0.1)
-    scale_trend: tuple[float, float, float] = (9.0, 2.0, 1.0)
-    count_trend: tuple[float, float, float] = (-0.9, 0.2, -0.3)
-    shape_spread: float = 0.05
-    scale_spread: float = 1.5
-    gp_variance: float = 0.2
-    gp_range: float = 0.3
-    trials_per_block: int = 366
+# ---------------------------------------------------------------------------
+# Library configs built from sections
+# ---------------------------------------------------------------------------
 
-    @classmethod
-    def from_mapping(cls, m: Mapping, context: str = "simulate") -> "SimulateSection":
-        _check_keys(m, set(cls.__dataclass_fields__), context)
-        kwargs: dict[str, Any] = {}
-        if "scenario" in m:
-            scenario = _as_str(m["scenario"], f"{context}.scenario")
-            if scenario not in ("WEI", "WEI_gp", "GM"):
-                raise ConfigError(f"{context}.scenario: must be WEI, WEI_gp, or GM")
-            kwargs["scenario"] = scenario
-        for key in ("sites", "train_blocks", "test_blocks", "trials_per_block"):
-            if key in m:
-                kwargs[key] = _as_int(m[key], f"{context}.{key}", minimum=1)
-        for key in ("shape_trend", "scale_trend", "count_trend"):
-            if key in m:
-                kwargs[key] = _as_float_list(m[key], f"{context}.{key}", length=3)
-        for key in ("shape_spread", "scale_spread", "gp_variance", "gp_range"):
-            if key in m:
-                value = _as_float(m[key], f"{context}.{key}")
-                if value < 0.0:
-                    raise ConfigError(f"{context}.{key}: must be >= 0")
-                kwargs[key] = value
-        return cls(**kwargs)
+# each section key's parser takes the value and its key path, checks the
+# value and returns what the library config's field gets
+def _count(minimum: int):
+    return lambda value, context: _as_int(value, context, minimum)
 
 
-@dataclass(frozen=True)
-class SamplerSection:
-    chains: int = 4
-    iterations: int = 2000
-    warmup_fraction: float = 0.5
-    leapfrog_steps: int = 32
-    target_accept: float = 0.8
-    step_jitter: float = 0.2
+def _checked(parse, rule: str, holds):
+    """``parse``, then a ``ConfigError`` saying ``rule`` unless ``holds``."""
+    def check(value, context: str):
+        out = parse(value, context)
+        if not holds(out):
+            raise ConfigError(f"{context}: {rule}")
+        return out
 
-    @classmethod
-    def from_mapping(cls, m: Mapping, context: str = "sampler") -> "SamplerSection":
-        _check_keys(m, set(cls.__dataclass_fields__), context)
-        kwargs: dict[str, Any] = {}
-        # a chain needs a warmup and a kept iteration
-        for key, minimum in (("chains", 1), ("iterations", 2), ("leapfrog_steps", 1)):
-            if key in m:
-                kwargs[key] = _as_int(m[key], f"{context}.{key}", minimum=minimum)
-        for key in ("warmup_fraction", "target_accept", "step_jitter"):
-            if key in m:
-                kwargs[key] = _as_float(m[key], f"{context}.{key}")
-        for key in ("warmup_fraction", "target_accept"):
-            if key in kwargs and not 0.0 < kwargs[key] < 1.0:
-                raise ConfigError(f"{context}.{key}: must lie in (0, 1)")
-        if "step_jitter" in kwargs and not 0.0 <= kwargs["step_jitter"] < 1.0:
-            raise ConfigError(f"{context}.step_jitter: must lie in [0, 1)")
-        return cls(**kwargs)
+    return check
 
 
-@dataclass(frozen=True)
-class QcSection:
-    max_missing_days: int = 30
-    min_retained_years: int = 73
-    drop_flagged: bool = True
-
-    @classmethod
-    def from_mapping(cls, m: Mapping, context: str = "qc") -> "QcSection":
-        _check_keys(m, set(cls.__dataclass_fields__), context)
-        kwargs: dict[str, Any] = {}
-        for key in ("max_missing_days", "min_retained_years"):
-            if key in m:
-                kwargs[key] = _as_int(m[key], f"{context}.{key}", minimum=0)
-        if "drop_flagged" in m:
-            kwargs["drop_flagged"] = _as_bool(m["drop_flagged"], f"{context}.drop_flagged")
-        return cls(**kwargs)
+def _intervals(value, context: str) -> dict[str, tuple[float, float]]:
+    out = {}
+    for name, bounds in _as_mapping(value, context).items():
+        lo, hi = _as_float_list(bounds, f"{context}.{name}", length=2)
+        if not lo < hi:
+            raise ConfigError(f"{context}.{name}: must satisfy lo < hi, got [{lo}, {hi}]")
+        out[str(name)] = (lo, hi)
+    return out
 
 
-@dataclass(frozen=True)
-class PriorSection:
-    mode: str = "elicit"
-    gamma_intercept_center: float | None = 2.0 / 3.0
-    interval_fraction: float = 0.5
-    intervals: Mapping[str, tuple[float, float]] | None = None
-    explicit: Mapping | None = None
+_NON_NEGATIVE = _checked(_as_float, "must be >= 0", lambda x: x >= 0.0)
+_FRACTION = _checked(_as_float, "must lie in (0, 1)", lambda x: 0.0 < x < 1.0)
 
-    @classmethod
-    def from_mapping(cls, m: Mapping, context: str = "priors") -> "PriorSection":
-        _check_keys(m, {"mode", "gamma_intercept_center", "interval_fraction", "intervals", "explicit"}, context)
-        mode = _as_str(m.get("mode", "elicit"), f"{context}.mode")
-        if mode not in ("elicit", "explicit"):
-            raise ConfigError(f"{context}.mode: must be 'elicit' or 'explicit'")
-        kwargs: dict[str, Any] = {"mode": mode}
-        if "gamma_intercept_center" in m:
-            value = m["gamma_intercept_center"]
-            kwargs["gamma_intercept_center"] = None if value is None else _as_float(value, f"{context}.gamma_intercept_center")
-        if "interval_fraction" in m:
-            kwargs["interval_fraction"] = _as_float(m["interval_fraction"], f"{context}.interval_fraction")
-        if "intervals" in m:
-            raw = m["intervals"]
-            if not isinstance(raw, Mapping):
-                raise ConfigError(f"{context}.intervals: expected a mapping")
-            kwargs["intervals"] = {
-                str(k): tuple(_as_float_list(v, f"{context}.intervals.{k}", length=2)) for k, v in raw.items()
-            }
-        if mode == "explicit":
-            if "explicit" not in m:
-                raise ConfigError(f"{context}: explicit mode requires an 'explicit' prior mapping")
-            kwargs["explicit"] = m["explicit"]
-        return cls(**kwargs)
+_SCENARIO_KEYS = {
+    "scenario": _checked(_as_str, "must be WEI, WEI_gp, or GM", lambda s: s in SCENARIOS),
+    **dict.fromkeys(("sites", "train_blocks", "test_blocks", "trials_per_block"), _count(1)),
+    **dict.fromkeys(("shape_trend", "scale_trend", "count_trend"), lambda v, c: _as_float_list(v, c, length=3)),
+    **dict.fromkeys(("shape_spread", "scale_spread", "gp_variance", "gp_range"), _NON_NEGATIVE),
+}
+_SAMPLER_KEYS = {
+    # a chain needs a warmup and a kept iteration
+    "chains": _count(1),
+    "iterations": _count(2),
+    "leapfrog_steps": _count(1),
+    "warmup_fraction": _FRACTION,
+    "target_accept": _FRACTION,
+    "step_jitter": _checked(_as_float, "must lie in [0, 1)", lambda x: 0.0 <= x < 1.0),
+}
+_MODEL = _checked(_as_str, "must be shmev, hmev, or gev", lambda s: s in ("shmev", "hmev", "gev"))
+_MODE = _checked(_as_str, "must be 'elicit' or 'explicit'", lambda s: s in ("elicit", "explicit"))
+_QC_KEYS = {"max_missing_days": _count(0), "min_retained_years": _count(0), "drop_flagged": _as_bool}
+_ELICITATION_KEYS = {
+    "gamma_intercept_center": lambda v, c: None if v is None else _as_float(v, c),
+    "interval_fraction": _checked(_as_float, "must be > 0", lambda x: x > 0.0),
+    "intervals": _intervals,
+}
+
+# the YAML keys whose library field has another name
+_FIELD_NAMES = {"sites": "n_sites", "chains": "n_chains", "iterations": "n_iterations"}
+
+# input without a qc section is taken as pre-cleaned (e.g. simulator
+# output): no year or station is filtered out
+_PRE_CLEANED = QcPolicy(max_missing_days=366, min_retained_years=0)
+
+
+def _construct(factory, context: str, *args, **kwargs):
+    """``factory(*args, **kwargs)``, with the ``ValueError`` a library config
+    raises on the values reported as a ``ConfigError`` naming ``context``."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _build(cls, section, context: str, keys: Mapping, **fixed):
+    """``cls`` built from ``section``, each key checked by its parser in
+    ``keys``; a field the section leaves out keeps its default."""
+    section = _as_mapping(section, context)
+    _check_keys(section, set(keys), context)
+    kwargs = {_FIELD_NAMES.get(k, k): keys[k](v, f"{context}.{k}") for k, v in section.items()}
+    return _construct(cls, context, **kwargs, **fixed)
+
+
+def _explicit_prior(value, context: str, n_coefficients: int) -> ShmevPriorSpec:
+    """A shmev prior given in full, in the form ``model.json`` stores it:
+    ``n_coefficients`` normal priors (``mean``, ``sd``) for each coefficient
+    vector and an inverse-gamma prior (``shape``, ``scale``) for each latent
+    Gumbel scale."""
+    spec = _as_mapping(value, context)
+    _check_keys(spec, {"beta_gamma", "beta_delta", "beta_lambda", "sigma_gamma", "sigma_delta"}, context)
+
+    def params(prior, where: str, names: tuple[str, str]) -> dict[str, float]:
+        prior = _as_mapping(prior, where)
+        _check_keys(prior, set(names), where)
+        return {name: _as_float(_need(prior, name, where), f"{where}.{name}") for name in names}
+
+    out: dict[str, Any] = {}
+    for key in ("beta_gamma", "beta_delta", "beta_lambda"):
+        priors = _need(spec, key, context)
+        if not isinstance(priors, (list, tuple)) or len(priors) != n_coefficients:
+            raise ConfigError(
+                f"{context}.{key}: expected a list of {n_coefficients} priors, "
+                "one per covariate column plus the intercept"
+            )
+        out[key] = [params(q, f"{context}.{key}[{i}]", ("mean", "sd")) for i, q in enumerate(priors)]
+    for key in ("sigma_gamma", "sigma_delta"):
+        out[key] = params(_need(spec, key, context), f"{context}.{key}", ("shape", "scale"))
+    return _construct(ShmevPriorSpec.from_dict, context, out)
+
+
+def _priors(value, context: str, model: str, n_coefficients: int) -> ElicitationRules | ShmevPriorSpec:
+    section = _as_mapping(value, context)
+    _check_keys(section, {"mode", "explicit", *_ELICITATION_KEYS}, context)
+    mode = _MODE(section.get("mode", "elicit"), f"{context}.mode")
+    rules = _build(
+        ElicitationRules, {k: v for k, v in section.items() if k in _ELICITATION_KEYS}, context, _ELICITATION_KEYS
+    )
+    if mode == "elicit":
+        return rules
+    if model != "shmev":
+        raise ConfigError(f"{context}.mode: explicit priors apply to the shmev model only, not {model}")
+    return _explicit_prior(_need(section, "explicit", context), f"{context}.explicit", n_coefficients)
 
 
 @dataclass(frozen=True)
@@ -209,26 +232,25 @@ class FitSection:
     model: str
     events: str
     train_blocks: int
+    qc: QcPolicy
+    sampler: SamplerConfig
+    # the rules a prior is elicited by, or a shmev prior given in full
+    priors: ElicitationRules | ShmevPriorSpec
     covariates: str | None = None
     covariate_columns: tuple[str, ...] = ()
     stations: tuple[str, ...] | None = None
     trials_per_block: int = 366
     wet_day_threshold: float = 0.0
-    qc: QcSection | None = None
-    sampler: SamplerSection = field(default_factory=SamplerSection)
-    priors: PriorSection = field(default_factory=PriorSection)
 
     @classmethod
-    def from_mapping(cls, m: Mapping, context: str = "fit") -> "FitSection":
+    def from_mapping(cls, m: Mapping, seed: int, context: str = "fit") -> "FitSection":
         _check_keys(
             m,
             {"model", "events", "covariates", "covariate_columns", "stations", "train_blocks",
              "trials_per_block", "wet_day_threshold", "qc", "sampler", "priors"},
             context,
         )
-        model = _as_str(_need(m, "model", context), f"{context}.model")
-        if model not in ("shmev", "hmev", "gev"):
-            raise ConfigError(f"{context}.model: must be shmev, hmev, or gev")
+        model = _MODEL(_need(m, "model", context), f"{context}.model")
         kwargs: dict[str, Any] = {
             "model": model,
             "events": _as_str(_need(m, "events", context), f"{context}.events"),
@@ -241,6 +263,8 @@ class FitSection:
             if not isinstance(cols, (list, tuple)) or not all(isinstance(c, str) for c in cols):
                 raise ConfigError(f"{context}.covariate_columns: expected a list of strings")
             kwargs["covariate_columns"] = tuple(cols)
+        if model == "shmev" and ("covariates" not in kwargs or not kwargs.get("covariate_columns")):
+            raise ConfigError(f"{context}: shmev requires 'covariates' and 'covariate_columns'")
         if "stations" in m:
             stations = m["stations"]
             if not isinstance(stations, (list, tuple)) or not stations or not all(isinstance(s, str) for s in stations):
@@ -249,20 +273,13 @@ class FitSection:
         if "trials_per_block" in m:
             kwargs["trials_per_block"] = _as_int(m["trials_per_block"], f"{context}.trials_per_block", minimum=1)
         if "wet_day_threshold" in m:
-            value = _as_float(m["wet_day_threshold"], f"{context}.wet_day_threshold")
-            if value < 0.0:
-                raise ConfigError(f"{context}.wet_day_threshold: must be >= 0")
-            kwargs["wet_day_threshold"] = value
-        if "qc" in m:
-            kwargs["qc"] = QcSection.from_mapping(m["qc"], f"{context}.qc")
-        if "sampler" in m:
-            kwargs["sampler"] = SamplerSection.from_mapping(m["sampler"], f"{context}.sampler")
-        if "priors" in m:
-            kwargs["priors"] = PriorSection.from_mapping(m["priors"], f"{context}.priors")
-        section = cls(**kwargs)
-        if model == "shmev" and (section.covariates is None or not section.covariate_columns):
-            raise ConfigError(f"{context}: shmev requires 'covariates' and 'covariate_columns'")
-        return section
+            kwargs["wet_day_threshold"] = _NON_NEGATIVE(m["wet_day_threshold"], f"{context}.wet_day_threshold")
+        kwargs["qc"] = _build(QcPolicy, m["qc"], f"{context}.qc", _QC_KEYS) if "qc" in m else _PRE_CLEANED
+        kwargs["sampler"] = _build(SamplerConfig, m.get("sampler", {}), f"{context}.sampler", _SAMPLER_KEYS, seed=seed)
+        kwargs["priors"] = _priors(
+            m.get("priors", {}), f"{context}.priors", model, len(kwargs.get("covariate_columns", ())) + 1
+        )
+        return cls(**kwargs)
 
 
 def _positive_periods(value, context: str) -> tuple[float, ...]:
@@ -354,8 +371,6 @@ class EvaluateSection:
 
 
 _SECTION_TYPES = {
-    "simulate": SimulateSection,
-    "fit": FitSection,
     "predict": PredictSection,
     "diagnose": DiagnoseSection,
     "map": MapSection,
@@ -364,11 +379,17 @@ _SECTION_TYPES = {
 
 
 def parse_section(raw: dict, command: str):
-    if command not in _SECTION_TYPES:
+    """The checked config of ``command``'s section of ``raw``; the simulate
+    and fit configs carry ``raw["seed"]``."""
+    if command not in ("simulate", "fit", *_SECTION_TYPES):
         raise ConfigError(f"unknown command {command!r}")
     if command not in raw:
         raise ConfigError(f"config has no '{command}' section")
     section = raw[command]
     if not isinstance(section, Mapping):
         raise ConfigError(f"'{command}' section must be a mapping")
+    if command == "simulate":
+        return _build(ScenarioConfig, section, command, _SCENARIO_KEYS, seed=raw["seed"])
+    if command == "fit":
+        return FitSection.from_mapping(section, raw["seed"], command)
     return _SECTION_TYPES[command].from_mapping(section, command)

@@ -77,24 +77,6 @@ class SiteCovariates:
             raise ValueError("covariate row must start with the intercept value 1")
 
 
-@dataclass(frozen=True, eq=False)
-class OrdinaryEventRecord:
-    """Positive daily magnitudes observed at one station within one block."""
-
-    station: str
-    block: int
-    magnitudes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "magnitudes", np.asarray(self.magnitudes, dtype=float))
-        if np.any(self.magnitudes <= 0.0):
-            raise ValueError("ordinary-event magnitudes must be strictly positive")
-
-    @property
-    def n(self) -> int:
-        return int(self.magnitudes.size)
-
-
 class Dataset:
     """Immutable ordinary-event dataset over S sites and J common blocks.
 

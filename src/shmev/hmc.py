@@ -42,6 +42,9 @@ _DA_GAMMA = 0.05
 _DA_T0 = 10.0
 _DA_KAPPA = 0.75
 
+# an energy error above this marks a trajectory divergent
+_MAX_ENERGY_ERROR = 1000.0
+
 # (target, config, init, stream) rows of the run_hmc_jobs call whose workers
 # are being forked; the workers inherit them, so nothing of them is pickled
 _FORKED_ROWS = None
@@ -56,9 +59,6 @@ class SamplerConfig:
     step_jitter: float = 0.2
     target_accept: float = 0.8
     seed: int = 0
-    max_energy_error: float = 1000.0
-    adapt_mass: bool = True
-    init_spread: float = 0.1
 
     def __post_init__(self):
         if self.n_chains < 1:
@@ -243,7 +243,7 @@ def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams:
     log_eps_bar, h_bar, da_iter = np.log(eps), np.zeros(rows), 1
 
     # mass-estimation window: draws in [n_warmup/4, n_warmup/2)
-    use_mass_window = config.adapt_mass and n_warmup >= 40
+    use_mass_window = n_warmup >= 40
     win_lo, win_hi = n_warmup // 4, n_warmup // 2
     window = np.zeros((rows, max(win_hi - win_lo, 1), dim)) if use_mass_window else None
 
@@ -270,7 +270,7 @@ def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams:
             kinetic1 = 0.5 * np.sum(p1 * p1 / mass, axis=1)
             h1 = np.where(np.isfinite(logp1), -logp1 + kinetic1, np.inf)
             delta_h = h1 - h0
-            divergent = ~np.isfinite(delta_h) | (delta_h > config.max_energy_error)
+            divergent = ~np.isfinite(delta_h) | (delta_h > _MAX_ENERGY_ERROR)
             alpha = np.where(divergent, 0.0, np.where(delta_h <= 0.0, 1.0, np.exp(-delta_h)))
         if warming:
             warmup_divergences += divergent

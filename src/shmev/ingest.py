@@ -76,17 +76,15 @@ class QcPolicy:
 
     A year is retained when it has at most ``max_missing_days`` missing daily
     observations; a station is retained when it keeps strictly more than
-    ``min_retained_years`` years.  Wet days are values strictly above
-    ``wet_day_threshold`` (default: any positive record).
+    ``min_retained_years`` years.
     """
 
     max_missing_days: int = 30
     min_retained_years: int = 73
     drop_flagged: bool = True
-    wet_day_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.max_missing_days < 0 or self.min_retained_years < 0 or self.wet_day_threshold < 0:
+        if self.max_missing_days < 0 or self.min_retained_years < 0:
             raise ValueError("QC thresholds must be >= 0")
 
 

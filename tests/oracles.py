@@ -22,7 +22,7 @@ import numpy as np
 
 from shmev.distributions import WeibullParams
 from shmev.errors import ConvergenceError, DataError, NumericError
-from shmev.hmc import SamplerConfig
+from shmev.hmc import _MAX_ENERGY_ERROR, SamplerConfig
 from shmev.ingest import QcLedger
 from shmev.model import GevPriorSpec, HmevLayout, HmevPriorSpec
 from shmev.special import expit, expit_log_expit_pair, gammaln, log_expit
@@ -491,7 +491,7 @@ def _run_chain(target, config: SamplerConfig, q0: np.ndarray, rng: np.random.Gen
     log_eps_bar, h_bar, da_iter = np.log(eps), 0.0, 1
 
     # mass-estimation window: draws in [n_warmup/4, n_warmup/2)
-    use_mass_window = config.adapt_mass and n_warmup >= 40
+    use_mass_window = n_warmup >= 40
     win_lo, win_hi = n_warmup // 4, n_warmup // 2
     window = np.zeros((max(win_hi - win_lo, 1), dim)) if use_mass_window else None
 
@@ -517,7 +517,7 @@ def _run_chain(target, config: SamplerConfig, q0: np.ndarray, rng: np.random.Gen
             kinetic1 = 0.5 * np.sum(p1 * p1 / mass)
         h1 = -logp1 + kinetic1 if np.isfinite(logp1) else np.inf
         delta_h = h1 - h0
-        divergent = not np.isfinite(delta_h) or delta_h > config.max_energy_error
+        divergent = not np.isfinite(delta_h) or delta_h > _MAX_ENERGY_ERROR
         if divergent:
             alpha = 0.0
             if warming:

@@ -22,6 +22,24 @@ def write_config(path: Path, body: dict) -> Path:
     return path
 
 
+def explicit_prior(n_coefficients: int) -> dict:
+    """A full shmev prior, in the form model.json stores one."""
+    def normals(mean):
+        return [{"mean": mean, "sd": 1.0} for _ in range(n_coefficients)]
+
+    return {
+        "beta_gamma": normals(0.7),
+        "beta_delta": normals(9.0),
+        "beta_lambda": normals(-0.9),
+        "sigma_gamma": {"shape": 3.0, "scale": 0.1},
+        "sigma_delta": {"shape": 3.0, "scale": 1.0},
+    }
+
+
+def explicit(body: dict) -> dict:
+    return body["fit"]["priors"]["explicit"]
+
+
 def tiny_study_config(base: Path, out: Path) -> Path:
     body = {
         "schema_version": 1,
@@ -302,6 +320,78 @@ class TestValidation:
         assert err["error"] == "ConfigError"
         assert "fit.stations" in err["message"]
         assert not (out / "fit" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, edit, path",
+        [
+            # an explicit prior that is malformed
+            ("fit", lambda b: explicit(b).pop("beta_gamma"), "fit.priors.explicit"),
+            ("fit", lambda b: b["fit"]["priors"].update(explicit=5), "fit.priors.explicit"),
+            ("fit", lambda b: explicit(b)["beta_delta"][1].update(sd="wide"), "fit.priors.explicit.beta_delta[1].sd"),
+            ("fit", lambda b: explicit(b)["beta_lambda"][0].update(sd=-1.0), "fit.priors.explicit"),
+            ("fit", lambda b: explicit(b)["sigma_gamma"].update(shape=0.0), "fit.priors.explicit"),
+            ("fit", lambda b: explicit(b)["beta_gamma"].pop(), "fit.priors.explicit.beta_gamma"),
+            ("fit", lambda b: explicit(b)["sigma_delta"].update(scale=float("nan")), "fit.priors.explicit.sigma_delta.scale"),
+            # or one given for a single-site model
+            ("fit", lambda b: b["fit"].update(model="hmev"), "fit.priors.mode"),
+            ("fit", lambda b: b["fit"].update(model="gev"), "fit.priors.mode"),
+            # subsections that are not mappings
+            ("fit", lambda b: b["fit"].update(qc=5), "fit.qc"),
+            ("fit", lambda b: b["fit"].update(sampler=[1]), "fit.sampler"),
+            ("fit", lambda b: b["fit"].update(priors=3), "fit.priors"),
+            ("fit", lambda b: b["fit"].update(priors={"intervals": 5}), "fit.priors.intervals"),
+            ("evaluate", lambda b: b["evaluate"].update(fits=["fit"]), "evaluate.fits"),
+            # keys of mixed types, values that are not finite
+            ("fit", lambda b: b["fit"].update(sampler={1: 2, "bogus": 3}), "fit.sampler"),
+            ("evaluate", lambda b: b["evaluate"].update(threshold_return_time=float("inf")), "evaluate.threshold_return_time"),
+            # elicitation rules out of range
+            ("fit", lambda b: b["fit"].update(priors={"interval_fraction": 0.0}), "fit.priors.interval_fraction"),
+            ("fit", lambda b: b["fit"].update(priors={"interval_fraction": -0.5}), "fit.priors.interval_fraction"),
+            (
+                "fit",
+                lambda b: b["fit"].update(priors={"intervals": {"beta_delta[0]": [12.0, 8.0]}}),
+                "fit.priors.intervals.beta_delta[0]",
+            ),
+            # a library config's own check
+            ("simulate", lambda b: b["simulate"].update(scenario="WEI_gp", gp_variance=0), "simulate"),
+        ],
+    )
+    def test_config_mistake_is_config_error(self, tmp_path, capsys, command, edit, path):
+        out = tmp_path / "runs"
+        body = yaml.safe_load(tiny_study_config(tmp_path, out).read_text())
+        body["fit"]["priors"] = {"mode": "explicit", "explicit": explicit_prior(n_coefficients=3)}
+        edit(body)
+        bad = write_config(tmp_path / "bad.yaml", body)
+        code = main([command, "--config", str(bad), "--out", str(out / command)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["exit_code"] == 2
+        assert err["command"] == command
+        assert path in err["message"]
+        if command == "simulate":
+            assert "gp_variance" in err["message"]
+        assert not (out / command / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "runs"
+        config = tiny_study_config(tmp_path, out)
+        code = main([command, "--config", str(config), "--out", str(out / command), "--seed", "-1"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "--seed" in err["message"]
+        assert not (out / command).exists()
+
+    def test_explicit_prior_equal_to_the_elicited_one_gives_the_same_fit(self, study, tmp_path):
+        base, out, config = study
+        elicited = json.loads((out / "fit" / "model.json").read_text())
+        body = yaml.safe_load(config.read_text())
+        body["fit"]["priors"] = {"mode": "explicit", "explicit": elicited["priors"]}
+        run_command("fit", write_config(tmp_path / "explicit.yaml", body), tmp_path / "fit")
+        for name in ("model.json", "draws.npy", "chain.npy", "summary.csv"):
+            assert (tmp_path / "fit" / name).read_bytes() == (out / "fit" / name).read_bytes(), name
 
     @staticmethod
     def assert_threads_rejected(capsys, code, fit_dir, name):
