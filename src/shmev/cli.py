@@ -36,7 +36,7 @@ from .errors import ConfigError, ConvergenceError, DataError, NumericError, Shme
 # run_hmc, the one-job form of run_hmc_jobs, stays importable from here
 from .hmc import HmcJob, PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, run_hmc_jobs, trace_export
 from .ingest import (
-    _open_text,
+    _table_rows,
     build_dataset,
     dataset_to_rows,
     elicit_hmev_priors,
@@ -429,8 +429,6 @@ def cmd_fit(
             site_cfg = replace(section.sampler, seed=site_seed)
             if section.model == "gev":
                 maxima = np.array([b.max() for b in blocks if b.size])
-                if maxima.size < 2:
-                    raise DataError(f"station {rec.station}: too few block maxima for a GEV fit")
                 with _elicitation(f"station {rec.station}"):
                     prior = GevPriorSpec.from_maxima(maxima)
                 target = GevTarget(maxima, prior)
@@ -549,26 +547,19 @@ def cmd_predict(section: PredictSection, session: ArtifactSession, seed: int, ba
 
 
 def _read_grid_file(path: Path, snapshot: StandardizationSnapshot) -> GridCovariates:
-    if not path.exists():
-        raise DataError(f"grid file not found: {path}")
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        rows = []
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: wrong field count")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}:{reader.line_num}: non-numeric grid value") from exc
+    rows = _table_rows(path, "grid file")
+    _, header = next(rows)
+    values = []
+    for line, row in rows:
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as exc:
+            raise DataError(f"{path}:{line}: non-numeric grid value") from exc
     if tuple(header) != tuple(snapshot.names):
         raise DataError(
             f"grid columns {header} must match the training snapshot {list(snapshot.names)}"
         )
-    return GridCovariates(names=tuple(header), values=np.asarray(rows, dtype=float), snapshot=snapshot)
+    return GridCovariates(names=tuple(header), values=np.asarray(values, dtype=float), snapshot=snapshot)
 
 
 def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: Path) -> None:
@@ -592,31 +583,23 @@ def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: 
 
 
 def _read_test_maxima(path: Path) -> dict[str, np.ndarray]:
-    if not path.exists():
-        raise DataError(f"test maxima file not found: {path}")
+    rows = _table_rows(path, "test maxima file")
+    if next(rows)[1] != ["station", "block", "max_mm"]:
+        raise DataError(f"{path}: expected header station,block,max_mm")
     per_station: dict[str, list[float]] = {}
     seen: set[tuple[str, str]] = set()
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["station", "block", "max_mm"]:
-            raise DataError(f"{path}: expected header station,block,max_mm")
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{reader.line_num}: wrong field count")
-            try:
-                value = float(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{reader.line_num}: non-numeric maximum") from exc
-            if not np.isfinite(value):
-                raise DataError(f"{path}:{reader.line_num}: non-finite maximum")
-            station, block = row[0].strip(), row[1].strip()
-            if (station, block) in seen:
-                raise DataError(f"{path}:{reader.line_num}: repeated block {block} of station {station}")
-            seen.add((station, block))
-            per_station.setdefault(station, []).append(value)
+    for line, row in rows:
+        try:
+            value = float(row[2])
+        except ValueError as exc:
+            raise DataError(f"{path}:{line}: non-numeric maximum") from exc
+        if not np.isfinite(value):
+            raise DataError(f"{path}:{line}: non-finite maximum")
+        station, block = row[0].strip(), row[1].strip()
+        if (station, block) in seen:
+            raise DataError(f"{path}:{line}: repeated block {block} of station {station}")
+        seen.add((station, block))
+        per_station.setdefault(station, []).append(value)
     return {k: np.asarray(v, dtype=float) for k, v in per_station.items()}
 
 
@@ -742,7 +725,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return report(exc, EXIT_CONFIG)
     except DataError as exc:
         return report(exc, EXIT_DATA)
-    except csv.Error as exc:  # an input table csv.reader cannot read, e.g. a field over its size limit
+    except csv.Error as exc:  # an events file csv.reader cannot read, e.g. a field over its size limit
         return report(DataError(f"unreadable CSV input: {exc}"), EXIT_DATA)
     except (NumericError, ConvergenceError) as exc:
         return report(exc, EXIT_NUMERIC)

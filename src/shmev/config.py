@@ -2,16 +2,18 @@
 
 Unknown keys are rejected and every value is type-checked before any work
 starts.  A file may carry several command sections (a whole study); each
-command validates and consumes only its own section plus the globals.  The
-``simulate`` section and the ``fit`` section's ``sampler``, ``qc`` and
-``priors`` parse straight into the library's own configs (``ScenarioConfig``,
-``SamplerConfig``, ``QcPolicy``, and ``ElicitationRules`` or an explicit
-``ShmevPriorSpec``), so a key left out takes that config's default.
+command validates and consumes only its own section plus the globals.
+Every section is parsed by one builder from a key table, which maps each
+YAML key to the parser of its value, straight into the config the section
+sets: ``ScenarioConfig`` for ``simulate``, ``SamplerConfig``, ``QcPolicy``
+and ``ElicitationRules`` (or an explicit ``ShmevPriorSpec``) for the ``fit``
+section's subsections, and the section classes below.  A key left out takes
+that class's default; a field without a default is a required key.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -177,13 +179,23 @@ def _construct(factory, context: str, *args, **kwargs):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _build(cls, section, context: str, keys: Mapping, **fixed):
-    """``cls`` built from ``section``, each key checked by its parser in
-    ``keys``; a field the section leaves out keeps its default."""
+def _values(cls, section, context: str, keys: Mapping, given=()) -> dict[str, Any]:
+    """The fields of ``cls`` that ``section`` sets, each key checked by its
+    parser in ``keys``.  A field without a default is a required key unless
+    it is ``given`` apart from the section."""
     section = _as_mapping(section, context)
     _check_keys(section, set(keys), context)
-    kwargs = {_FIELD_NAMES.get(k, k): keys[k](v, f"{context}.{k}") for k, v in section.items()}
-    return _construct(cls, context, **kwargs, **fixed)
+    key_of = {_FIELD_NAMES.get(k, k): k for k in keys}
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in given:
+            _need(section, key_of[f.name], context)
+    return {_FIELD_NAMES.get(k, k): keys[k](v, f"{context}.{k}") for k, v in section.items()}
+
+
+def _build(cls, section, context: str, keys: Mapping, **fixed):
+    """``cls`` built from ``section`` and ``fixed``; a field the section
+    leaves out keeps its default."""
+    return _construct(cls, context, **_values(cls, section, context, keys, fixed), **fixed)
 
 
 def _explicit_prior(value, context: str, n_coefficients: int) -> ShmevPriorSpec:
@@ -227,6 +239,26 @@ def _priors(value, context: str, model: str, n_coefficients: int) -> Elicitation
     return _explicit_prior(_need(section, "explicit", context), f"{context}.explicit", n_coefficients)
 
 
+def _strings(what: str, min_items: int = 0):
+    """A parser of a list of at least ``min_items`` strings, which names
+    anything else ``what`` it expected."""
+    def parse(value, context: str) -> tuple[str, ...]:
+        if not isinstance(value, (list, tuple)) or len(value) < min_items or not all(isinstance(s, str) for s in value):
+            raise ConfigError(f"{context}: expected {what}")
+        return tuple(value)
+
+    return parse
+
+
+def _fit_dirs(value, context: str) -> dict[str, str]:
+    if not isinstance(value, Mapping) or not value:
+        raise ConfigError(f"{context}: expected a non-empty mapping of label -> fit dir")
+    return {str(k): _as_str(v, f"{context}.{k}") for k, v in value.items()}
+
+
+_PERIODS = _checked(_as_float_list, "return periods must all exceed 1 year", lambda p: bool(p) and min(p) > 1.0)
+
+
 @dataclass(frozen=True)
 class FitSection:
     model: str
@@ -242,52 +274,6 @@ class FitSection:
     trials_per_block: int = 366
     wet_day_threshold: float = 0.0
 
-    @classmethod
-    def from_mapping(cls, m: Mapping, seed: int, context: str = "fit") -> "FitSection":
-        _check_keys(
-            m,
-            {"model", "events", "covariates", "covariate_columns", "stations", "train_blocks",
-             "trials_per_block", "wet_day_threshold", "qc", "sampler", "priors"},
-            context,
-        )
-        model = _MODEL(_need(m, "model", context), f"{context}.model")
-        kwargs: dict[str, Any] = {
-            "model": model,
-            "events": _as_str(_need(m, "events", context), f"{context}.events"),
-            "train_blocks": _as_int(_need(m, "train_blocks", context), f"{context}.train_blocks", minimum=1),
-        }
-        if "covariates" in m:
-            kwargs["covariates"] = _as_str(m["covariates"], f"{context}.covariates")
-        if "covariate_columns" in m:
-            cols = m["covariate_columns"]
-            if not isinstance(cols, (list, tuple)) or not all(isinstance(c, str) for c in cols):
-                raise ConfigError(f"{context}.covariate_columns: expected a list of strings")
-            kwargs["covariate_columns"] = tuple(cols)
-        if model == "shmev" and ("covariates" not in kwargs or not kwargs.get("covariate_columns")):
-            raise ConfigError(f"{context}: shmev requires 'covariates' and 'covariate_columns'")
-        if "stations" in m:
-            stations = m["stations"]
-            if not isinstance(stations, (list, tuple)) or not stations or not all(isinstance(s, str) for s in stations):
-                raise ConfigError(f"{context}.stations: expected a non-empty list of station ids")
-            kwargs["stations"] = tuple(stations)
-        if "trials_per_block" in m:
-            kwargs["trials_per_block"] = _as_int(m["trials_per_block"], f"{context}.trials_per_block", minimum=1)
-        if "wet_day_threshold" in m:
-            kwargs["wet_day_threshold"] = _NON_NEGATIVE(m["wet_day_threshold"], f"{context}.wet_day_threshold")
-        kwargs["qc"] = _build(QcPolicy, m["qc"], f"{context}.qc", _QC_KEYS) if "qc" in m else _PRE_CLEANED
-        kwargs["sampler"] = _build(SamplerConfig, m.get("sampler", {}), f"{context}.sampler", _SAMPLER_KEYS, seed=seed)
-        kwargs["priors"] = _priors(
-            m.get("priors", {}), f"{context}.priors", model, len(kwargs.get("covariate_columns", ())) + 1
-        )
-        return cls(**kwargs)
-
-
-def _positive_periods(value, context: str) -> tuple[float, ...]:
-    periods = _as_float_list(value, context)
-    if not periods or any(t <= 1.0 for t in periods):
-        raise ConfigError(f"{context}: return periods must all exceed 1 year")
-    return periods
-
 
 @dataclass(frozen=True)
 class PredictSection:
@@ -296,30 +282,10 @@ class PredictSection:
     blocks_per_draw: int = 100
     stations: tuple[str, ...] | None = None
 
-    @classmethod
-    def from_mapping(cls, m: Mapping, context: str = "predict") -> "PredictSection":
-        _check_keys(m, {"fit_dir", "return_periods", "blocks_per_draw", "stations"}, context)
-        kwargs: dict[str, Any] = {"fit_dir": _as_str(_need(m, "fit_dir", context), f"{context}.fit_dir")}
-        if "return_periods" in m:
-            kwargs["return_periods"] = _positive_periods(m["return_periods"], f"{context}.return_periods")
-        if "blocks_per_draw" in m:
-            kwargs["blocks_per_draw"] = _as_int(m["blocks_per_draw"], f"{context}.blocks_per_draw", minimum=1)
-        if "stations" in m:
-            stations = m["stations"]
-            if not isinstance(stations, (list, tuple)) or not all(isinstance(s, str) for s in stations):
-                raise ConfigError(f"{context}.stations: expected a list of station ids")
-            kwargs["stations"] = tuple(stations)
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class DiagnoseSection:
     fit_dir: str
-
-    @classmethod
-    def from_mapping(cls, m: Mapping, context: str = "diagnose") -> "DiagnoseSection":
-        _check_keys(m, {"fit_dir"}, context)
-        return cls(fit_dir=_as_str(_need(m, "fit_dir", context), f"{context}.fit_dir"))
 
 
 @dataclass(frozen=True)
@@ -329,19 +295,6 @@ class MapSection:
     return_periods: tuple[float, ...] = (25.0, 50.0)
     blocks_per_draw: int = 100
 
-    @classmethod
-    def from_mapping(cls, m: Mapping, context: str = "map") -> "MapSection":
-        _check_keys(m, {"fit_dir", "grid", "return_periods", "blocks_per_draw"}, context)
-        kwargs: dict[str, Any] = {
-            "fit_dir": _as_str(_need(m, "fit_dir", context), f"{context}.fit_dir"),
-            "grid": _as_str(_need(m, "grid", context), f"{context}.grid"),
-        }
-        if "return_periods" in m:
-            kwargs["return_periods"] = _positive_periods(m["return_periods"], f"{context}.return_periods")
-        if "blocks_per_draw" in m:
-            kwargs["blocks_per_draw"] = _as_int(m["blocks_per_draw"], f"{context}.blocks_per_draw", minimum=1)
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class EvaluateSection:
@@ -350,46 +303,76 @@ class EvaluateSection:
     threshold_return_time: float = 2.0
     blocks_per_draw: int = 100
 
-    @classmethod
-    def from_mapping(cls, m: Mapping, context: str = "evaluate") -> "EvaluateSection":
-        _check_keys(m, {"fits", "test_maxima", "threshold_return_time", "blocks_per_draw"}, context)
-        fits = _need(m, "fits", context)
-        if not isinstance(fits, Mapping) or not fits:
-            raise ConfigError(f"{context}.fits: expected a non-empty mapping of label -> fit dir")
-        kwargs: dict[str, Any] = {
-            "fits": {str(k): _as_str(v, f"{context}.fits.{k}") for k, v in fits.items()},
-            "test_maxima": _as_str(_need(m, "test_maxima", context), f"{context}.test_maxima"),
-        }
-        if "threshold_return_time" in m:
-            value = _as_float(m["threshold_return_time"], f"{context}.threshold_return_time")
-            if value < 1.0:
-                raise ConfigError(f"{context}.threshold_return_time: must be >= 1")
-            kwargs["threshold_return_time"] = value
-        if "blocks_per_draw" in m:
-            kwargs["blocks_per_draw"] = _as_int(m["blocks_per_draw"], f"{context}.blocks_per_draw", minimum=1)
-        return cls(**kwargs)
 
-
-_SECTION_TYPES = {
-    "predict": PredictSection,
-    "diagnose": DiagnoseSection,
-    "map": MapSection,
-    "evaluate": EvaluateSection,
+# the fit section's keys besides its qc, sampler and priors subsections
+_FIT_KEYS = {
+    "model": _MODEL,
+    "events": _as_str,
+    "covariates": _as_str,
+    "covariate_columns": _strings("a list of strings"),
+    "stations": _strings("a non-empty list of station ids", min_items=1),
+    "train_blocks": _count(1),
+    "trials_per_block": _count(1),
+    "wet_day_threshold": _NON_NEGATIVE,
 }
+_FIT_SUBSECTIONS = ("qc", "sampler", "priors")
+
+# each command's section: the config it builds and the parser of each key
+_SECTIONS = {
+    "simulate": (ScenarioConfig, _SCENARIO_KEYS),
+    "fit": (FitSection, _FIT_KEYS),
+    "predict": (PredictSection, {
+        "fit_dir": _as_str,
+        "return_periods": _PERIODS,
+        "blocks_per_draw": _count(1),
+        "stations": _strings("a list of station ids"),
+    }),
+    "diagnose": (DiagnoseSection, {"fit_dir": _as_str}),
+    "map": (MapSection, {
+        "fit_dir": _as_str,
+        "grid": _as_str,
+        "return_periods": _PERIODS,
+        "blocks_per_draw": _count(1),
+    }),
+    "evaluate": (EvaluateSection, {
+        "fits": _fit_dirs,
+        "test_maxima": _as_str,
+        "threshold_return_time": _checked(_as_float, "must be >= 1", lambda x: x >= 1.0),
+        "blocks_per_draw": _count(1),
+    }),
+}
+
+
+def _fit(section: Mapping, seed: int, context: str = "fit") -> FitSection:
+    """The fit section: its keys by ``_FIT_KEYS``, then the rules that
+    depend on other keys.  Without a qc section the input is taken as
+    pre-cleaned, the sampler draws from ``seed``, shmev needs covariates,
+    and the priors depend on the model and the covariate count."""
+    scalars = {k: v for k, v in section.items() if k not in _FIT_SUBSECTIONS}
+    kwargs = _values(FitSection, scalars, context, _FIT_KEYS, given=_FIT_SUBSECTIONS)
+    columns = kwargs.get("covariate_columns", ())
+    if kwargs["model"] == "shmev" and ("covariates" not in kwargs or not columns):
+        raise ConfigError(f"{context}: shmev requires 'covariates' and 'covariate_columns'")
+    return FitSection(
+        **kwargs,
+        qc=_build(QcPolicy, section["qc"], f"{context}.qc", _QC_KEYS) if "qc" in section else _PRE_CLEANED,
+        sampler=_build(SamplerConfig, section.get("sampler", {}), f"{context}.sampler", _SAMPLER_KEYS, seed=seed),
+        priors=_priors(section.get("priors", {}), f"{context}.priors", kwargs["model"], len(columns) + 1),
+    )
 
 
 def parse_section(raw: dict, command: str):
     """The checked config of ``command``'s section of ``raw``; the simulate
     and fit configs carry ``raw["seed"]``."""
-    if command not in ("simulate", "fit", *_SECTION_TYPES):
+    if command not in _SECTIONS:
         raise ConfigError(f"unknown command {command!r}")
     if command not in raw:
         raise ConfigError(f"config has no '{command}' section")
     section = raw[command]
     if not isinstance(section, Mapping):
         raise ConfigError(f"'{command}' section must be a mapping")
-    if command == "simulate":
-        return _build(ScenarioConfig, section, command, _SCENARIO_KEYS, seed=raw["seed"])
     if command == "fit":
-        return FitSection.from_mapping(section, raw["seed"], command)
-    return _SECTION_TYPES[command].from_mapping(section, command)
+        return _fit(section, raw["seed"])
+    cls, keys = _SECTIONS[command]
+    seed = {"seed": raw["seed"]} if command == "simulate" else {}
+    return _build(cls, section, command, keys, **seed)

@@ -171,10 +171,25 @@ def _utf8(path: Path, data: bytes, offset: int = 0) -> str:
         raise DataError(f"{path}: invalid UTF-8 at byte {offset + exc.start}") from exc
 
 
-def _open_text(path: Path) -> io.StringIO:
-    """A small table as a text file for ``csv.reader``; a byte that is not
-    UTF-8 is a ``DataError`` naming its offset."""
-    return io.StringIO(_utf8(path, path.read_bytes()), newline="")
+def _table_rows(path: Path, what: str) -> Iterator[tuple[int, list[str]]]:
+    """The ``(line, fields)`` of a small table: the header first, stripped
+    (``[]`` for an empty file), then each row that is not blank.  A missing
+    file is a ``DataError`` naming ``what``; a row whose field count is not
+    the header's and a ``csv.Error`` are ``DataError``s as ``path:line: reason``,
+    and a byte that is not UTF-8 is one naming its offset."""
+    if not path.exists():
+        raise DataError(f"{what} not found: {path}")
+    reader = csv.reader(io.StringIO(_utf8(path, path.read_bytes()), newline=""))
+    try:
+        header = [h.strip() for h in next(reader, [])]
+        yield reader.line_num, header
+        for row in reader:
+            if any(c.strip() for c in row):
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{reader.line_num}: wrong field count")
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 _NL, _CR, _COMMA, _DASH, _ZERO, _DOT = b"\n\r,-0."  # byte values
@@ -510,33 +525,26 @@ def read_covariate_file(path: str | Path) -> tuple[list[str], dict[str, dict[str
     """Header-driven covariate table: ``station`` plus numeric columns; a
     repeated column or station is a ``DataError``."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"covariate file not found: {path}")
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if not header or header[0] != "station":
-            raise DataError(f"{path}: first covariate column must be 'station'")
-        repeated = [h for i, h in enumerate(header) if h in header[:i]]
-        if repeated:
-            raise DataError(f"{path}:{reader.line_num}: repeated column {repeated[0]!r}")
-        names = header[1:]
-        table: dict[str, dict[str, float]] = {}
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: wrong field count")
-            try:
-                values = {n: float(v) for n, v in zip(names, row[1:])}
-            except ValueError as exc:
-                raise DataError(f"{path}:{reader.line_num}: non-numeric covariate") from exc
-            if not all(np.isfinite(v) for v in values.values()):
-                raise DataError(f"{path}:{reader.line_num}: non-finite covariate")
-            station = row[0].strip()
-            if station in table:
-                raise DataError(f"{path}:{reader.line_num}: repeated station {station!r}")
-            table[station] = values
+    rows = _table_rows(path, "covariate file")
+    line, header = next(rows)
+    if not header or header[0] != "station":
+        raise DataError(f"{path}: first covariate column must be 'station'")
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise DataError(f"{path}:{line}: repeated column {repeated[0]!r}")
+    names = header[1:]
+    table: dict[str, dict[str, float]] = {}
+    for line, row in rows:
+        try:
+            values = {n: float(v) for n, v in zip(names, row[1:])}
+        except ValueError as exc:
+            raise DataError(f"{path}:{line}: non-numeric covariate") from exc
+        if not all(np.isfinite(v) for v in values.values()):
+            raise DataError(f"{path}:{line}: non-finite covariate")
+        station = row[0].strip()
+        if station in table:
+            raise DataError(f"{path}:{line}: repeated station {station!r}")
+        table[station] = values
     return names, table
 
 
@@ -809,14 +817,22 @@ class ElicitationRules:
     gamma_intercept_center: float | None = 2.0 / 3.0
     interval_fraction: float = 0.5
     intervals: Mapping[str, tuple[float, float]] | None = None
-    sigma_gamma_mean_fraction: float = 0.05
-    sigma_delta_mean_fraction: float = 0.25
-    ig_shape: float = 3.0
-    wide_sd_factor: float = 10.0
 
     def __post_init__(self):
-        if self.interval_fraction <= 0.0 or self.ig_shape <= 1.0:
-            raise ValueError("interval_fraction must be positive and ig_shape > 1")
+        if self.interval_fraction <= 0.0:
+            raise ValueError("interval_fraction must be positive")
+
+
+# the latent Gumbel scales' prior means as fractions of the location
+# centers (the scale layer varies across years more than the shape layer),
+# with an inverse-gamma shape that keeps their variance finite
+_SIGMA_GAMMA_MEAN_FRACTION = 0.05
+_SIGMA_DELTA_MEAN_FRACTION = 0.25
+_IG_SHAPE = 3.0
+# a collinear slope's prior sd, in units of the response's spread
+_WIDE_SD_FACTOR = 10.0
+# the beta prior's a + b on a station's wet-day rate
+_RATE_CONCENTRATION = 20.0
 
 
 def _sd_from_interval(center: float, lo: float, hi: float) -> float:
@@ -856,7 +872,7 @@ def _coefficient_priors(
                     name,
                     k,
                 )
-                priors.append(NormalPrior(0.0, rules.wide_sd_factor * spread / _Z95))
+                priors.append(NormalPrior(0.0, _WIDE_SD_FACTOR * spread / _Z95))
                 continue
             center = slope
         if rules.intervals and name in rules.intervals:
@@ -914,12 +930,8 @@ def elicit_priors(dataset: Dataset, rules: ElicitationRules = ElicitationRules()
         beta_gamma=beta_gamma,
         beta_delta=beta_delta,
         beta_lambda=beta_lambda,
-        sigma_gamma=InverseGammaPrior.from_mean(
-            rules.sigma_gamma_mean_fraction * beta_gamma[0].mean, rules.ig_shape
-        ),
-        sigma_delta=InverseGammaPrior.from_mean(
-            rules.sigma_delta_mean_fraction * beta_delta[0].mean, rules.ig_shape
-        ),
+        sigma_gamma=InverseGammaPrior.from_mean(_SIGMA_GAMMA_MEAN_FRACTION * beta_gamma[0].mean, _IG_SHAPE),
+        sigma_delta=InverseGammaPrior.from_mean(_SIGMA_DELTA_MEAN_FRACTION * beta_delta[0].mean, _IG_SHAPE),
     )
 
 
@@ -927,7 +939,6 @@ def elicit_hmev_priors(
     events: Sequence[np.ndarray],
     trials_per_block: int,
     rules: ElicitationRules = ElicitationRules(),
-    rate_concentration: float = 20.0,
 ) -> HmevPriorSpec:
     """Single-site priors: inverse gamma mean-matched to the station's
     method-of-moments fit, beta prior centered on its wet-day rate."""
@@ -941,15 +952,11 @@ def elicit_hmev_priors(
     rate = sum(np.asarray(m).size for m in events) / (len(events) * trials_per_block)
     rate = float(np.clip(rate, 1e-4, 1.0 - 1e-4))
     return HmevPriorSpec(
-        mu_gamma=InverseGammaPrior.from_mean(gamma_center, rules.ig_shape),
-        sigma_gamma=InverseGammaPrior.from_mean(
-            rules.sigma_gamma_mean_fraction * gamma_center, rules.ig_shape
-        ),
-        mu_delta=InverseGammaPrior.from_mean(float(mom.scale), rules.ig_shape),
-        sigma_delta=InverseGammaPrior.from_mean(
-            rules.sigma_delta_mean_fraction * float(mom.scale), rules.ig_shape
-        ),
-        event_rate=BetaPrior(rate_concentration * rate, rate_concentration * (1.0 - rate)),
+        mu_gamma=InverseGammaPrior.from_mean(gamma_center, _IG_SHAPE),
+        sigma_gamma=InverseGammaPrior.from_mean(_SIGMA_GAMMA_MEAN_FRACTION * gamma_center, _IG_SHAPE),
+        mu_delta=InverseGammaPrior.from_mean(float(mom.scale), _IG_SHAPE),
+        sigma_delta=InverseGammaPrior.from_mean(_SIGMA_DELTA_MEAN_FRACTION * float(mom.scale), _IG_SHAPE),
+        event_rate=BetaPrior(_RATE_CONCENTRATION * rate, _RATE_CONCENTRATION * (1.0 - rate)),
     )
 
 

@@ -39,6 +39,7 @@ log_mu_delta, log_sigma_delta, logit_lambda]`` followed by ``log_gamma``
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -101,14 +102,22 @@ class NormalPrior:
         return -(x - self.mean) / self._var
 
 
+def _check_parameters(kind: str, *params: float) -> None:
+    """A ``ValueError`` unless every parameter of a ``kind`` prior is
+    positive and finite."""
+    if any(p <= 0.0 for p in params):
+        raise ValueError(f"{kind} prior parameters must be positive")
+    if not all(math.isfinite(p) for p in params):
+        raise ValueError(f"{kind} prior parameters must be finite")
+
+
 @dataclass(frozen=True)
 class InverseGammaPrior:
     shape: float
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0.0 or self.scale <= 0.0:
-            raise ValueError("inverse-gamma prior parameters must be positive")
+        _check_parameters("inverse-gamma", self.shape, self.scale)
 
     @property
     def mean(self) -> float:
@@ -141,8 +150,7 @@ class GammaPrior:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0.0 or self.scale <= 0.0:
-            raise ValueError("gamma prior parameters must be positive")
+        _check_parameters("gamma", self.shape, self.scale)
 
     @cached_property
     def _gammaln_shape(self) -> float:
@@ -166,8 +174,7 @@ class BetaPrior:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError("beta prior parameters must be positive")
+        _check_parameters("beta", self.a, self.b)
 
     @cached_property
     def _log_beta(self) -> float:
@@ -255,14 +262,6 @@ class GevPriorSpec:
             "shape": {"mean": self.shape.mean, "sd": self.shape.sd},
         }
 
-    @classmethod
-    def from_dict(cls, d) -> "GevPriorSpec":
-        return cls(
-            loc=NormalPrior(**d["loc"]),
-            scale=GammaPrior(**d["scale"]),
-            shape=NormalPrior(**d["shape"]),
-        )
-
 
 @dataclass(frozen=True)
 class HmevPriorSpec:
@@ -286,16 +285,6 @@ class HmevPriorSpec:
             "sigma_delta": ig(self.sigma_delta),
             "event_rate": {"a": self.event_rate.a, "b": self.event_rate.b},
         }
-
-    @classmethod
-    def from_dict(cls, d) -> "HmevPriorSpec":
-        return cls(
-            mu_gamma=InverseGammaPrior(**d["mu_gamma"]),
-            sigma_gamma=InverseGammaPrior(**d["sigma_gamma"]),
-            mu_delta=InverseGammaPrior(**d["mu_delta"]),
-            sigma_delta=InverseGammaPrior(**d["sigma_delta"]),
-            event_rate=BetaPrior(**d["event_rate"]),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,54 @@ class TestValidation:
         assert "field larger than field limit" in err["message"]
         assert not (out / "evaluate" / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, key", [("fit", "covariates"), ("map", "grid"), ("evaluate", "test_maxima")]
+    )
+    def test_side_table_csv_error_names_path_and_line(self, study, tmp_path, capsys, command, key):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        header, first, *rest = Path(body[command][key]).read_text().splitlines()
+        bad = tmp_path / "input.csv"
+        bad.write_text("\n".join([header, "9" * 40 + first[first.index(","):], *rest]) + "\n")
+        body[command][key] = str(bad)
+        config = write_config(tmp_path / "config.yaml", body)
+        limit = csv.field_size_limit(30)
+        try:
+            code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        finally:
+            csv.field_size_limit(limit)
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "command": command,
+            "error": "DataError",
+            "exit_code": 3,
+            "message": f"{bad}:2: field larger than field limit (30)",
+        }
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("model", ["hmev", "gev"])
+    def test_map_on_a_per_site_fit_is_config_error(self, study, tmp_path, capsys, model):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        fit_dir = out / "fit_gev"
+        if model == "hmev":
+            fit_dir = tmp_path / "fit_hmev"
+            body["fit"].update(model="hmev", stations=["S01", "S02"])
+            body["fit"]["sampler"]["iterations"] = 20
+            assert main(["fit", "--config", str(write_config(tmp_path / "hmev.yaml", body)),
+                         "--out", str(fit_dir)]) == 0
+        body["map"]["fit_dir"] = str(fit_dir)
+        bad = write_config(tmp_path / "map.yaml", body)
+        capsys.readouterr()
+        assert main(["map", "--config", str(bad), "--out", str(tmp_path / "map")]) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "command": "map",
+            "error": "ConfigError",
+            "exit_code": 2,
+            "message": "return-level maps require a spatial (shmev) fit",
+        }
+        assert not (tmp_path / "map" / "manifest.json").exists()
+
     @pytest.mark.parametrize("model", ["shmev", "hmev", "gev"])
     def test_station_missing_from_the_fit_is_data_error(self, study, tmp_path, capsys, model):
         base, out, config = study

@@ -1,9 +1,11 @@
 import copy
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from shmev import config
 from shmev.config import FitSection, load_config, parse_section
 from shmev.errors import ConfigError
 from shmev.hmc import SamplerConfig
@@ -37,6 +39,22 @@ def test_shipped_sections_become_the_library_configs():
     assert nc.qc == QcPolicy()
     assert nc.sampler == SamplerConfig(seed=1870)
     assert nc.priors == ElicitationRules(gamma_intercept_center=0.6667)
+
+
+def test_every_field_is_set_by_exactly_one_key():
+    """Each field of a config that a section builds is set by one YAML key
+    and by no other; only the seed comes from outside the section."""
+    tables = [
+        *config._SECTIONS.values(),
+        (SamplerConfig, config._SAMPLER_KEYS),
+        (QcPolicy, config._QC_KEYS),
+        (ElicitationRules, config._ELICITATION_KEYS),
+    ]
+    for cls, keys in tables:
+        set_by = [config._FIELD_NAMES.get(key, key) for key in keys]
+        if cls is FitSection:
+            set_by += config._FIT_SUBSECTIONS
+        assert sorted(set_by) == sorted(f.name for f in fields(cls) if f.name != "seed"), cls.__name__
 
 
 def _paths(node, path=()):

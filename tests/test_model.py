@@ -5,6 +5,7 @@ from shmev.data import Dataset, SiteCovariates
 from shmev.ingest import elicit_hmev_priors
 from shmev.special import gammaln
 from shmev.model import (
+    BetaPrior,
     GammaPrior,
     GevPriorSpec,
     GevTarget,
@@ -559,3 +560,13 @@ def test_gamma_prior_cached_constants_give_the_same_bits(rng):
         for u in rng.standard_normal(50) * 3.0:
             inline = shape * u - np.exp(u) / scale - gammaln(shape) - shape * np.log(scale)
             assert _same_bits(prior.log_density_unconstrained(u), inline)
+
+
+@pytest.mark.parametrize("prior", [InverseGammaPrior, GammaPrior, BetaPrior])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("position", [0, 1])
+def test_prior_parameters_must_be_finite(prior, bad, position):
+    params = [2.0, 3.0]
+    params[position] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        prior(*params)
