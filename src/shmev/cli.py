@@ -725,8 +725,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return report(exc, EXIT_CONFIG)
     except DataError as exc:
         return report(exc, EXIT_DATA)
-    except csv.Error as exc:  # an events file csv.reader cannot read, e.g. a field over its size limit
-        return report(DataError(f"unreadable CSV input: {exc}"), EXIT_DATA)
     except (NumericError, ConvergenceError) as exc:
         return report(exc, EXIT_NUMERIC)
     except ShmevError as exc:

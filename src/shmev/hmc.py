@@ -45,6 +45,10 @@ _DA_KAPPA = 0.75
 # an energy error above this marks a trajectory divergent
 _MAX_ENERGY_ERROR = 1000.0
 
+# a warmup this long whose every iteration diverged aborts the fit; a shorter
+# one is too little evidence of a broken target
+_MIN_ABORT_WARMUP = 10
+
 # (target, config, init, stream) rows of the run_hmc_jobs call whose workers
 # are being forked; the workers inherit them, so nothing of them is pickled
 _FORKED_ROWS = None
@@ -158,8 +162,9 @@ class _Rows:
     """Value and gradient of one target per row of an ``(R, dim)`` array.
 
     Rows whose targets share a row-batched kernel (``batch_kernel``, see
-    ``shmev.model``) are evaluated in one kernel call; any other target is
-    called row by row, and only on the rows asked for.
+    ``shmev.model``) are evaluated in one kernel call, on ``q`` itself when
+    they are all the rows; any other target is called row by row, and only
+    on the rows asked for.
     """
 
     def __init__(self, targets: Sequence):
@@ -172,8 +177,10 @@ class _Rows:
                 kernels.setdefault(cls, []).append(r)
             else:
                 self.single.append(r)
+        every_row = list(range(len(targets)))
         self.batched = [
-            (np.array(rows), cls.batch_kernel([targets[r] for r in rows])) for cls, rows in kernels.items()
+            (slice(None) if rows == every_row else np.array(rows), cls.batch_kernel([targets[r] for r in rows]))
+            for cls, rows in kernels.items()
         ]
 
     def __call__(self, q: np.ndarray, rows: np.ndarray, logp: np.ndarray, grad: np.ndarray) -> None:
@@ -205,7 +212,7 @@ def _leapfrog(evaluate: _Rows, q, p, grad, eps, n_steps, mass):
         else:
             q[moving] = q[moving] + step[moving] * p[moving] / mass[moving]
         evaluate(q, moving, new_logp, new_grad)
-        finite = np.isfinite(new_logp) & np.all(np.isfinite(new_grad), axis=1)
+        finite = np.isfinite(new_logp) & np.logical_and.reduce(np.isfinite(new_grad), axis=1)
         if all_moving and k < shortest - 1 and finite.all():
             # every row takes a full step
             logp, new_logp, grad, new_grad = new_logp, logp, new_grad, grad
@@ -232,7 +239,7 @@ def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams:
     q = q0.astype(float).copy()
     logp, grad = np.empty(rows), np.empty((rows, dim))
     evaluate(q, np.ones(rows, dtype=bool), logp, grad)
-    if not np.all(np.isfinite(logp)):
+    if not np.logical_and.reduce(np.isfinite(logp)):
         raise NumericError("chain initialized at a point with non-finite log density")
 
     n_warmup = config.n_warmup
@@ -263,11 +270,11 @@ def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams:
         p0 *= np.sqrt(mass)
         q1, p1, logp1, grad1 = _leapfrog(evaluate, q, p0, grad, eps, n_steps, mass)
 
-        h0 = -logp + 0.5 * np.sum(p0 * p0 / mass, axis=1)
+        h0 = -logp + 0.5 * np.add.reduce(p0 * p0 / mass, axis=1)
         # a diverging trajectory can overflow the kinetic energy to inf,
         # which the delta_h check below marks divergent
         with np.errstate(over="ignore", invalid="ignore"):
-            kinetic1 = 0.5 * np.sum(p1 * p1 / mass, axis=1)
+            kinetic1 = 0.5 * np.add.reduce(p1 * p1 / mass, axis=1)
             h1 = np.where(np.isfinite(logp1), -logp1 + kinetic1, np.inf)
             delta_h = h1 - h0
             divergent = ~np.isfinite(delta_h) | (delta_h > _MAX_ENERGY_ERROR)
@@ -302,7 +309,7 @@ def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams:
                 mu = np.log(10.0 * eps)
                 log_eps_bar, h_bar, da_iter = np.log(eps), np.zeros(rows), 1
             if it == n_warmup - 1:
-                if np.any(warmup_divergences >= n_warmup):
+                if n_warmup >= _MIN_ABORT_WARMUP and np.logical_or.reduce(warmup_divergences >= n_warmup):
                     raise NumericError(
                         f"all {n_warmup} warmup iterations diverged; the target may be "
                         "ill-conditioned or the gradient wrong"
@@ -441,20 +448,27 @@ def run_hmc(
 # Convergence diagnostics
 # ---------------------------------------------------------------------------
 
-def _split_chains(x: np.ndarray) -> np.ndarray:
-    """(M, N, dim) -> (2M, N//2, dim), dropping the middle draw when N is odd."""
-    m, n, dim = x.shape
-    half = n // 2
-    return np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
+# numpy evaluates ``f * np.conj(f)`` as ``np.conj(f) * f``, in place of the
+# temporary, once ``f`` holds this many bytes (temporary elision); the two
+# operand orders can round the complex product differently
+_ELISION_BYTES = 256 * 1024
 
 
-def _autocovariance(x: np.ndarray) -> np.ndarray:
-    """Biased autocovariance along axis 1 via FFT; x is (chains, n, dim)."""
+def _autocovariance(x: np.ndarray, stacked: int) -> np.ndarray:
+    """Biased autocovariance along axis 1 via FFT; x is (chains, n, dim).
+    The power spectrum takes the operand order of one ``f * np.conj(f)``
+    over ``stacked`` arrays shaped as ``x``'s spectrum ``f``, so that
+    chains taken one at a time get the bits of the stacked computation."""
     n = x.shape[1]
-    centered = x - x.mean(axis=1, keepdims=True)
     size = 2 ** int(np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(centered, n=size, axis=1)
-    acov = np.fft.irfft(f * np.conj(f), n=size, axis=1)[:, :n]
+    f = np.fft.rfft(x - x.mean(axis=1, keepdims=True), n=size, axis=1)
+    power = np.conj(f)
+    if stacked * f.nbytes >= _ELISION_BYTES:
+        np.multiply(power, f, out=power)
+    else:
+        np.multiply(f, power, out=power)
+    del f  # freed before the inverse FFT allocates its output
+    acov = np.fft.irfft(power, n=size, axis=1)[:, :n]
     return acov.real / n
 
 
@@ -465,6 +479,13 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
     Returns ``(rhat, ess, degenerate)``; parameters whose chains are all
     constant are flagged degenerate with ``rhat = 1`` by convention and an
     undefined (NaN) ESS.  A single chain yields ``rhat = None``.
+
+    Each chain is split into halves (the middle draw dropped when ``n`` is
+    odd), which are views of the draws: the means, variances and
+    autocovariances are computed one half at a time, as Vehtari et al. (2021)
+    do, and only the reductions across halves run on stacked arrays.  The
+    largest transient is one ``(2 * chains, n // 2, dim)`` array of
+    autocovariances, so about two copies of the draws are held at once.
     """
     if isinstance(draws, PosteriorDraws):
         x = draws.by_chain()
@@ -478,10 +499,11 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
     if n < 4:
         raise ValueError("need at least 4 post-warmup draws per chain")
 
-    s = _split_chains(x)  # (2M, half, dim)
-    n_half = s.shape[1]
-    means = s.mean(axis=1)                      # (2M, dim)
-    variances = s.var(axis=1, ddof=1)           # (2M, dim)
+    n_half = n // 2
+    # first halves of every chain, then second halves
+    halves = [x[c, :n_half] for c in range(m)] + [x[c, n - n_half:] for c in range(m)]
+    means = np.array([h.mean(axis=0) for h in halves])               # (2M, dim)
+    variances = np.array([h.var(axis=0, ddof=1) for h in halves])    # (2M, dim)
     w = variances.mean(axis=0)                  # within-chain
     b = n_half * means.var(axis=0, ddof=1)      # between-chain
     degenerate = w <= 0.0
@@ -490,7 +512,9 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
     rhat = np.sqrt(np.where(degenerate, 1.0, var_plus / w_safe))
 
     # ESS: Geyer initial monotone positive sequence on combined autocorrelations
-    acov = _autocovariance(s)                   # (2M, half, dim)
+    acov = np.empty((2 * m, n_half, dim))
+    for k, h in enumerate(halves):
+        acov[k] = _autocovariance(h[None], 2 * m)[0]
     tau_t = acov.mean(axis=0)                   # (half, dim)
     var_plus_safe = np.where(var_plus <= 0.0, 1.0, var_plus)
     rho = 1.0 - (w - tau_t) / var_plus_safe     # (half, dim)

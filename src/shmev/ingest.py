@@ -180,14 +180,21 @@ def _table_rows(path: Path, what: str) -> Iterator[tuple[int, list[str]]]:
     if not path.exists():
         raise DataError(f"{what} not found: {path}")
     reader = csv.reader(io.StringIO(_utf8(path, path.read_bytes()), newline=""))
+    rows = _csv_rows(path, reader)
+    header = [h.strip() for h in next(rows, [])]
+    yield reader.line_num, header
+    for row in rows:
+        if any(c.strip() for c in row):
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: wrong field count")
+            yield reader.line_num, row
+
+
+def _csv_rows(path: Path, reader) -> Iterator[list[str]]:
+    """The rows of ``reader``, a ``csv.reader`` over ``path``; a ``csv.Error``
+    is a ``DataError`` as ``path:line: reason``."""
     try:
-        header = [h.strip() for h in next(reader, [])]
-        yield reader.line_num, header
-        for row in reader:
-            if any(c.strip() for c in row):
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{reader.line_num}: wrong field count")
-                yield reader.line_num, row
+        yield from reader
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
@@ -323,10 +330,11 @@ class _EventReader:
         current = None
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
+            rows = _csv_rows(path, reader)
+            header = next(rows, None)
             if header is None or [h.strip() for h in header] != EVENT_HEADER:
                 raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
-            for row in reader:
+            for row in rows:
                 if len(row) != 4:
                     if any(c.strip() for c in row):
                         rejects.append((reader.line_num, "wrong field count", ",".join(row)))

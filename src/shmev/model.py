@@ -532,16 +532,16 @@ def _weibull_gumbel_binomial(
     np.multiply(t_e, ev.logx, out=work)
     U = ev.block_sums(work)
     nb_ud = nb * ud
-    weibull = np.sum(nb * ug - nb_ud + (gam - 1.0) * (slx - nb_ud), axis=1) - ev.row_sums(t_e)
+    weibull = np.add.reduce(nb * ug - nb_ud + (gam - 1.0) * (slx - nb_ud), axis=1) - ev.row_sums(t_e)
 
     # Gumbel latent layers on the per-block Weibull parameters
     z = (latents - loc) / scale
     e = np.exp(-z)
-    zsum = np.sum(z + e, axis=2)
+    zsum = np.add.reduce(z + e, axis=2)
     latent = -ev.K * (log_scale[:, 0] + log_scale[:, 1]) - zsum[:, 0] - zsum[:, 1]
 
     # binomial counts, logit-linked success probability
-    binom = np.sum(sum_n * log_lam + (group_trials - sum_n) * log_1m_lam, axis=1) + ev.binom_const
+    binom = np.add.reduce(sum_n * log_lam + (group_trials - sum_n) * log_1m_lam, axis=1) + ev.binom_const
 
     d_latent = latents * (e - 1.0) / scale
     d_latent[:, 0] = nb + gam * (slx - nb_ud - (U - ud * T1)) + d_latent[:, 0] + 1.0
@@ -551,11 +551,11 @@ def _weibull_gumbel_binomial(
         weibull=weibull,
         latent=latent,
         binom=binom,
-        jacobian=np.sum(ug, axis=1) + np.sum(ud, axis=1),
+        jacobian=np.add.reduce(ug, axis=1) + np.add.reduce(ud, axis=1),
         d_latent=d_latent,
         one_m_e=one_m_e,
         scale=scale,
-        d_log_scale=np.sum(-1.0 + z * one_m_e, axis=2),
+        d_log_scale=np.add.reduce(-1.0 + z * one_m_e, axis=2),
         lam=lam,
         log_lam=log_lam,
         log_1m_lam=log_1m_lam,
@@ -576,7 +576,7 @@ def _parts(k: SimpleNamespace, prior_terms: np.ndarray) -> dict:
 def _reject_non_finite(logp: np.ndarray, grad: np.ndarray) -> None:
     """Mark rows with a non-finite value or gradient as rejected states:
     ``-inf`` with a zero gradient."""
-    bad = ~np.isfinite(logp) | ~np.all(np.isfinite(grad), axis=1)
+    bad = ~np.isfinite(logp) | ~np.logical_and.reduce(np.isfinite(grad), axis=1)
     if bad.any():
         logp[bad] = -np.inf
         grad[bad] = 0.0
@@ -802,25 +802,28 @@ class _GevRows:
                 logt = np.log1p(tz)
                 w = np.exp(-logt / tau)  # t^(-1/tau)
                 tauA = -(tau + 1.0) / t + w / t  # tau * dloglik_i/dt_i
+                z_tauA = z * tauA
                 tau2 = np.array([[x**2] for x in tau[:, 0].tolist()])
-                reject[a:b] = np.any(t <= 0.0, axis=1)
-                loglik[a:b] = -n * lsig - (1.0 + 1.0 / tau[:, 0]) * np.sum(logt, axis=1) - np.sum(w, axis=1)
-                grad[a:b, 0] = -np.sum(tauA, axis=1) / s[:, 0]
-                grad[a:b, 1] = np.sum(-1.0 - z * tauA, axis=1)
-                grad[a:b, 2] = np.sum(logt * (1.0 - w) / tau2 + z * tauA / tau, axis=1)
+                reject[a:b] = np.logical_or.reduce(t <= 0.0, axis=1)
+                loglik[a:b] = (
+                    -n * lsig - (1.0 + 1.0 / tau[:, 0]) * np.add.reduce(logt, axis=1) - np.add.reduce(w, axis=1)
+                )
+                grad[a:b, 0] = -np.add.reduce(tauA, axis=1) / s[:, 0]
+                grad[a:b, 1] = np.add.reduce(-1.0 - z_tauA, axis=1)
+                grad[a:b, 2] = np.add.reduce(logt * (1.0 - w) / tau2 + z_tauA / tau, axis=1)
                 small = np.abs(tau[:, 0]) < _GEV_GRAD_EPS
                 if small.any():
                     ez = np.exp(-z)
-                    series = np.sum(_gev_shape_series(z, ez, tau), axis=1)
+                    series = np.add.reduce(_gev_shape_series(z, ez, tau), axis=1)
                     grad[a:b, 2] = np.where(small, series, grad[a:b, 2])
                     gumbel = np.abs(tau[:, 0]) < _GEV_LIMIT_EPS
                     if gumbel.any():
                         reject[a:b] &= ~gumbel
                         loglik[a:b] = np.where(
-                            gumbel, -n * lsig - np.sum(z, axis=1) - np.sum(ez, axis=1), loglik[a:b]
+                            gumbel, -n * lsig - np.add.reduce(z, axis=1) - np.add.reduce(ez, axis=1), loglik[a:b]
                         )
-                        grad[a:b, 0] = np.where(gumbel, np.sum(1.0 - ez, axis=1) / s[:, 0], grad[a:b, 0])
-                        grad[a:b, 1] = np.where(gumbel, np.sum(-1.0 + z * (1.0 - ez), axis=1), grad[a:b, 1])
+                        grad[a:b, 0] = np.where(gumbel, np.add.reduce(1.0 - ez, axis=1) / s[:, 0], grad[a:b, 0])
+                        grad[a:b, 1] = np.where(gumbel, np.add.reduce(-1.0 + z * (1.0 - ez), axis=1), grad[a:b, 1])
             loc_shape = V[:, 0::2]
             normal = NormalPrior.logpdf(self.normal, loc_shape)
             logp = loglik + normal[:, 0] + GammaPrior.log_density_unconstrained(self.scale, V[:, 1:2])[:, 0] + normal[:, 1]
@@ -919,7 +922,8 @@ class _HmevRows:
             grad = np.empty(V.shape)
             grad[:, 5:] = k.d_latent.reshape(R, 2 * J)
             hyper_score = InverseGammaPrior.score_unconstrained(self.hyper, V[:, :4])
-            grad[:, 0:4:2] = loc[:, :, 0] * np.sum(k.one_m_e, axis=2) / k.scale[:, :, 0] + hyper_score[:, 0::2]
+            loc_score = loc[:, :, 0] * np.add.reduce(k.one_m_e, axis=2) / k.scale[:, :, 0]
+            grad[:, 0:4:2] = loc_score + hyper_score[:, 0::2]
             grad[:, 1:4:2] = k.d_log_scale + hyper_score[:, 1::2]
             grad[:, 4] = k.d_logit[:, 0] + (self.rate_a - (self.rate_a + self.rate_b) * lam)
             _reject_non_finite(logp, grad)

@@ -6,8 +6,9 @@ vectorized package internals, except the former implementations kept as
 bit-for-bit references for the current ones: ``take_shmev_value_grad``
 (the spatial kernel before its gather went by block runs, on the event data
 it compiled before it shared a block kernel with the single-site model),
-the per-chain sampler with the one-row GEV and single-site kernels and, at
-the end, the one-estimate quantile inversion.  ``weibull_cdf`` is the
+the per-chain sampler with the one-row GEV and single-site kernels, the
+split-chain diagnostics on stacked copies of the draws and, at the end, the
+one-estimate quantile inversion.  ``weibull_cdf`` is the
 vectorized Weibull cdf that the predictive tests compare the maxima cdf
 with.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from shmev.distributions import WeibullParams
 from shmev.errors import ConvergenceError, DataError, NumericError
-from shmev.hmc import _MAX_ENERGY_ERROR, SamplerConfig
+from shmev.hmc import _MAX_ENERGY_ERROR, _MIN_ABORT_WARMUP, PosteriorDraws, SamplerConfig
 from shmev.ingest import QcLedger
 from shmev.model import GevPriorSpec, HmevLayout, HmevPriorSpec
 from shmev.special import expit, expit_log_expit_pair, gammaln, log_expit
@@ -213,37 +214,40 @@ def naive_read_event_file(paths, ledger=None):
             raise DataError(f"event file not found: {path}")
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != _EVENT_HEADER:
-                raise DataError(f"{path}: expected header {','.join(_EVENT_HEADER)}")
-            for row in reader:
-                lineno = reader.line_num  # the physical line on which the record ends
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != 4:
-                    ledger.reject(str(path), lineno, "wrong field count", ",".join(row))
-                    continue
-                station, date_s, prcp_s, qflag = (c.strip() for c in row)
-                try:
-                    date = dt.date.fromisoformat(date_s)
-                except ValueError:
-                    ledger.reject(str(path), lineno, "unparseable date", ",".join(row))
-                    continue
-                if prcp_s in _MISSING:
-                    value = np.nan
-                else:
+            try:
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header] != _EVENT_HEADER:
+                    raise DataError(f"{path}: expected header {','.join(_EVENT_HEADER)}")
+                for row in reader:
+                    lineno = reader.line_num  # the physical line on which the record ends
+                    if not row or all(not c.strip() for c in row):
+                        continue
+                    if len(row) != 4:
+                        ledger.reject(str(path), lineno, "wrong field count", ",".join(row))
+                        continue
+                    station, date_s, prcp_s, qflag = (c.strip() for c in row)
                     try:
-                        value = float(prcp_s)
+                        date = dt.date.fromisoformat(date_s)
                     except ValueError:
-                        ledger.reject(str(path), lineno, "unparseable precipitation", ",".join(row))
+                        ledger.reject(str(path), lineno, "unparseable date", ",".join(row))
                         continue
-                    if value < 0.0:
-                        ledger.reject(str(path), lineno, "negative precipitation", ",".join(row))
-                        continue
-                    if value == math.inf:
-                        ledger.reject(str(path), lineno, "non-finite precipitation", ",".join(row))
-                        continue
-                per_station.setdefault(station, []).append((date, value, qflag))
+                    if prcp_s in _MISSING:
+                        value = np.nan
+                    else:
+                        try:
+                            value = float(prcp_s)
+                        except ValueError:
+                            ledger.reject(str(path), lineno, "unparseable precipitation", ",".join(row))
+                            continue
+                        if value < 0.0:
+                            ledger.reject(str(path), lineno, "negative precipitation", ",".join(row))
+                            continue
+                        if value == math.inf:
+                            ledger.reject(str(path), lineno, "non-finite precipitation", ",".join(row))
+                            continue
+                    per_station.setdefault(station, []).append((date, value, qflag))
+            except csv.Error as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     out = {}
     for station in sorted(per_station):
         rows = sorted(per_station[station], key=lambda r: r[0])
@@ -549,7 +553,7 @@ def _run_chain(target, config: SamplerConfig, q0: np.ndarray, rng: np.random.Gen
                 mu = np.log(10.0 * eps)
                 log_eps_bar, h_bar, da_iter = np.log(eps), 0.0, 1
             if it == n_warmup - 1:
-                if warmup_divergences >= n_warmup:
+                if n_warmup >= _MIN_ABORT_WARMUP and warmup_divergences >= n_warmup:
                     raise NumericError(
                         f"all {n_warmup} warmup iterations diverged; the target may be "
                         "ill-conditioned or the gradient wrong"
@@ -771,6 +775,72 @@ def oracle_hmev_target(target, events, trials):
     """``HmevTarget``'s value and gradient by the former one-row kernel."""
     c = _CompiledHmev(events, trials)
     return lambda v: _hmev_value_grad(np.asarray(v, dtype=float), c, target.prior, True)[:2]
+
+
+# ---------------------------------------------------------------------------
+# The split-chain diagnostics on stacked copies of the draws
+# ---------------------------------------------------------------------------
+#
+# Kept verbatim as the bit-for-bit reference for ``shmev.hmc.rhat_ess``,
+# which takes one split chain at a time.
+
+def split_chains(x: np.ndarray) -> np.ndarray:
+    """(M, N, dim) -> (2M, N//2, dim), dropping the middle draw when N is odd."""
+    m, n, dim = x.shape
+    half = n // 2
+    return np.concatenate([x[:, :half], x[:, n - half:]], axis=0)
+
+
+def stacked_autocovariance(x: np.ndarray) -> np.ndarray:
+    """Biased autocovariance along axis 1 via FFT; x is (chains, n, dim)."""
+    n = x.shape[1]
+    centered = x - x.mean(axis=1, keepdims=True)
+    size = 2 ** int(np.ceil(np.log2(2 * n)))
+    f = np.fft.rfft(centered, n=size, axis=1)
+    acov = np.fft.irfft(f * np.conj(f), n=size, axis=1)[:, :n]
+    return acov.real / n
+
+
+def stacked_rhat_ess(draws):
+    """``rhat_ess`` as it was: every split chain copied into one stacked
+    array, and one FFT over all of them."""
+    if isinstance(draws, PosteriorDraws):
+        x = draws.by_chain()
+    else:
+        x = np.asarray(draws, dtype=float)
+        if x.ndim == 2:
+            x = x[:, :, None]
+    m, n, dim = x.shape
+    if m < 2:
+        return None, None, None
+    if n < 4:
+        raise ValueError("need at least 4 post-warmup draws per chain")
+
+    s = split_chains(x)  # (2M, half, dim)
+    n_half = s.shape[1]
+    means = s.mean(axis=1)                      # (2M, dim)
+    variances = s.var(axis=1, ddof=1)           # (2M, dim)
+    w = variances.mean(axis=0)                  # within-chain
+    b = n_half * means.var(axis=0, ddof=1)      # between-chain
+    degenerate = w <= 0.0
+    w_safe = np.where(degenerate, 1.0, w)
+    var_plus = (n_half - 1.0) / n_half * w + b / n_half
+    rhat = np.sqrt(np.where(degenerate, 1.0, var_plus / w_safe))
+
+    acov = stacked_autocovariance(s)            # (2M, half, dim)
+    tau_t = acov.mean(axis=0)                   # (half, dim)
+    var_plus_safe = np.where(var_plus <= 0.0, 1.0, var_plus)
+    rho = 1.0 - (w - tau_t) / var_plus_safe     # (half, dim)
+    rho[0] = 1.0
+    total = m * n
+    max_pairs = (n_half - 1) // 2
+    pairs = rho[0:2 * max_pairs:2] + rho[1:2 * max_pairs:2]   # (max_pairs, dim)
+    kept = np.logical_and.accumulate(~(pairs < 0.0), axis=0)
+    terms = np.where(kept, np.minimum.accumulate(pairs, axis=0), 0.0)
+    pair_sum = np.cumsum(np.vstack([np.zeros(dim), terms]), axis=0)[-1]
+    tau = np.maximum(-1.0 + 2.0 * pair_sum, 1.0 / total)
+    ess = np.where(degenerate, np.nan, total / tau)
+    return rhat, ess, degenerate
 
 
 def per_draw_quantiles_reference(est, probs, tol=None):

@@ -194,6 +194,23 @@ class TestEndToEnd:
         assert rows
         assert all(r["rhat"] == "" and r["ess"] == "" and r["degenerate"] == "" for r in rows)
 
+    @pytest.mark.parametrize("model", ["shmev", "hmev", "gev"])
+    def test_one_warmup_iteration_fits(self, study, tmp_path, capsys, model):
+        # the smallest run the config accepts; a divergent warmup iteration
+        # (as in the hmev and gev fits here) is too little evidence to abort on
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        body["fit"]["model"] = model
+        body["fit"]["sampler"]["iterations"] = 2
+        if model == "gev":
+            body["fit"].pop("covariates")
+            body["fit"].pop("covariate_columns")
+        short_config = write_config(tmp_path / "short.yaml", body)
+        assert main(["fit", "--config", str(short_config), "--out", str(tmp_path / "fit")]) == 0
+        assert capsys.readouterr().err == ""
+        fitted = load_fit(tmp_path / "fit")
+        assert {post.draws.shape[0] for post in fitted.posteriors.values()} == {2}
+
 
 class TestDeterminism:
     def test_identical_config_and_seed_give_byte_identical_artifacts(self, tmp_path):
@@ -504,6 +521,28 @@ class TestValidation:
         assert err["command"] == "evaluate"
         assert "field larger than field limit" in err["message"]
         assert not (out / "evaluate" / "manifest.json").exists()
+
+    def test_events_csv_error_names_path_and_line(self, study, tmp_path, capsys):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        header, first, *rest = Path(body["fit"]["events"]).read_text().splitlines()
+        bad = tmp_path / "events.csv"
+        bad.write_text("\n".join([header, first, "S" * 40 + first[first.index(","):], *rest]) + "\n")
+        body["fit"]["events"] = str(bad)
+        config = write_config(tmp_path / "config.yaml", body)
+        limit = csv.field_size_limit(30)
+        try:
+            code = main(["fit", "--config", str(config), "--out", str(tmp_path / "out")])
+        finally:
+            csv.field_size_limit(limit)
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "command": "fit",
+            "error": "DataError",
+            "exit_code": 3,
+            "message": f"{bad}:3: field larger than field limit (30)",
+        }
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "command, key", [("fit", "covariates"), ("map", "grid"), ("evaluate", "test_maxima")]

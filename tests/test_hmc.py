@@ -1,5 +1,6 @@
 import csv
 import multiprocessing
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -10,17 +11,22 @@ from shmev.hmc import (
     HmcJob,
     PosteriorDraws,
     SamplerConfig,
-    _autocovariance,
+    _MIN_ABORT_WARMUP,
     _leapfrog,
     _Rows,
-    _split_chains,
     rhat_ess,
     run_hmc,
     run_hmc_jobs,
     trace_export,
 )
 
-from .oracles import csv_writer_trace_export, oracle_run_hmc
+from .oracles import (
+    csv_writer_trace_export,
+    oracle_run_hmc,
+    split_chains,
+    stacked_autocovariance,
+    stacked_rhat_ess,
+)
 
 NORMAL_5_2_Q975 = 8.919927969080108  # 5 + 2 * Phi^-1(0.975)
 
@@ -50,13 +56,13 @@ def make_draws(draws, n_chains, names=None):
 def loop_ess(x):
     """The per-parameter Geyer loop that ``rhat_ess`` replaced, as a reference."""
     m, n, dim = x.shape
-    s = _split_chains(x)
+    s = split_chains(x)
     n_half = s.shape[1]
     w = s.var(axis=1, ddof=1).mean(axis=0)
     b = n_half * s.mean(axis=1).var(axis=0, ddof=1)
     degenerate = w <= 0.0
     var_plus = (n_half - 1.0) / n_half * w + b / n_half
-    tau_t = _autocovariance(s).mean(axis=0)
+    tau_t = stacked_autocovariance(s).mean(axis=0)
     rho = 1.0 - (w - tau_t) / np.where(var_plus <= 0.0, 1.0, var_plus)
     rho[0] = 1.0
     ess = np.empty(dim)
@@ -176,17 +182,41 @@ class TestRunHmc:
         )
 
     def test_kinetic_energy_overflow_is_a_silent_divergence(self):
-        from shmev.errors import NumericError
-
         def steep(v):
             # finite density whose gradient drives the momentum past sqrt(max float)
             return 0.0, np.full(v.size, 1e200)
 
-        config = SamplerConfig(n_chains=1, n_iterations=2, seed=3)  # one warmup step
+        # one warmup step, too short to abort on: the fit completes, and the
+        # kept step's overflow counts as a divergence
+        config = SamplerConfig(n_chains=1, n_iterations=2, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(NumericError, match="all 1 warmup iterations diverged"):
-                run_hmc(steep, config, np.zeros((1, 2)))
+            post = run_hmc(steep, config, np.zeros((1, 2)))
+        assert post.divergences.tolist() == [1]
+        assert post.draws.tolist() == [[0.0, 0.0]]
+
+    @pytest.mark.parametrize("n_iterations", [2, 4, 2 * _MIN_ABORT_WARMUP - 2])
+    def test_a_divergent_warmup_too_short_to_abort_on_completes(self, n_iterations):
+        from shmev.errors import NumericError
+
+        def spike(v):
+            # finite only at the exact starting point: every trajectory diverges
+            if np.all(v == 0.0):
+                return 0.0, np.zeros(v.size)
+            return -np.inf, np.zeros(v.size)
+
+        config = SamplerConfig(n_chains=2, n_iterations=n_iterations, seed=3)
+        post = run_hmc(spike, config, np.zeros((2, 2)), n_workers=2)
+        assert post.divergences.tolist() == [config.n_kept] * 2
+        assert not post.draws.any()
+        oracle = oracle_run_hmc(spike, config, np.zeros((2, 2)))
+        assert np.array_equal(oracle["draws"], post.draws)
+        assert np.array_equal(oracle["divergences"], post.divergences)
+        # the shortest warmup that aborts
+        config = replace(config, n_iterations=2 * _MIN_ABORT_WARMUP)
+        for sample in (run_hmc, oracle_run_hmc):
+            with pytest.raises(NumericError, match=f"all {_MIN_ABORT_WARMUP} warmup iterations diverged"):
+                sample(spike, config, np.zeros((2, 2)))
 
 
 def one_row_leapfrog(target, q, p, grad, eps, n_steps, mass):
@@ -286,6 +316,39 @@ class TestRhatEss:
         assert list(degenerate) == [False, False, False, False, True, True, False]
         # one parameter alone: its pair sums lie along the contiguous axis
         assert np.array_equal(rhat_ess(x[..., 1:2])[1], loop_ess(x[..., 1:2]))
+
+    @pytest.mark.parametrize("dim", [3, 45, 1091])
+    @pytest.mark.parametrize("n", [5, 101])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_one_split_chain_at_a_time_equals_the_stacked_computation(self, m, n, dim):
+        rng = np.random.default_rng(1000 * m + n + dim)
+        x = rng.standard_normal((m, n, dim)).cumsum(axis=1)
+        x[..., 1] = 2.5  # degenerate
+        post = make_draws(x.reshape(m * n, dim).copy(), n_chains=m)
+        x[m - 1, n // 2, 2] = np.nan  # (posterior draws are finite)
+        for draws in (x, post, x[..., 0]):  # (chains, n) is one parameter
+            got, expected = rhat_ess(draws), stacked_rhat_ess(draws)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(6, 50, 100), (8, 64, 33)])
+    def test_halves_take_the_stacked_power_spectrum_order(self, shape):
+        # the stacked spectrum reaches numpy's 256 KiB temporary-elision size
+        # while each half's does not
+        x = np.random.default_rng(sum(shape)).standard_normal(shape).cumsum(axis=1)
+        for a, b in zip(rhat_ess(x), stacked_rhat_ess(x)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_traced_peak_is_under_three_copies_of_the_draws(self):
+        x = np.random.default_rng(4).standard_normal((4, 400, 200))
+        rhat_ess(x)  # any allocation numpy caches on first use
+        tracemalloc.start()
+        try:
+            rhat_ess(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.nbytes
 
 
 class TestTraceExport:
@@ -415,6 +478,16 @@ class TestLockstepEqualsFormerSampler:
         posts = run_hmc_jobs(jobs)
         assert posts[0].divergences.sum() > 0 and posts[1].divergences.sum() == 0
         for post, job in zip(posts, jobs):
+            assert_equals_former_sampler(post, job)
+
+    def test_batched_rows_beside_rows_called_one_by_one(self, wei_small):
+        # GEV rows (one kernel call) around the rows of a plain 3-dimensional
+        # target in one lockstep group
+        config = SamplerConfig(n_chains=2, n_iterations=40, leapfrog_steps=8, seed=0)
+        gev = station_jobs(wei_small.train, config, models=("gev",))[:2]
+        plain, _ = std_normal_target(3)
+        jobs = [gev[0], HmcJob(plain, replace(config, seed=9), np.ones((2, 3))), gev[1]]
+        for post, job in zip(run_hmc_jobs(jobs), jobs):
             assert_equals_former_sampler(post, job)
 
     def test_short_warmup_without_a_mass_window(self, wei_small):
