@@ -336,9 +336,10 @@ def _magnitude_ranges(events_by_station: Mapping[str, list[np.ndarray]]) -> dict
 
 
 @contextmanager
-def _elicitation(context: str):
-    """Report the ``ValueError`` a prior elicitation raises on degenerate data
-    (equal magnitudes or maxima, too few events) as a ``DataError``."""
+def _data_errors(context: str):
+    """Report the ``ValueError`` a prior elicitation or a target's own check
+    raises on the data (equal magnitudes or maxima, too few events, more
+    events in a block than ``trials_per_block``) as a ``DataError``."""
     try:
         yield
     except ValueError as exc:
@@ -395,18 +396,19 @@ def cmd_fit(
     # every fit is a list of (key, job, prior): one keyed "" for the spatial
     # fit, one per station, in station order, for a per-site fit
     if section.model == "shmev":
-        dataset = build_dataset(
-            selected,
-            section.train_blocks,
-            section.covariate_columns,
-            section.wet_day_threshold,
-            section.trials_per_block,
-            events=list(events_by_station.values()),
-        )
+        with _data_errors("training data"):
+            dataset = build_dataset(
+                selected,
+                section.train_blocks,
+                section.covariate_columns,
+                section.wet_day_threshold,
+                section.trials_per_block,
+                events=list(events_by_station.values()),
+            )
         if isinstance(section.priors, ShmevPriorSpec):
             prior = section.priors
         else:
-            with _elicitation("prior elicitation"):
+            with _data_errors("prior elicitation"):
                 prior = elicit_priors(dataset, section.priors)
         target = ShmevTarget(dataset, prior)
         init = _chain_inits(target, section.sampler, seed)
@@ -427,17 +429,16 @@ def cmd_fit(
             blocks = events_by_station[rec.station]
             site_seed = _site_seed(seed, idx)
             site_cfg = replace(section.sampler, seed=site_seed)
-            if section.model == "gev":
-                maxima = np.array([b.max() for b in blocks if b.size])
-                with _elicitation(f"station {rec.station}"):
+            with _data_errors(f"station {rec.station}"):
+                if section.model == "gev":
+                    maxima = np.array([b.max() for b in blocks if b.size])
                     prior = GevPriorSpec.from_maxima(maxima)
-                target = GevTarget(maxima, prior)
-                names = list(GevTarget.layout_names)
-            else:
-                with _elicitation(f"station {rec.station}"):
+                    target = GevTarget(maxima, prior)
+                    names = list(GevTarget.layout_names)
+                else:
                     prior = elicit_hmev_priors(blocks, section.trials_per_block, section.priors)
-                target = HmevTarget(blocks, section.trials_per_block, prior)
-                names = target.layout.param_names()
+                    target = HmevTarget(blocks, section.trials_per_block, prior)
+                    names = target.layout.param_names()
             job = HmcJob(target, site_cfg, _chain_inits(target, site_cfg, site_seed), names)
             fits.append((rec.station, job, prior))
         meta["layout"] = {"J": section.train_blocks}
@@ -555,10 +556,14 @@ def _read_grid_file(path: Path, snapshot: StandardizationSnapshot) -> GridCovari
             values.append([float(v) for v in row])
         except ValueError as exc:
             raise DataError(f"{path}:{line}: non-numeric grid value") from exc
+        if not np.all(np.isfinite(values[-1])):
+            raise DataError(f"{path}:{line}: non-finite grid value")
     if tuple(header) != tuple(snapshot.names):
         raise DataError(
             f"grid columns {header} must match the training snapshot {list(snapshot.names)}"
         )
+    if not values:
+        raise DataError(f"{path}: no grid points")
     return GridCovariates(names=tuple(header), values=np.asarray(values, dtype=float), snapshot=snapshot)
 
 

@@ -250,6 +250,15 @@ def _strings(what: str, min_items: int = 0):
     return parse
 
 
+def _station_ids(value, context: str) -> tuple[str, ...]:
+    """A non-empty list of station ids, none of them repeated."""
+    ids = _strings("a non-empty list of station ids", min_items=1)(value, context)
+    repeated = [s for k, s in enumerate(ids) if s in ids[:k]]
+    if repeated:
+        raise ConfigError(f"{context}: repeated station {repeated[0]!r}")
+    return ids
+
+
 def _fit_dirs(value, context: str) -> dict[str, str]:
     if not isinstance(value, Mapping) or not value:
         raise ConfigError(f"{context}: expected a non-empty mapping of label -> fit dir")
@@ -310,7 +319,7 @@ _FIT_KEYS = {
     "events": _as_str,
     "covariates": _as_str,
     "covariate_columns": _strings("a list of strings"),
-    "stations": _strings("a non-empty list of station ids", min_items=1),
+    "stations": _station_ids,
     "train_blocks": _count(1),
     "trials_per_block": _count(1),
     "wet_day_threshold": _NON_NEGATIVE,

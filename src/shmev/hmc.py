@@ -7,13 +7,14 @@ freezes both after warmup.  Chains own independent random streams spawned
 deterministically from the seed, so results are reproducible regardless of
 worker count.
 
-Chains run as rows that advance in lockstep: each iteration draws every
-row's momentum and jittered step count from the row's own stream, moves all
-trajectories together until the longest one ends, then accepts and adapts
-each row separately.  Each leapfrog step evaluates the rows' targets in one
-call of a row-batched kernel where their class has one (``batch_kernel``,
-see ``shmev.model``), else row by row.  No arithmetic mixes rows, so a row's
-draws equal those of the chain sampled alone, bit for bit.
+Chains run as rows that advance in lockstep, from the search for the first
+step sizes on: each iteration draws every row's momentum and jittered step
+count from the row's own stream, moves all trajectories together until the
+longest one ends, then accepts and adapts each row separately.  Each
+leapfrog step evaluates the rows' targets in one call of a row-batched
+kernel where their class has one (``batch_kernel``, see ``shmev.model``),
+else row by row.  No arithmetic mixes rows, so a row's draws equal those of
+the chain sampled alone, bit for bit.
 
 ``run_hmc_jobs`` samples several posteriors (jobs) at once, one row per
 chain.  With more than one worker, the rows are split into contiguous spans
@@ -124,40 +125,6 @@ class PosteriorDraws:
         return self.draws.reshape(self.n_chains, self.n_kept_per_chain, self.dim)
 
 
-def _find_reasonable_epsilon(target, q, mass, rng) -> float:
-    """Double/halve an initial step size until one leapfrog step has
-    acceptance ratio crossing 1/2 (Hoffman & Gelman 2014, alg. 4)."""
-    eps = 1.0
-    logp, grad = target(q)
-    if not np.isfinite(logp):
-        raise NumericError("initial point has non-finite log density")
-    p = rng.standard_normal(q.size) * np.sqrt(mass)
-
-    def energy_delta(eps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            p1 = p + 0.5 * eps * grad
-            q1 = q + eps * p1 / mass
-            logp1, grad1 = target(q1)
-            p1 = p1 + 0.5 * eps * grad1
-            if not np.isfinite(logp1):
-                return -np.inf
-            delta = (logp1 - 0.5 * np.sum(p1 * p1 / mass)) - (logp - 0.5 * np.sum(p * p / mass))
-        return delta if np.isfinite(delta) else -np.inf
-
-    delta = energy_delta(eps)
-    direction = 1.0 if delta > np.log(0.5) else -1.0
-    for _ in range(100):
-        eps = eps * (2.0 ** direction)
-        delta = energy_delta(eps)
-        if direction > 0 and delta <= np.log(0.5):
-            break
-        if direction < 0 and delta >= np.log(0.5):
-            break
-        if eps < 1e-12 or eps > 1e7:
-            break
-    return eps
-
-
 class _Rows:
     """Value and gradient of one target per row of an ``(R, dim)`` array.
 
@@ -197,20 +164,20 @@ class _Rows:
 
 def _leapfrog(evaluate: _Rows, q, p, grad, eps, n_steps, mass):
     """Velocity-leapfrog trajectories of all rows in lockstep: row ``r``
-    takes ``n_steps[r]`` steps of size ``eps[r]``.  A row whose value or
-    gradient turns non-finite stops there with a ``-inf`` value.  Returns
-    the final ``(q, p, logp, grad)``."""
+    takes ``n_steps[r]`` steps of size ``eps[r]`` (a row with none is left
+    out, its result undefined).  A row whose value or gradient turns
+    non-finite stops there with a ``-inf`` value.  Returns ``(q, p, logp, grad)``."""
     rows = q.shape[0]
     step = eps[:, None]
     shortest = int(n_steps.min())
-    p = p + (0.5 * eps)[:, None] * grad
+    q, p = q.copy(), p + (0.5 * eps)[:, None] * grad
     logp, grad, new_logp, new_grad = np.empty(rows), grad.copy(), np.empty(rows), np.empty_like(grad)
-    moving, all_moving = np.ones(rows, dtype=bool), True
+    moving, all_moving = n_steps > 0, shortest > 0
     for k in range(int(n_steps.max())):
         if all_moving:
-            q = q + step * p / mass
+            q += step * p / mass
         else:
-            q[moving] = q[moving] + step[moving] * p[moving] / mass[moving]
+            q[moving] += step[moving] * p[moving] / mass[moving]
         evaluate(q, moving, new_logp, new_grad)
         finite = np.isfinite(new_logp) & np.logical_and.reduce(np.isfinite(new_grad), axis=1)
         if all_moving and k < shortest - 1 and finite.all():
@@ -228,6 +195,39 @@ def _leapfrog(evaluate: _Rows, q, p, grad, eps, n_steps, mass):
     return q, p, logp, grad
 
 
+def _hamiltonian(logp, p, mass):
+    """Each row's energy ``-logp + p'M^-1 p / 2``."""
+    return -logp + 0.5 * np.add.reduce(p * p / mass, axis=1)
+
+
+def _first_step_sizes(evaluate: _Rows, q, logp, grad, mass, streams) -> np.ndarray:
+    """Each row's first step size (Hoffman & Gelman 2014, alg. 4), all rows
+    in lockstep.  From 1, a row doubles its step size while one leapfrog
+    step from ``q`` (momentum from the row's stream) has acceptance ratio
+    above 1/2, else halves it until the ratio reaches 1/2, a non-finite one
+    counting as 0; it stops there, outside [1e-12, 1e7] or after 100 changes."""
+    rows, dim = q.shape
+    p = np.array([rng.standard_normal(dim) for rng in streams]) * np.sqrt(mass)
+    h0 = _hamiltonian(logp, p, mass)
+    half = np.log(0.5)
+    eps, searching = np.ones(rows), np.ones(rows, dtype=bool)
+    # a step size far off can overflow a trajectory, a ratio of 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(100):
+            _, p1, logp1, _ = _leapfrog(evaluate, q, p, grad, eps, searching.astype(int), mass)
+            log_ratio = h0 - _hamiltonian(logp1, p1, mass)
+            log_ratio = np.where(np.isfinite(log_ratio), log_ratio, -np.inf)
+            if k == 0:
+                up = log_ratio > half
+            else:
+                searching &= np.where(up, log_ratio > half, log_ratio < half)
+            eps = np.where(searching, eps * np.where(up, 2.0, 0.5), eps)
+            searching &= (eps >= 1e-12) & (eps <= 1e7)
+            if not searching.any():
+                break
+    return eps
+
+
 def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams: Sequence) -> list[dict]:
     """Sample one chain per row of ``q0`` in lockstep: every iteration draws
     each row's momentum and jittered step count from the row's own stream,
@@ -243,9 +243,7 @@ def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams:
         raise NumericError("chain initialized at a point with non-finite log density")
 
     n_warmup = config.n_warmup
-    eps = np.array([
-        _find_reasonable_epsilon(target, q[r], mass[r], rng) for r, (target, rng) in enumerate(zip(targets, streams))
-    ])
+    eps = _first_step_sizes(evaluate, q, logp, grad, mass, streams)
     mu = np.log(10.0 * eps)
     log_eps_bar, h_bar, da_iter = np.log(eps), np.zeros(rows), 1
 
@@ -270,12 +268,11 @@ def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams:
         p0 *= np.sqrt(mass)
         q1, p1, logp1, grad1 = _leapfrog(evaluate, q, p0, grad, eps, n_steps, mass)
 
-        h0 = -logp + 0.5 * np.add.reduce(p0 * p0 / mass, axis=1)
+        h0 = _hamiltonian(logp, p0, mass)
         # a diverging trajectory can overflow the kinetic energy to inf,
         # which the delta_h check below marks divergent
         with np.errstate(over="ignore", invalid="ignore"):
-            kinetic1 = 0.5 * np.add.reduce(p1 * p1 / mass, axis=1)
-            h1 = np.where(np.isfinite(logp1), -logp1 + kinetic1, np.inf)
+            h1 = np.where(np.isfinite(logp1), _hamiltonian(logp1, p1, mass), np.inf)
             delta_h = h1 - h0
             divergent = ~np.isfinite(delta_h) | (delta_h > _MAX_ENERGY_ERROR)
             alpha = np.where(divergent, 0.0, np.where(delta_h <= 0.0, 1.0, np.exp(-delta_h)))
@@ -484,8 +481,8 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
     odd), which are views of the draws: the means, variances and
     autocovariances are computed one half at a time, as Vehtari et al. (2021)
     do, and only the reductions across halves run on stacked arrays.  The
-    largest transient is one ``(2 * chains, n // 2, dim)`` array of
-    autocovariances, so about two copies of the draws are held at once.
+    autocovariances are summed as they are computed, so the largest
+    transients are one half's FFT buffers, a few times one half's size.
     """
     if isinstance(draws, PosteriorDraws):
         x = draws.by_chain()
@@ -511,11 +508,12 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
     var_plus = (n_half - 1.0) / n_half * w + b / n_half
     rhat = np.sqrt(np.where(degenerate, 1.0, var_plus / w_safe))
 
-    # ESS: Geyer initial monotone positive sequence on combined autocorrelations
-    acov = np.empty((2 * m, n_half, dim))
-    for k, h in enumerate(halves):
-        acov[k] = _autocovariance(h[None], 2 * m)[0]
-    tau_t = acov.mean(axis=0)                   # (half, dim)
+    # ESS: Geyer initial monotone positive sequence on combined autocorrelations;
+    # the halves' autocovariances are summed in the order of a mean over their stack
+    tau_t = _autocovariance(halves[0][None], 2 * m)[0]
+    for h in halves[1:]:
+        tau_t += _autocovariance(h[None], 2 * m)[0]
+    tau_t /= 2 * m                              # (half, dim)
     var_plus_safe = np.where(var_plus <= 0.0, 1.0, var_plus)
     rho = 1.0 - (w - tau_t) / var_plus_safe     # (half, dim)
     rho[0] = 1.0

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -568,6 +569,73 @@ class TestValidation:
             "message": f"{bad}:2: field larger than field limit (30)",
         }
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("shmev", r"training data: site S01 block 0: \d+ events exceed trials_per_block=20"),
+            ("hmev", r"station S01: block event count exceeds trials_per_block"),
+            # a GEV fit reads only the block maxima
+            ("gev", None),
+        ],
+        ids=["shmev", "hmev", "gev"],
+    )
+    def test_trials_per_block_below_a_block_event_count_is_data_error(self, study, tmp_path, capsys, model, message):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        body["fit"].update(model=model, trials_per_block=20)
+        body["fit"]["sampler"]["iterations"] = 20
+        bad = write_config(tmp_path / "fit.yaml", body)
+        code = main(["fit", "--config", str(bad), "--out", str(tmp_path / "fit")])
+        if message is None:
+            assert code == 0
+            return
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert re.fullmatch(message, err.pop("message"))
+        assert err == {"command": "fit", "error": "DataError", "exit_code": 3}
+        assert not (tmp_path / "fit" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "{grid}: no grid points"),
+            (["0.2,nan"], "{grid}:2: non-finite grid value"),
+            (["0.2,0.3", "inf,0.6"], "{grid}:3: non-finite grid value"),
+            (["0.2,-inf"], "{grid}:2: non-finite grid value"),
+        ],
+        ids=["empty", "nan", "inf", "-inf"],
+    )
+    def test_grid_without_points_or_with_a_non_finite_value_is_data_error(self, study, tmp_path, capsys, rows, message):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        grid = tmp_path / "grid.csv"
+        grid.write_text("\n".join(["z1,z2", *rows]) + "\n")
+        body["map"]["grid"] = str(grid)
+        bad = write_config(tmp_path / "map.yaml", body)
+        assert main(["map", "--config", str(bad), "--out", str(tmp_path / "map")]) == 3
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "command": "map",
+            "error": "DataError",
+            "exit_code": 3,
+            "message": message.format(grid=grid),
+        }
+        assert not (tmp_path / "map" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("model", ["shmev", "hmev"])
+    def test_repeated_fit_station_is_config_error(self, tmp_path, capsys, model):
+        out = tmp_path / "runs"
+        body = yaml.safe_load(tiny_study_config(tmp_path, out).read_text())
+        body["fit"].update(model=model, stations=["S01", "S01", "S02", "S03"])
+        bad = write_config(tmp_path / "bad.yaml", body)
+        assert main(["fit", "--config", str(bad), "--out", str(out / "fit")]) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "command": "fit",
+            "error": "ConfigError",
+            "exit_code": 2,
+            "message": "fit.stations: repeated station 'S01'",
+        }
+        assert not (out / "fit" / "manifest.json").exists()
 
     @pytest.mark.parametrize("model", ["hmev", "gev"])
     def test_map_on_a_per_site_fit_is_config_error(self, study, tmp_path, capsys, model):

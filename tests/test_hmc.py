@@ -512,3 +512,106 @@ class TestLockstepEqualsFormerSampler:
             for a, b in zip(serial, forked):
                 for field in ("draws", "step_sizes", "accept_prob", "divergences"):
                     assert np.array_equal(getattr(a, field), getattr(b, field)), (n_workers, field)
+
+
+def gaussian_target(sd):
+    def target(v):
+        return -0.5 * float(v @ v) / sd**2, -v / sd**2
+
+    return target
+
+
+def boxed_target(v):
+    # a standard normal cut off at |v| = 0.05: steps of size 1 leave the box
+    if np.abs(v).max() > 0.05:
+        return -np.inf, np.zeros(v.size)
+    return -0.5 * float(v @ v), -v
+
+
+class TestLockstepWarmStart:
+    """The first step sizes are searched for on the lockstep rows, with the
+    iterations' leapfrog, and equal the former one-row search's."""
+
+    def test_rows_equal_the_former_search_wherever_it_ends(self):
+        from shmev.hmc import _first_step_sizes
+
+        from .oracles import _find_reasonable_epsilon
+
+        def cliff(v):
+            # the energy difference of a step off the plateau overflows to
+            # inf, a non-finite ratio
+            return (1e308 if np.abs(v).max() > 0.5 else -1e308), np.zeros(v.size)
+
+        # doubles to the upper bound, doubles or halves a little, halves,
+        # halves to the lower bound, halves out of a bounded support, halves
+        # off a cliff
+        sds = [1e9, 1.0, 1e-3, 1e-14, 0.01, 0.0]
+        targets = [gaussian_target(sd) for sd in sds[:4]] + [boxed_target, cliff]
+        calls = np.zeros(6, dtype=int)
+
+        def counted(r):
+            def target(v):
+                calls[r] += 1
+                return targets[r](v)
+
+            return target
+
+        q = np.random.default_rng(0).standard_normal((6, 3)) * np.array(sds)[:, None]
+        logp, grad = np.empty(6), np.empty((6, 3))
+        evaluate = _Rows([counted(r) for r in range(6)])
+        evaluate(q, np.ones(6, dtype=bool), logp, grad)
+        calls[:] = 0
+        ours = _first_step_sizes(evaluate, q, logp, grad, np.ones((6, 3)), [np.random.default_rng(s) for s in range(6)])
+        theirs = np.array([
+            _find_reasonable_epsilon(target, q[r], np.ones(3), np.random.default_rng(r))
+            for r, target in enumerate(targets)
+        ])
+        assert ours.tobytes() == theirs.tobytes()
+        assert ours[0] == 2.0**24 and ours[3] == 2.0**-40 and ours[5] < 1.0
+        assert len(set(ours)) == 6
+        # a row is evaluated at each step size it tried, from 1 to its last
+        # one, and a last one out of bounds is not tried
+        tried = np.abs(np.log2(ours)) + ((ours >= 1e-12) & (ours <= 1e7))
+        assert np.array_equal(calls, tried)
+
+    def test_searches_ending_at_different_rounds_in_one_run(self, monkeypatch):
+        import shmev.hmc as hmc
+
+        found = []
+        search = hmc._first_step_sizes
+
+        def recording(*args):
+            found.append(search(*args))
+            return found[-1]
+
+        config = SamplerConfig(n_chains=2, n_iterations=60, leapfrog_steps=8, seed=0)
+        plain, _ = std_normal_target(3)
+        jobs = [
+            HmcJob(gaussian_target(1e9), config, 1e9 * np.ones((2, 3))),
+            HmcJob(boxed_target, replace(config, seed=1), np.zeros((2, 3))),
+            HmcJob(plain, replace(config, seed=2), np.ones((2, 3))),
+        ]
+        monkeypatch.setattr(hmc, "_first_step_sizes", recording)
+        posts = run_hmc_jobs(jobs)
+        assert len(found) == 1
+        wide, boxed, normal = found[0].reshape(3, 2)
+        assert np.all(wide == 2.0**24) and np.all(boxed < 0.1) and np.all(normal >= 0.5)
+        for post, job in zip(posts, jobs):
+            assert_equals_former_sampler(post, job)
+
+    def test_batched_targets_are_called_one_row_at_a_time_only_for_the_dimension_check(self, wei_small, monkeypatch):
+        from shmev.model import _RowBatchedTarget
+
+        config = SamplerConfig(n_chains=2, n_iterations=20, leapfrog_steps=4, seed=0)
+        jobs = station_jobs(wei_small.train, config)[:6]
+        calls = []
+        one_row = _RowBatchedTarget._one_row
+
+        def counting(self, v):
+            calls.append(type(self).__name__)
+            return one_row(self, v)
+
+        monkeypatch.setattr(_RowBatchedTarget, "_one_row", counting)
+        run_hmc_jobs(jobs)
+        assert sorted(calls) == sorted(type(job.target).__name__ for job in jobs)
+        assert {"GevTarget", "HmevTarget"} <= set(calls)
