@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -222,10 +222,11 @@ def load_fit(fit_dir: str | Path) -> FittedModel:
     snapshot = (
         StandardizationSnapshot.from_dict(meta["snapshot"]) if meta.get("snapshot") else None
     )
-    # a spatial fit's diagnostics are stored unkeyed
+    # a spatial fit, the one with a snapshot, stores one posterior and its
+    # diagnostics unkeyed
     diags = meta["diagnostics"]
     posteriors = {}
-    for key in [""] if meta["model"] == "shmev" else meta["stations"]:
+    for key in [""] if snapshot is not None else meta["stations"]:
         diag = diags.get(key, diags)
         post_dir = fit_dir.joinpath(*_posterior_dir(key))
         draws = np.load(post_dir / "draws.npy")
@@ -311,9 +312,9 @@ def _select_records(records, stations):
     return [by_name[name] for name in stations]
 
 
-def _chain_inits(target, config: SamplerConfig, seed: int) -> np.ndarray:
+def _chain_inits(target, config: SamplerConfig) -> np.ndarray:
     base = target.initial_vector()
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     return base[None, :] + _INIT_SPREAD * rng.standard_normal((config.n_chains, base.size))
 
 
@@ -393,8 +394,8 @@ def cmd_fit(
         },
     }
 
-    # every fit is a list of (key, job, prior): one keyed "" for the spatial
-    # fit, one per station, in station order, for a per-site fit
+    # every fit is a list of (key, sampler config, target): one keyed "" for
+    # the spatial fit, one per station, in station order, for a per-site fit
     if section.model == "shmev":
         with _data_errors("training data"):
             dataset = build_dataset(
@@ -410,48 +411,38 @@ def cmd_fit(
         else:
             with _data_errors("prior elicitation"):
                 prior = elicit_priors(dataset, section.priors)
-        target = ShmevTarget(dataset, prior)
-        init = _chain_inits(target, section.sampler, seed)
-        fits = [("", HmcJob(target, section.sampler, init, target.layout.param_names()), prior)]
-        meta["layout"] = {
-            "p": dataset.n_covariates,
-            "J": dataset.n_blocks,
-            "S": dataset.n_sites,
-        }
-        meta["sites"] = [
-            {"station": s.station, "z": [float(v) for v in s.z], "raw": dict(s.raw)}
-            for s in dataset.sites
-        ]
-        meta["snapshot"] = dataset.snapshot.to_dict()
+        fits = [("", section.sampler, ShmevTarget(dataset, prior))]
+        meta["layout"] = {"p": dataset.n_covariates, "J": dataset.n_blocks, "S": dataset.n_sites}
+        design, snapshot = dataset.design_matrix(), dataset.snapshot.to_dict()
     else:
         fits = []
         for idx, rec in enumerate(selected):
             blocks = events_by_station[rec.station]
-            site_seed = _site_seed(seed, idx)
-            site_cfg = replace(section.sampler, seed=site_seed)
             with _data_errors(f"station {rec.station}"):
                 if section.model == "gev":
                     maxima = np.array([b.max() for b in blocks if b.size])
-                    prior = GevPriorSpec.from_maxima(maxima)
-                    target = GevTarget(maxima, prior)
-                    names = list(GevTarget.layout_names)
+                    target = GevTarget(maxima, GevPriorSpec.from_maxima(maxima))
                 else:
                     prior = elicit_hmev_priors(blocks, section.trials_per_block, section.priors)
                     target = HmevTarget(blocks, section.trials_per_block, prior)
-                    names = target.layout.param_names()
-            job = HmcJob(target, site_cfg, _chain_inits(target, site_cfg, site_seed), names)
-            fits.append((rec.station, job, prior))
+            fits.append((rec.station, replace(section.sampler, seed=_site_seed(seed, idx)), target))
         meta["layout"] = {"J": section.train_blocks}
-        meta["sites"] = [{"station": rec.station, "z": [1.0], "raw": dict(rec.covariates)} for rec in selected]
-        meta["snapshot"] = None
+        # a per-site fit has no covariates: each station's row is the intercept
+        design, snapshot = np.ones((len(selected), 1)), None
+    meta["sites"] = [
+        {"station": rec.station, "z": [float(v) for v in z], "raw": dict(rec.covariates)}
+        for rec, z in zip(selected, design)
+    ]
+    meta["snapshot"] = snapshot
 
-    posts = run_hmc_jobs([job for _, job, _ in fits], n_workers=threads)
+    jobs = [HmcJob(target, config, _chain_inits(target, config), target.param_names()) for _, config, target in fits]
+    posts = run_hmc_jobs(jobs, n_workers=threads)
     diagnostics, priors, summary_rows = {}, {}, []
-    for (key, _, prior), post in zip(fits, posts):
+    for (key, _, target), post in zip(fits, posts):
         np.save(session.path(*_posterior_dir(key), "draws.npy"), post.draws)
         np.save(session.path(*_posterior_dir(key), "chain.npy"), post.chain)
         diagnostics[key] = _diag_dict(post)
-        priors[key] = prior.to_dict()
+        priors[key] = asdict(target.prior)
         summary_rows.extend(_summary_rows(key, post))
     meta["param_names"] = posts[0].param_names
     # the spatial fit's priors and diagnostics are stored unkeyed
@@ -569,7 +560,7 @@ def _read_grid_file(path: Path, snapshot: StandardizationSnapshot) -> GridCovari
 
 def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: Path) -> None:
     fitted = load_fit(base_dir / section.fit_dir)
-    if fitted.kind != "shmev":
+    if fitted.snapshot is None:
         raise ConfigError("return-level maps require a spatial (shmev) fit")
     config = _predictive_config(fitted, section.blocks_per_draw)
     grid = _read_grid_file(base_dir / section.grid, fitted.snapshot)

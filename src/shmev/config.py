@@ -22,7 +22,7 @@ import yaml
 from .errors import ConfigError
 from .hmc import SamplerConfig
 from .ingest import ElicitationRules, QcPolicy
-from .model import ShmevPriorSpec
+from .model import InverseGammaPrior, NormalPrior, ShmevPriorSpec
 from .simulate import SCENARIOS, ScenarioConfig
 
 CONFIG_SCHEMA_VERSION = 1
@@ -198,31 +198,33 @@ def _build(cls, section, context: str, keys: Mapping, **fixed):
     return _construct(cls, context, **_values(cls, section, context, keys, fixed), **fixed)
 
 
-def _explicit_prior(value, context: str, n_coefficients: int) -> ShmevPriorSpec:
-    """A shmev prior given in full, in the form ``model.json`` stores it:
-    ``n_coefficients`` normal priors (``mean``, ``sd``) for each coefficient
-    vector and an inverse-gamma prior (``shape``, ``scale``) for each latent
-    Gumbel scale."""
-    spec = _as_mapping(value, context)
-    _check_keys(spec, {"beta_gamma", "beta_delta", "beta_lambda", "sigma_gamma", "sigma_delta"}, context)
+_NORMAL_KEYS = dict.fromkeys(("mean", "sd"), _as_float)
+_INVERSE_GAMMA_KEYS = dict.fromkeys(("shape", "scale"), _as_float)
 
-    def params(prior, where: str, names: tuple[str, str]) -> dict[str, float]:
-        prior = _as_mapping(prior, where)
-        _check_keys(prior, set(names), where)
-        return {name: _as_float(_need(prior, name, where), f"{where}.{name}") for name in names}
 
-    out: dict[str, Any] = {}
-    for key in ("beta_gamma", "beta_delta", "beta_lambda"):
-        priors = _need(spec, key, context)
-        if not isinstance(priors, (list, tuple)) or len(priors) != n_coefficients:
+def _normals(n_coefficients: int):
+    """A parser of a list of ``n_coefficients`` normal priors (``mean``, ``sd``)."""
+    def parse(value, context: str) -> tuple[NormalPrior, ...]:
+        if not isinstance(value, (list, tuple)) or len(value) != n_coefficients:
             raise ConfigError(
-                f"{context}.{key}: expected a list of {n_coefficients} priors, "
+                f"{context}: expected a list of {n_coefficients} priors, "
                 "one per covariate column plus the intercept"
             )
-        out[key] = [params(q, f"{context}.{key}[{i}]", ("mean", "sd")) for i, q in enumerate(priors)]
-    for key in ("sigma_gamma", "sigma_delta"):
-        out[key] = params(_need(spec, key, context), f"{context}.{key}", ("shape", "scale"))
-    return _construct(ShmevPriorSpec.from_dict, context, out)
+        return tuple(_build(NormalPrior, q, f"{context}[{i}]", _NORMAL_KEYS) for i, q in enumerate(value))
+
+    return parse
+
+
+def _explicit_prior(value, context: str, n_coefficients: int) -> ShmevPriorSpec:
+    """A shmev prior given in full, in the form ``model.json`` stores it:
+    ``n_coefficients`` normal priors for each coefficient vector and an
+    inverse-gamma prior (``shape``, ``scale``) for each latent Gumbel scale."""
+    return _build(ShmevPriorSpec, value, context, {
+        **dict.fromkeys(("beta_gamma", "beta_delta", "beta_lambda"), _normals(n_coefficients)),
+        **dict.fromkeys(
+            ("sigma_gamma", "sigma_delta"), lambda v, c: _build(InverseGammaPrior, v, c, _INVERSE_GAMMA_KEYS)
+        ),
+    })
 
 
 def _priors(value, context: str, model: str, n_coefficients: int) -> ElicitationRules | ShmevPriorSpec:
@@ -334,7 +336,7 @@ _SECTIONS = {
         "fit_dir": _as_str,
         "return_periods": _PERIODS,
         "blocks_per_draw": _count(1),
-        "stations": _strings("a list of station ids"),
+        "stations": _station_ids,
     }),
     "diagnose": (DiagnoseSection, {"fit_dir": _as_str}),
     "map": (MapSection, {

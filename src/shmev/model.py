@@ -208,31 +208,6 @@ class ShmevPriorSpec:
     def n_covariates(self) -> int:
         return len(self.beta_gamma) - 1
 
-    def to_dict(self) -> dict:
-        def norms(items):
-            return [{"mean": q.mean, "sd": q.sd} for q in items]
-
-        return {
-            "beta_gamma": norms(self.beta_gamma),
-            "beta_delta": norms(self.beta_delta),
-            "beta_lambda": norms(self.beta_lambda),
-            "sigma_gamma": {"shape": self.sigma_gamma.shape, "scale": self.sigma_gamma.scale},
-            "sigma_delta": {"shape": self.sigma_delta.shape, "scale": self.sigma_delta.scale},
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "ShmevPriorSpec":
-        def norms(items):
-            return tuple(NormalPrior(q["mean"], q["sd"]) for q in items)
-
-        return cls(
-            beta_gamma=norms(d["beta_gamma"]),
-            beta_delta=norms(d["beta_delta"]),
-            beta_lambda=norms(d["beta_lambda"]),
-            sigma_gamma=InverseGammaPrior(**d["sigma_gamma"]),
-            sigma_delta=InverseGammaPrior(**d["sigma_delta"]),
-        )
-
 
 @dataclass(frozen=True)
 class GevPriorSpec:
@@ -255,13 +230,6 @@ class GevPriorSpec:
             raise ValueError("maxima sample has zero spread")
         return cls(loc=NormalPrior(m, 2.0 * s), scale=GammaPrior(1.0, s))
 
-    def to_dict(self) -> dict:
-        return {
-            "loc": {"mean": self.loc.mean, "sd": self.loc.sd},
-            "scale": {"shape": self.scale.shape, "scale": self.scale.scale},
-            "shape": {"mean": self.shape.mean, "sd": self.shape.sd},
-        }
-
 
 @dataclass(frozen=True)
 class HmevPriorSpec:
@@ -273,18 +241,6 @@ class HmevPriorSpec:
     mu_delta: InverseGammaPrior
     sigma_delta: InverseGammaPrior
     event_rate: BetaPrior
-
-    def to_dict(self) -> dict:
-        def ig(q):
-            return {"shape": q.shape, "scale": q.scale}
-
-        return {
-            "mu_gamma": ig(self.mu_gamma),
-            "sigma_gamma": ig(self.sigma_gamma),
-            "mu_delta": ig(self.mu_delta),
-            "sigma_delta": ig(self.sigma_delta),
-            "event_rate": {"a": self.event_rate.a, "b": self.event_rate.b},
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +378,9 @@ class _Events:
         self.trials = trials
         self.counts = np.array([np.asarray(b).size for b in blocks], dtype=np.int64)
         self.n_b = self.counts.astype(float)
-        if np.any(self.n_b > trials):
-            raise ValueError("block event count exceeds trials_per_block")
+        over = np.flatnonzero(self.counts > trials)
+        if over.size:
+            raise ValueError(f"block {over[0]}: {self.counts[over[0]]} events exceed trials_per_block={trials}")
         logs, self.slx_b = [], np.zeros(len(blocks))
         for k, mags in enumerate(blocks):
             arr = np.asarray(mags, dtype=float)
@@ -651,14 +608,17 @@ class _RowBatchedTarget:
         """The log-posterior's terms at ``v``, for the hierarchies' kernels."""
         return {k: float(x[0]) for k, x in self._one_row(v)[2].items()}
 
+    def param_names(self) -> list[str]:
+        return self.layout.param_names()
+
 
 class _ShmevRows:
     """The spatial kernel over one ``ShmevTarget`` per row; the rows share a
     layout.  Each row's regressions (``Z @ beta``) and their transposes run
     one row at a time, as a batched product could change a row's bits; the
-    block kernel runs on all rows at once.  A block's Gumbel locations are
-    its site's regressions, and the location gradients go back through
-    ``Z.T`` from per-site sums.
+    block kernel and the priors run on all rows at once.  A block's Gumbel
+    locations are its site's regressions, and the location gradients go
+    back through ``Z.T`` from per-site sums.
     """
 
     def __init__(self, targets: Sequence["ShmevTarget"]):
@@ -672,11 +632,21 @@ class _ShmevRows:
         self.site_of_block = np.repeat(np.arange(S), J)
         self.sum_n = np.array([t._events.counts.reshape(S, J).sum(axis=1).astype(float) for t in targets])
         self.group_trials = J * np.array([[float(t._events.trials)] for t in targets])
+        # the coefficient priors and the latent-scale priors side by side, as
+        # the columns of V[:, :3(p+1)] and V[:, log_sigma_gamma:log_sigma_delta+1]
+        self.coef = _stacked(
+            [(*t.prior.beta_gamma, *t.prior.beta_delta, *t.prior.beta_lambda) for t in targets],
+            "mean", "sd", "_log_norm", "_var",
+        )
+        self.sigma = _stacked(
+            [(t.prior.sigma_gamma, t.prior.sigma_delta) for t in targets], "shape", "scale", "_log_norm"
+        )
 
     def __call__(self, V: np.ndarray):
         L, R = self.layout, V.shape[0]
         S, K = L.n_sites, L.n_sites * L.n_blocks
-        logp, grad = np.empty(R), np.empty(V.shape)
+        grad = np.empty(V.shape)
+        coef, sigma = V[:, :L.log_sigma_gamma], V[:, L.log_sigma_gamma:L.log_sigma_delta + 1]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
             loc, ell = np.empty((R, 2, K)), np.empty((R, S))
             for r, t in enumerate(self.targets):
@@ -687,33 +657,33 @@ class _ShmevRows:
                 self.events,
                 V[:, L.log_gamma.start:].reshape(R, 2, K),
                 loc,
-                V[:, L.log_sigma_gamma:L.log_sigma_delta + 1],
+                sigma,
                 ell,
                 self.sum_n,
                 self.group_trials,
             )
-            prior_terms = np.empty(R)
+            coef_prior = NormalPrior.logpdf(self.coef, coef)
+            sigma_prior = InverseGammaPrior.log_density_unconstrained(self.sigma, sigma)
+            # each coefficient group summed column by column, left to right:
+            # np.add.reduce may pair the terms otherwise and change the bits
+            prior_terms = (
+                sum(coef_prior[:, L.beta_gamma].T)
+                + sum(coef_prior[:, L.beta_delta].T)
+                + sum(coef_prior[:, L.beta_lambda].T)
+                + sigma_prior[:, 0]
+                + sigma_prior[:, 1]
+            )
             for r, t in enumerate(self.targets):
-                prior, v = t.prior, V[r]
-                bg, bd, bl = v[L.beta_gamma], v[L.beta_delta], v[L.beta_lambda]
-                lsg, lsd = v[L.log_sigma_gamma], v[L.log_sigma_delta]
-                prior_terms[r] = (
-                    sum(q.logpdf(x) for q, x in zip(prior.beta_gamma, bg))
-                    + sum(q.logpdf(x) for q, x in zip(prior.beta_delta, bd))
-                    + sum(q.logpdf(x) for q, x in zip(prior.beta_lambda, bl))
-                    + prior.sigma_gamma.log_density_unconstrained(lsg)
-                    + prior.sigma_delta.log_density_unconstrained(lsd)
-                )
                 v_g = np.bincount(self.site_of_block, weights=k.one_m_e[r, 0] / k.scale[r, 0], minlength=S)
                 v_d = np.bincount(self.site_of_block, weights=k.one_m_e[r, 1] / k.scale[r, 1], minlength=S)
-                grad[r, L.beta_gamma] = t._Z.T @ v_g + np.array([q.score(x) for q, x in zip(prior.beta_gamma, bg)])
-                grad[r, L.beta_delta] = t._Z.T @ v_d + np.array([q.score(x) for q, x in zip(prior.beta_delta, bd)])
-                grad[r, L.beta_lambda] = t._Z.T @ k.d_logit[r] + np.array(
-                    [q.score(x) for q, x in zip(prior.beta_lambda, bl)]
-                )
-                grad[r, L.log_sigma_gamma] = k.d_log_scale[r, 0] + prior.sigma_gamma.score_unconstrained(lsg)
-                grad[r, L.log_sigma_delta] = k.d_log_scale[r, 1] + prior.sigma_delta.score_unconstrained(lsd)
-            logp[:] = k.weibull + k.latent + k.binom + prior_terms + k.jacobian
+                grad[r, L.beta_gamma] = t._Z.T @ v_g
+                grad[r, L.beta_delta] = t._Z.T @ v_d
+                grad[r, L.beta_lambda] = t._Z.T @ k.d_logit[r]
+            grad[:, :L.log_sigma_gamma] += NormalPrior.score(self.coef, coef)
+            grad[:, L.log_sigma_gamma:L.log_sigma_delta + 1] = (
+                k.d_log_scale + InverseGammaPrior.score_unconstrained(self.sigma, sigma)
+            )
+            logp = k.weibull + k.latent + k.binom + prior_terms + k.jacobian
             grad[:, L.log_gamma.start:] = k.d_latent.reshape(R, 2 * K)
             _reject_non_finite(logp, grad)
         return logp, grad, _parts(k, prior_terms)
@@ -847,6 +817,9 @@ class GevTarget(_RowBatchedTarget):
         self.maxima = maxima
         self.prior = prior
         self.dim = 3
+
+    def param_names(self) -> list[str]:
+        return list(self.layout_names)
 
     def initial_vector(self) -> np.ndarray:
         return np.array(

@@ -346,8 +346,8 @@ class TestValidation:
             ("fit", lambda b: explicit(b).pop("beta_gamma"), "fit.priors.explicit"),
             ("fit", lambda b: b["fit"]["priors"].update(explicit=5), "fit.priors.explicit"),
             ("fit", lambda b: explicit(b)["beta_delta"][1].update(sd="wide"), "fit.priors.explicit.beta_delta[1].sd"),
-            ("fit", lambda b: explicit(b)["beta_lambda"][0].update(sd=-1.0), "fit.priors.explicit"),
-            ("fit", lambda b: explicit(b)["sigma_gamma"].update(shape=0.0), "fit.priors.explicit"),
+            ("fit", lambda b: explicit(b)["beta_lambda"][0].update(sd=-1.0), "fit.priors.explicit.beta_lambda[0]: "),
+            ("fit", lambda b: explicit(b)["sigma_gamma"].update(shape=0.0), "fit.priors.explicit.sigma_gamma: "),
             ("fit", lambda b: explicit(b)["beta_gamma"].pop(), "fit.priors.explicit.beta_gamma"),
             ("fit", lambda b: explicit(b)["sigma_delta"].update(scale=float("nan")), "fit.priors.explicit.sigma_delta.scale"),
             # or one given for a single-site model
@@ -359,6 +359,13 @@ class TestValidation:
             ("fit", lambda b: b["fit"].update(priors=3), "fit.priors"),
             ("fit", lambda b: b["fit"].update(priors={"intervals": 5}), "fit.priors.intervals"),
             ("evaluate", lambda b: b["evaluate"].update(fits=["fit"]), "evaluate.fits"),
+            # a station listed twice, or no station
+            (
+                "predict",
+                lambda b: b["predict"].update(stations=["S01", "S02", "S01"]),
+                "predict.stations: repeated station 'S01'",
+            ),
+            ("predict", lambda b: b["predict"].update(stations=[]), "predict.stations: expected a non-empty list"),
             # keys of mixed types, values that are not finite
             ("fit", lambda b: b["fit"].update(sampler={1: 2, "bogus": 3}), "fit.sampler"),
             ("evaluate", lambda b: b["evaluate"].update(threshold_return_time=float("inf")), "evaluate.threshold_return_time"),
@@ -410,6 +417,51 @@ class TestValidation:
         run_command("fit", write_config(tmp_path / "explicit.yaml", body), tmp_path / "fit")
         for name in ("model.json", "draws.npy", "chain.npy", "summary.csv"):
             assert (tmp_path / "fit" / name).read_bytes() == (out / "fit" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("model", ["shmev", "hmev", "gev"])
+    def test_model_json_priors_hold_each_fitted_prior_by_field(self, study, tmp_path, monkeypatch, model):
+        # the layout that fit.priors.explicit reads back
+        import shmev.cli as cli
+
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        body["fit"].update(model=model, stations=["S01", "S02"])
+        body["fit"]["sampler"]["iterations"] = 20
+        fitted = []
+        run_hmc_jobs = cli.run_hmc_jobs
+
+        def capture(jobs, **kwargs):
+            fitted.extend(job.target.prior for job in jobs)
+            return run_hmc_jobs(jobs, **kwargs)
+
+        monkeypatch.setattr(cli, "run_hmc_jobs", capture)
+        run_command("fit", write_config(tmp_path / "fit.yaml", body), tmp_path / "fit")
+
+        def normal(q):
+            return {"mean": q.mean, "sd": q.sd}
+
+        def shape_scale(q):
+            return {"shape": q.shape, "scale": q.scale}
+
+        def layout(prior):
+            if model == "shmev":
+                return {
+                    **{k: [normal(q) for q in getattr(prior, k)] for k in ("beta_gamma", "beta_delta", "beta_lambda")},
+                    "sigma_gamma": shape_scale(prior.sigma_gamma),
+                    "sigma_delta": shape_scale(prior.sigma_delta),
+                }
+            if model == "hmev":
+                return {
+                    **{k: shape_scale(getattr(prior, k)) for k in ("mu_gamma", "sigma_gamma", "mu_delta", "sigma_delta")},
+                    "event_rate": {"a": prior.event_rate.a, "b": prior.event_rate.b},
+                }
+            return {"loc": normal(prior.loc), "scale": shape_scale(prior.scale), "shape": normal(prior.shape)}
+
+        stored = json.loads((tmp_path / "fit" / "model.json").read_text())["priors"]
+        if model == "shmev":
+            assert stored == layout(fitted[0])
+        else:
+            assert stored == {"S01": layout(fitted[0]), "S02": layout(fitted[1])}
 
     @staticmethod
     def assert_threads_rejected(capsys, code, fit_dir, name):
@@ -574,7 +626,7 @@ class TestValidation:
         "model, message",
         [
             ("shmev", r"training data: site S01 block 0: \d+ events exceed trials_per_block=20"),
-            ("hmev", r"station S01: block event count exceeds trials_per_block"),
+            ("hmev", r"station S01: block 0: \d+ events exceed trials_per_block=20"),
             # a GEV fit reads only the block maxima
             ("gev", None),
         ],

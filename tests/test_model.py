@@ -517,17 +517,37 @@ class TestRowBatchedKernels:
         assert np.isfinite(logp[gumbel]).any() and np.isfinite(logp[~gumbel]).any()
         assert (logp[np.abs(shape) == 2.5] == -np.inf).any()
 
+    @staticmethod
+    def shifted(prior: ShmevPriorSpec) -> ShmevPriorSpec:
+        """``prior`` with every coefficient prior moved and widened, each by
+        its own amount, and both latent-scale priors reshaped."""
+        def normals(priors, offset):
+            return tuple(NormalPrior(q.mean + offset + 0.1 * k, (1.5 + 0.2 * k) * q.sd) for k, q in enumerate(priors))
+
+        return ShmevPriorSpec(
+            beta_gamma=normals(prior.beta_gamma, 0.3),
+            beta_delta=normals(prior.beta_delta, -2.0),
+            beta_lambda=normals(prior.beta_lambda, 0.7),
+            sigma_gamma=InverseGammaPrior(prior.sigma_gamma.shape + 1.5, 2.0 * prior.sigma_gamma.scale),
+            sigma_delta=InverseGammaPrior(prior.sigma_delta.shape + 0.5, 0.5 * prior.sigma_delta.scale),
+        )
+
     def test_shmev_rows(self, wei_small, wei_small_prior, rng):
-        # datasets of one layout, some with empty blocks, each row against
-        # its one-row call and the take reference
+        # datasets of one layout, some with empty blocks, each under the
+        # elicited prior and a shifted one; each row against its one-row
+        # call and the take reference
+        priors = (wei_small_prior, self.shifted(wei_small_prior))
         targets = [
-            ShmevTarget(_without_blocks(wei_small.train, empty), wei_small_prior)
+            ShmevTarget(_without_blocks(wei_small.train, empty), prior)
             for empty in TestShmevEventGather.EMPTY.values()
+            for prior in priors
         ]
         pairs = [(t, lambda v, t=t: take_shmev_value_grad(v, t)) for t in targets]
         rejected = 0
         for _ in range(10):
             pick = rng.integers(0, len(pairs), size=rng.integers(2, 5))
+            # the first two rows share their events but not their priors
+            pick[1] = pick[0] ^ 1
             V = np.array([_random_params(pairs[i][0].layout, rng, rng.choice([0.0, 0.05, 0.3, 3.0])) for i in pick])
             V[rng.random(len(pick)) < 0.2, pairs[0][0].layout.log_sigma_delta] = rng.choice([np.nan, np.inf, 800.0])
             rejected += int(np.sum(self.check_rows([pairs[i] for i in pick], V) == -np.inf))
