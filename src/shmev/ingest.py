@@ -95,7 +95,6 @@ class StationRecord:
     station: str
     dates: np.ndarray   # datetime64[D], strictly increasing
     values: np.ndarray  # mm, NaN for missing
-    flags: list[str]
     covariates: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -119,12 +118,6 @@ class QcLedger:
     def reject(self, path: str, line: int, reason: str, row: str):
         self.rejects.append({"file": path, "line": line, "reason": reason, "row": row})
 
-    def retained_years(self, station: str) -> list[int]:
-        for e in self.entries:
-            if e["station"] == station and e["code"] == "RETAINED_YEARS":
-                return [int(y) for y in e["detail"].split()]
-        return []
-
     def save(self, path: str | Path) -> Path:
         path = Path(path)
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -138,14 +131,6 @@ class QcLedger:
 # ---------------------------------------------------------------------------
 # File IO
 # ---------------------------------------------------------------------------
-
-def _parse_day(text: str) -> int | None:
-    """Days since 1970-01-01, or None for an unparseable date."""
-    try:
-        return dt.date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
-    except ValueError:
-        return None
-
 
 def _parse_prcp(text: str) -> float | str:
     """Precipitation in mm (NaN for a missing day), or the reject reason."""
@@ -201,6 +186,7 @@ def _csv_rows(path: Path, reader) -> Iterator[list[str]]:
 
 _NL, _CR, _COMMA, _DASH, _ZERO, _DOT = b"\n\r,-0."  # byte values
 _BLOCK_BYTES = 1 << 18  # whole lines split per pass, to bound the transient arrays
+_CSV_ROWS = 1 << 13  # csv.reader rows parsed per pass, likewise
 _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # the digit bytes of YYYY-MM-DD
 # by month number; month 13 stands for any number over 12, which no date has
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0], np.int32)
@@ -249,157 +235,145 @@ def _texts(data: bytes, start: np.ndarray, end: np.ndarray) -> list[str]:
     return [data[a:b].decode() for a, b in zip(start.tolist(), end.tolist())]
 
 
-class _Columns:
-    """Accepted rows of the files read so far, in file and line order: a
-    station id, a day since 1970-01-01 and a value per row, and the rows
-    whose flag is not empty."""
-
-    def __init__(self):
-        self.ids: dict[str, int] = {}  # station -> id, in order of first sight
-        self.parts: tuple[list, list, list] = ([], [], [])  # ids, days, values
-        self.flags: dict[int, str] = {}
-        self.n_rows = 0
-
-    def station(self, name: str) -> int:
-        return self.ids.setdefault(name, len(self.ids))
-
-    def add(self, ids: np.ndarray, days: np.ndarray, values: np.ndarray, flags: Mapping[int, str]):
-        for row, flag in flags.items():
-            self.flags[self.n_rows + row] = flag
-        for part, column in zip(self.parts, (ids, days, values)):
-            part.append(column)
-        self.n_rows += ids.size
-
-    def series(self) -> dict[str, tuple[np.ndarray, np.ndarray, list[str]]]:
-        """Each station's rows, sorted by day (stably, and only where the
-        days do not already increase); a repeated day is a ``DataError``.
-        The dates and values of a station whose rows need no sort are views."""
-        if not self.n_rows:
-            return {}
-        ids, days, values = (np.concatenate(part) for part in self.parts)
-        for part in self.parts:
-            part.clear()
-        flag_of_row = self.flags
-        if np.any(np.diff(ids) < 0):  # ids follow first sight, so a sorted file needs no sort
-            order = np.argsort(ids, kind="stable")
-            ids, days, values = ids[order], days[order], values[order]
-            position = np.empty_like(order)
-            position[order] = np.arange(order.size)
-            flag_of_row = {int(position[row]): flag for row, flag in flag_of_row.items()}
-        counts = np.bincount(ids, minlength=len(self.ids))
-        first = np.concatenate(([0], np.cumsum(counts)))
-        station_flags = [[""] * n for n in counts.tolist()]
-        for row, flag in flag_of_row.items():
-            k = ids[row]
-            station_flags[k][row - first[k]] = flag
-        out = {}
-        for station in sorted(self.ids):
-            k = self.ids[station]
-            if not counts[k]:  # seen only in a file that csv.reader then re-read
-                continue
-            rows = slice(first[k], first[k + 1])
-            station_days, station_values, flags = days[rows], values[rows], station_flags[k]
-            if np.any(np.diff(station_days) <= 0):
-                by_day = np.argsort(station_days, kind="stable")
-                station_days, station_values = station_days[by_day], station_values[by_day]
-                flags = [flags[i] for i in by_day]
-            dates = station_days.view("datetime64[D]")
-            repeated = np.flatnonzero(np.diff(station_days) == 0)
-            if repeated.size:
-                raise DataError(f"station {station}: duplicate date {dates[repeated[0]]}")
-            out[station] = (dates, station_values, flags)
-        return out
-
-
-class _EventReader:
-    """Reads event files into one ``_Columns``."""
-
-    def __init__(self):
-        self.columns = _Columns()
-
-    def read(self, path: Path) -> list[tuple[int, str, str]]:
-        """One file's rejects as (line, reason, row); its accepted rows go to
-        ``columns``."""
-        rejects = self._split(path)
-        return self._csv(path) if rejects is None else rejects
-
-    def _csv(self, path: Path) -> list[tuple[int, str, str]]:
-        for _ in _blocks(path):  # a byte that is not UTF-8 raises with its offset
+def _days(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each date field's day since 1970-01-01 and whether it parses:
+    ``YYYY-MM-DD`` by digit arithmetic, any other text by ``date.fromisoformat``."""
+    day = np.zeros(start.size, np.int64)
+    dated = np.zeros(start.size, bool)
+    ten = np.flatnonzero(end - start == 10)
+    if ten.size:
+        iso, dated[ten], day[ten] = _iso_days(data, start[ten])
+        ten = ten[iso]
+    other = np.ones(start.size, bool)
+    other[ten] = False
+    other = np.flatnonzero(other)
+    for k, text in zip(other.tolist(), _texts(data, start[other], end[other])):
+        try:
+            day[k], dated[k] = dt.date.fromisoformat(text.strip()).toordinal() - _EPOCH_ORDINAL, True
+        except ValueError:
             pass
-        ids, days, values, flags, rejects = [], [], [], {}, []
-        current = None
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = _csv_rows(path, reader)
-            header = next(rows, None)
-            if header is None or [h.strip() for h in header] != EVENT_HEADER:
-                raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
-            for row in rows:
-                if len(row) != 4:
-                    if any(c.strip() for c in row):
-                        rejects.append((reader.line_num, "wrong field count", ",".join(row)))
-                    continue
-                station, date_s, prcp_s, qflag = (c.strip() for c in row)
-                if not (station or date_s or prcp_s or qflag):
-                    continue
-                day = _parse_day(date_s)
-                if day is None:
-                    rejects.append((reader.line_num, "unparseable date", ",".join(row)))
-                    continue
-                value = _parse_prcp(prcp_s)
-                if isinstance(value, str):
-                    rejects.append((reader.line_num, value, ",".join(row)))
-                    continue
-                if station != current:
-                    current, station_id = station, self.columns.station(station)
-                if qflag:
-                    flags[len(ids)] = qflag
-                ids.append(station_id)
-                days.append(day)
-                values.append(value)
-        self.columns.add(np.array(ids, np.int32), np.array(days, np.int64), np.array(values, float), flags)
-        return rejects
+    return day, dated
 
-    def _split(self, path: Path) -> list[tuple[int, str, str]] | None:
-        """The ``csv.reader`` rows of a file cut at its newline and comma bytes
-        block by block; None where that would not read it as ``csv.reader``
-        does: a quote (a quoted field may hold commas and newlines), a NUL
-        (Python 3.10's ``csv`` rejects it), a carriage return outside a CRLF
-        line end, or a line longer than ``csv.field_size_limit()``."""
-        limit = csv.field_size_limit()
-        pieces, rejects, line = [], [], 1
-        for block in _blocks(path):
-            if b'"' in block or b"\0" in block:
-                return None
-            if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-                return None
-            start = 0
-            if line == 1:
-                start = block.find(b"\n") + 1 or len(block)
-                header = block[:start].removesuffix(b"\n").removesuffix(b"\r")
-                if len(header) > limit:
-                    return None
-                if [h.strip() for h in header.decode().split(",")] != EVENT_HEADER:
-                    raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
-                line = 2
-                if start == len(block):
-                    continue
-            split = self._block(block, start, line, limit)
-            if split is None:
-                return None
-            piece, block_rejects, n_lines = split
-            pieces.append(piece)
-            rejects += block_rejects
-            line += n_lines
+
+def _values(data: bytes, arr: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Each value field in mm, and the reject reason of each rejected one
+    by index: the empty field is missing, ``0.0`` is zero, and every
+    other text goes through ``_parse_prcp``."""
+    value = np.full(start.size, np.nan)
+    three = np.flatnonzero(end - start == 3)
+    at = start[three]
+    value[three[(arr[at] == _ZERO) & (arr[at + 1] == _DOT) & (arr[at + 2] == _ZERO)]] = 0.0
+    other = np.flatnonzero((end > start) & (value != 0.0))
+    parsed = [_parse_prcp(text.strip()) for text in _texts(data, start[other], end[other])]
+    reasons = {k: p for k, p in zip(other.tolist(), parsed) if isinstance(p, str)}
+    if reasons:
+        parsed = [np.nan if isinstance(p, str) else p for p in parsed]
+    value[other] = parsed
+    return value, reasons
+
+
+def _runs(arr: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The first row of each run of consecutive rows with the same
+    ``arr[start:end]`` bytes."""
+    length = end - start
+    repeats = np.zeros(start.size, bool)  # row k has row k-1's bytes
+    pending = np.flatnonzero(length[1:] == length[:-1]) + 1
+    offset = 0
+    while pending.size:
+        done = length[pending] == offset
+        repeats[pending[done]] = True
+        pending = pending[~done]
+        pending = pending[arr[start[pending] + offset] == arr[start[pending - 1] + offset]]
+        offset += 1
+    return np.flatnonzero(~repeats)
+
+
+def _rows(data: bytes, line: np.ndarray, start, c1, c2, c3, end):
+    """Parse 4-field rows: row k is ``data[start[k]:end[k]]``, ends on
+    ``line[k]``, and has its fields cut at the separator bytes ``c1[k]``,
+    ``c2[k]`` and ``c3[k]``.  Returns the accepted rows as ``(names, run
+    lengths, days, values, flagged)``, with one station name per run of
+    rows that share its bytes, and the rejects as ``(line, reason, row)``.
+    A row whose fields all strip to empty is blank, and a row is flagged
+    when its stripped flag is not empty."""
+    arr = np.frombuffer(data, np.uint8)
+    day, dated = _days(data, c1 + 1, c2)
+    rejects = []
+    undated = np.flatnonzero(~dated)
+    for k, a, b, c, d, e in zip(*(x[undated].tolist() for x in (line, start, c1, c2, c3, end))):
+        if any(f.decode().strip() for f in (data[a:b], data[b + 1 : c], data[c + 1 : d], data[d + 1 : e])):
+            rejects.append((k, "unparseable date", data[a:e].decode()))
+    value, reasons = _values(data, arr, c2 + 1, c3)
+    bad = np.array([k for k in reasons if dated[k]], dtype=np.int64)
+    for k, text in zip(bad.tolist(), _texts(data, start[bad], end[bad])):
+        rejects.append((int(line[k]), reasons[k], text))
+
+    dated[bad] = False
+    accepted = np.flatnonzero(dated)
+    flag_start, flag_end = c3[accepted] + 1, end[accepted]
+    flagged = flag_end > flag_start
+    some = np.flatnonzero(flagged)
+    flagged[some] = [bool(text.strip()) for text in _texts(data, flag_start[some], flag_end[some])]
+    start, c1 = start[accepted], c1[accepted]
+    runs = _runs(arr, start, c1)
+    names = [text.strip() for text in _texts(data, start[runs], c1[runs])]
+    return (names, np.diff(runs, append=start.size), day[accepted], value[accepted], flagged), rejects
+
+
+def _series(ids: Mapping[str, int], parts: list[tuple[np.ndarray, ...]]):
+    """Each station's ``(dates, values, flagged)`` from ``parts``, the
+    ``(ids, days, values, flagged)`` columns of the accepted rows in file
+    and line order, with ``ids`` numbering the stations in order of first
+    sight.  A station's rows are sorted by day (stably, and only where the
+    days do not already increase), and a repeated day is a ``DataError``.
+    The columns of a station whose rows need no sort are views."""
+    if not ids:
+        return {}
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    parts.clear()
+    if np.any(np.diff(columns[0]) < 0):  # ids follow first sight, so a sorted file needs no sort
+        order = np.argsort(columns[0], kind="stable")
+        columns = [column[order] for column in columns]
+    first = np.concatenate(([0], np.cumsum(np.bincount(columns[0]))))
+    out = {}
+    for station in sorted(ids):
+        k = ids[station]
+        days, values, flagged = (column[first[k] : first[k + 1]] for column in columns[1:])
+        if np.any(np.diff(days) <= 0):
+            by_day = np.argsort(days, kind="stable")
+            days, values, flagged = days[by_day], values[by_day], flagged[by_day]
+        dates = days.view("datetime64[D]")
+        repeated = np.flatnonzero(np.diff(days) == 0)
+        if repeated.size:
+            raise DataError(f"station {station}: duplicate date {dates[repeated[0]]}")
+        out[station] = (dates, values, flagged)
+    return out
+
+
+def _split(path: Path):
+    """A file's ``(pieces, rejects)``: its lines cut at their newline and
+    comma bytes block by block, each block's 4-field rows parsed by
+    ``_rows`` into one piece.  None, before any row is kept, where that
+    would not read the file as ``csv.reader`` does: a quote (a quoted field
+    may hold commas and newlines), a NUL (Python 3.10's ``csv`` rejects
+    it), a carriage return outside a CRLF line end, a line longer than
+    ``csv.field_size_limit()``, or no header (which ``_csv`` reports)."""
+    limit = csv.field_size_limit()
+    pieces, rejects, line = [], [], 1
+    for data in _blocks(path):
+        if b'"' in data or b"\0" in data or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+            return None
+        start = 0
         if line == 1:
-            raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
-        for piece in pieces:
-            self.columns.add(*piece)
-        return rejects
-
-    def _block(self, data: bytes, start: int, first_line: int, limit: int):
-        """Accepted rows, rejects and line count of the lines in
-        ``data[start:]``, or None for a line over ``limit`` bytes."""
+            start = data.find(b"\n") + 1 or len(data)
+            header = data[:start].removesuffix(b"\n").removesuffix(b"\r")
+            if len(header) > limit:
+                return None
+            if [h.strip() for h in header.decode().split(",")] != EVENT_HEADER:
+                raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
+            line = 2
+            if start == len(data):
+                continue
         arr = np.frombuffer(data, np.uint8)
         ends = np.flatnonzero(arr[start:] == _NL) + start
         if data[-1] != _NL:
@@ -414,119 +388,101 @@ class _EventReader:
         through = np.searchsorted(commas, ends)  # commas up to each line's end
         first = np.concatenate(([0], through[:-1]))
         four = through - first == 3
-        rejects = []
         other = np.flatnonzero(~four & (ends > starts))  # an empty line is no row
         for k, text in zip(other.tolist(), _texts(data, starts[other], ends[other])):
             if any(c.strip() for c in text.split(",")):
-                rejects.append((first_line + k, "wrong field count", text))
+                rejects.append((line + k, "wrong field count", text))
         four = np.flatnonzero(four)
         comma = first[four]
-        c1, c2, c3 = commas[comma], commas[comma + 1], commas[comma + 2]
-        line_start, line_end = starts[four], ends[four]
+        piece, four_rejects = _rows(
+            data, line + four, starts[four], commas[comma], commas[comma + 1], commas[comma + 2], ends[four]
+        )
+        pieces.append(piece)
+        rejects += four_rejects
+        line += ends.size
+    return (pieces, rejects) if line > 1 else None
 
-        line = first_line + four
-        day, dated = self._days(data, c1 + 1, c2)
-        undated = np.flatnonzero(~dated)
-        for k, text in zip(line[undated].tolist(), _texts(data, line_start[undated], line_end[undated])):
-            if any(c.strip() for c in text.split(",")):  # else a blank row
-                rejects.append((k, "unparseable date", text))
-        value, reasons = self._values(data, arr, c2 + 1, c3)
-        bad = np.array([k for k in reasons if dated[k]], dtype=np.int64)
-        for k, text in zip(bad.tolist(), _texts(data, line_start[bad], line_end[bad])):
-            rejects.append((int(line[k]), reasons[k], text))
-        rejects.sort()
 
-        dated[bad] = False
-        accepted = np.flatnonzero(dated)
-        flag_start, flag_end = c3[accepted] + 1, line_end[accepted]
-        flagged = np.flatnonzero(flag_end > flag_start)
-        flags = {}
-        for row, text in zip(flagged.tolist(), _texts(data, flag_start[flagged], flag_end[flagged])):
-            if text.strip():
-                flags[row] = text.strip()
-        ids = self._station_ids(data, arr, line_start[accepted], c1[accepted])
-        return (ids, day[accepted], value[accepted], flags), rejects, ends.size
+def _csv(path: Path):
+    """A file's ``(pieces, rejects)`` as ``csv.reader`` reads it, its 4-field
+    rows parsed by ``_joined_rows`` ``_CSV_ROWS`` at a time."""
+    for _ in _blocks(path):  # a byte that is not UTF-8 raises with its offset
+        pass
+    pieces, rejects, texts, lengths, lines = [], [], [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows = _csv_rows(path, reader)
+        header = next(rows, None)
+        if header is None or [h.strip() for h in header] != EVENT_HEADER:
+            raise DataError(f"{path}: expected header {','.join(EVENT_HEADER)}")
+        for row in rows:
+            if len(row) == 4:
+                texts.append(",".join(row))
+                lengths += map(len, row)
+                lines.append(reader.line_num)
+                if len(lines) == _CSV_ROWS:
+                    pieces.append(_joined_rows(texts, lengths, lines, rejects))
+                    texts, lengths, lines = [], [], []
+            elif any(c.strip() for c in row):
+                rejects.append((reader.line_num, "wrong field count", ",".join(row)))
+    pieces.append(_joined_rows(texts, lengths, lines, rejects))
+    return pieces, rejects
 
-    def _days(self, data: bytes, start: np.ndarray, end: np.ndarray):
-        """Each date field's day and whether it parses: ``YYYY-MM-DD`` by digit
-        arithmetic, any other text by ``_parse_day``."""
-        day = np.zeros(start.size, np.int64)
-        dated = np.zeros(start.size, bool)
-        ten = np.flatnonzero(end - start == 10)
-        if ten.size:
-            iso, dated[ten], day[ten] = _iso_days(data, start[ten])
-            ten = ten[iso]
-        other = np.ones(start.size, bool)
-        other[ten] = False
-        other = np.flatnonzero(other)
-        for k, text in zip(other.tolist(), _texts(data, start[other], end[other])):
-            parsed = _parse_day(text.strip())
-            if parsed is not None:
-                day[k], dated[k] = parsed, True
-        return day, dated
 
-    def _values(self, data: bytes, arr: np.ndarray, start: np.ndarray, end: np.ndarray):
-        """Each value field in mm, and the reject reason of each rejected one
-        by index: the empty field is missing, ``0.0`` is zero, and every
-        other text goes through ``_parse_prcp``."""
-        value = np.full(start.size, np.nan)
-        three = np.flatnonzero(end - start == 3)
-        at = start[three]
-        value[three[(arr[at] == _ZERO) & (arr[at + 1] == _DOT) & (arr[at + 2] == _ZERO)]] = 0.0
-        other = np.flatnonzero((end > start) & (value != 0.0))
-        parsed = [_parse_prcp(text.strip()) for text in _texts(data, start[other], end[other])]
-        reasons = {k: p for k, p in zip(other.tolist(), parsed) if isinstance(p, str)}
-        if reasons:
-            parsed = [np.nan if isinstance(p, str) else p for p in parsed]
-        value[other] = parsed
-        return value, reasons
-
-    def _station_ids(self, data: bytes, arr: np.ndarray, start: np.ndarray, end: np.ndarray):
-        """Each row's station id; a run of rows with the same station bytes
-        looks its name up once."""
-        if not start.size:
-            return np.zeros(0, np.int32)
-        length = end - start
-        repeats = np.zeros(start.size, bool)  # row k has row k-1's station bytes
-        pending = np.flatnonzero(length[1:] == length[:-1]) + 1
-        offset = 0
-        while pending.size:
-            done = length[pending] == offset
-            repeats[pending[done]] = True
-            pending = pending[~done]
-            pending = pending[arr[start[pending] + offset] == arr[start[pending - 1] + offset]]
-            offset += 1
-        runs = np.flatnonzero(~repeats)
-        run_ids = [self.columns.station(text.strip()) for text in _texts(data, start[runs], end[runs])]
-        return np.repeat(np.array(run_ids, np.int32), np.diff(runs, append=start.size))
+def _joined_rows(texts: list[str], lengths: list[int], lines: list[int], rejects: list) -> tuple:
+    """``_rows`` of the 4-field rows with comma-joined ``texts``, four field
+    lengths each, that end on ``lines``: the texts are joined by newlines
+    into one buffer, whose field bounds follow from the lengths.  Adds the
+    rows' rejects to ``rejects`` and returns their piece."""
+    text = "\n".join(texts)
+    data = text.encode()
+    # each field ends where its separator, a comma or the newline, starts
+    ends = np.cumsum(np.array(lengths, np.int64) + 1) - 1
+    if len(data) != len(text):  # character offsets to byte offsets
+        code = np.frombuffer(text.encode("utf-32-le"), np.uint32)
+        width = 1 + (code >= 0x80) + (code >= 0x800) + (code >= 0x10000)
+        ends = np.concatenate(([0], np.cumsum(width)))[ends]
+    c1, c2, c3, end = ends.reshape(-1, 4).T
+    start = np.concatenate(([0], end + 1))[:-1]
+    piece, row_rejects = _rows(data, np.array(lines, np.int64), start, c1, c2, c3, end)
+    rejects += row_rejects
+    return piece
 
 
 def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger | None = None):
     """Parse canonical event files into per-station day series.
 
-    Returns ``{station: (dates, values, flags)}`` with missing values as NaN.
-    Malformed rows go to the ledger's rejects report, each with the
-    physical line on which its record ends (a quoted field may span lines).
-    A byte that is not UTF-8 is a ``DataError`` naming its offset.
+    Returns ``{station: (dates, values, flagged)}`` with missing values as
+    NaN; ``flagged`` is a boolean mask of the rows whose quality flag is not
+    blank (the flag's text is not kept).  Malformed rows go to the ledger's
+    rejects report in line order, each with the physical line on which its
+    record ends (a quoted field may span lines).  A byte that is not UTF-8
+    is a ``DataError`` naming its offset.
 
-    A file without quotes (see ``_EventReader._split``) is cut into fields
-    at its newline and comma bytes with numpy, block by block.
-    ``YYYY-MM-DD`` dates, ``0.0`` and empty values are parsed by array
-    arithmetic, and every other text by the same functions as the
-    ``csv.reader`` loop that reads the other files.  Each station's rows
-    are sorted by day only where the days do not already increase.
+    A file without quotes (see ``_split``) is cut into fields at its newline
+    and comma bytes with numpy, block by block; any other file is read by
+    ``csv.reader`` (see ``_csv``).  Both hand their rows to one parser,
+    ``_rows``: ``YYYY-MM-DD`` dates, ``0.0`` and empty values are parsed by
+    array arithmetic, and every other text by ``date.fromisoformat`` and
+    ``_parse_prcp``.  Each station's rows are sorted by day only where the
+    days do not already increase.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     ledger = ledger if ledger is not None else QcLedger()
-    reader = _EventReader()
+    ids: dict[str, int] = {}  # station -> id, in order of first sight
+    parts = []
     for path in paths:
         path = Path(path)
         if not path.exists():
             raise DataError(f"event file not found: {path}")
-        for line, reason, row in reader.read(path):
+        pieces, rejects = _split(path) or _csv(path)
+        for names, run_lengths, *columns in pieces:
+            run_ids = [ids.setdefault(name, len(ids)) for name in names]
+            parts.append((np.repeat(np.array(run_ids, np.int32), run_lengths), *columns))
+        for line, reason, row in sorted(rejects):
             ledger.reject(str(path), line, reason, row)
-    return reader.columns.series(), ledger
+    return _series(ids, parts), ledger
 
 
 def read_covariate_file(path: str | Path) -> tuple[list[str], dict[str, dict[str, float]]]:
@@ -596,13 +552,10 @@ def load_and_qc(
     series, ledger = read_event_file(event_paths)
     records: list[StationRecord] = []
     for station in sorted(series):
-        dates, values, flags = series[station]
-        if policy.drop_flagged and any(flags):
-            flagged = np.array(flags, dtype=object).astype(bool)
-            n_flagged = int(flagged.sum())
-            ledger.add(station, "FLAGGED_VALUE", f"{n_flagged} flagged values removed")
-            values = values.copy()
-            values[flagged] = np.nan
+        dates, values, flagged = series[station]
+        if policy.drop_flagged and flagged.any():
+            ledger.add(station, "FLAGGED_VALUE", f"{int(flagged.sum())} flagged values removed")
+            values = np.where(flagged, np.nan, values)
         observed = ~np.isnan(values)
         # dates increase, so year offsets from the first date's year are >= 0
         year_index = dates.astype("datetime64[Y]").astype(np.int64)
@@ -632,7 +585,6 @@ def load_and_qc(
             station=station,
             dates=dates[keep],
             values=values[keep],
-            flags=[""] * int(keep.sum()),
             covariates=dict(covariates.get(station, {})) if covariates else {},
         )
         ledger.add(station, "RETAINED_YEARS", " ".join(str(y) for y in retained_years))

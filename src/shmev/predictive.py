@@ -141,7 +141,6 @@ class BlockDraws:
     gamma: np.ndarray
     delta: np.ndarray
     n: np.ndarray
-    trials: int
 
     def __post_init__(self):
         if not (self.gamma.shape == self.delta.shape == self.n.shape) or self.gamma.ndim != 2:
@@ -212,7 +211,7 @@ def simulate_future_blocks(
         rng,
     ).reshape(b, m)
     n = rng.binomial(config.trials_per_block, params.event_prob[:, None], size=(b, m))
-    return BlockDraws(gamma=gamma, delta=delta, n=n, trials=config.trials_per_block)
+    return BlockDraws(gamma=gamma, delta=delta, n=n)
 
 
 @dataclass(eq=False)
@@ -283,7 +282,6 @@ class _RowChunk:
         # (estimate's share, its draws, their chunk rows) in chunk order
         self.segments: list[tuple[_Inversion, slice, slice]] = []
         self.size = 0
-        self.trials = 0
 
     @property
     def free(self) -> int:
@@ -295,7 +293,6 @@ class _RowChunk:
         self.gamma[rows] = est.blocks.gamma[draws]
         self.delta[rows] = est.blocks.delta[draws]
         self.n[rows] = est.blocks.n[draws]
-        self.trials = est.blocks.trials
         self.segments.append((job, draws, rows))
         self.size = rows.stop
 
@@ -306,7 +303,7 @@ class _RowChunk:
         np.take(self.gamma, act, axis=0, out=gamma)
         np.take(self.delta, act, axis=0, out=delta)
         np.take(self.n, act, axis=0, out=n)
-        blocks = BlockDraws(gamma=gamma, delta=delta, n=n, trials=self.trials)
+        blocks = BlockDraws(gamma=gamma, delta=delta, n=n)
         return blocks.cdf_kernel(y, slope=slope, out=self.scratch)
 
     def solve(self) -> None:

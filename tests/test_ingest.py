@@ -374,8 +374,8 @@ class TestFileFormats:
         src.write_text(line + "\n")
         out = convert_ghcn_dly(src, tmp_path / "x.csv")
         parsed, ledger = read_event_file(out)
-        dates, values, flags = parsed["USC00000001"]
+        dates, values, flagged = parsed["USC00000001"]
         assert values[0] == pytest.approx(15.0)  # tenths of mm -> mm
         assert np.isnan(values[1])
-        assert flags[2] == "X"
+        assert flagged.tolist() == [False, False, True] + [False] * 28
         assert dates.size == 31

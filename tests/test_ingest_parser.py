@@ -1,6 +1,6 @@
 """The event-file parser equals the row-by-row reference parser in
-``tests/oracles.py``: dates and values bit for bit, flags, rejects, and the
-``DataError`` text."""
+``tests/oracles.py``: dates and values bit for bit, which rows are flagged,
+rejects, and the ``DataError`` text."""
 import csv
 import datetime as dt
 import math
@@ -40,12 +40,13 @@ def assert_same_parse(paths):
     (series, ledger), (ref_series, ref_ledger) = ours, ref
     assert list(series) == list(ref_series)
     for station, (dates, values, flags) in ref_series.items():
-        got_dates, got_values, got_flags = series[station]
+        got_dates, got_values, got_flagged = series[station]
         assert got_dates.dtype == dates.dtype == np.dtype("datetime64[D]")
         assert got_dates.tobytes() == dates.tobytes()
         assert got_values.dtype == values.dtype
         assert got_values.tobytes() == values.tobytes()
-        assert got_flags == flags
+        assert got_flagged.dtype == np.dtype(bool)
+        assert got_flagged.tolist() == [flag != "" for flag in flags]
     assert ledger.rejects == ref_ledger.rejects
 
 
@@ -108,8 +109,10 @@ def test_matches_reference_on_one_file(tmp_path, body):
 
 @pytest.mark.parametrize("body", CASES.values(), ids=CASES.keys())
 def test_matches_reference_in_small_blocks(tmp_path, monkeypatch, body):
-    # blocks of a few lines put line ends and CRLF pairs at block edges
+    # blocks of a few lines put line ends and CRLF pairs at block edges,
+    # and batches of two rows put csv.reader's rows at batch edges
     monkeypatch.setattr(shmev.ingest, "_BLOCK_BYTES", 16)
+    monkeypatch.setattr(shmev.ingest, "_CSV_ROWS", 2)
     assert_same_parse(write_files(tmp_path, [body]))
 
 
@@ -172,10 +175,10 @@ def test_one_station_across_files_and_runs(tmp_path):
     ]
     paths = write_files(tmp_path, bodies)
     series, _ = read_event_file(paths)
-    dates, values, flags = series["A"]
+    dates, values, flagged = series["A"]
     assert dates.astype(str).tolist() == ["2001-01-01", "2001-01-02", "2001-01-03"]
     assert values.tolist() == [3.0, 0.0, 1.0]
-    assert flags == ["Q", "", ""]
+    assert flagged.tolist() == [True, False, False]
     assert list(series) == ["A", "B", "C"]
     assert_same_parse(paths)
     assert_same_parse(paths[::-1])
@@ -225,7 +228,7 @@ def test_rejects_give_the_physical_line(tmp_path):
         (4, "wrong field count", "oops"),
         (5, "unparseable precipitation", "A,2001-01-02,bad,"),
     ]
-    assert series["A"][2] == ["multi\nline"]
+    assert series["A"][2].tolist() == [True]
     assert_same_parse(path)
 
 

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shmev.ingest import _EventReader
+import shmev.ingest
 
 from .test_ingest_parser import assert_same_parse, write_files
 
@@ -18,7 +18,7 @@ DATES = ["2001-01-01", "2001-01-02", "2001-01-03", "20010103", "2001-12-31", "20
          "2001-02-29", "2001-1-5", "1969-12-31", " 2001-01-02", "x", ""]
 VALUES = ["0.0", "1.5", "12.25", "-0.0", "", "NA", "NaN", "nan", "NAN", "-nan", "inf",
           "-inf", "Infinity", "1e999", "-2.0", "oops", " 3.0 ", "7"]
-FLAGS = ["", "", "Q", " X"]
+FLAGS = ["", "", "Q", " X", " ", "\t", "\u00a0"]
 
 
 @st.composite
@@ -71,14 +71,14 @@ def event_files(draw):
 
 def test_both_tokenizers_match_reference(tmp_path_factory, monkeypatch):
     tokenizer = Counter()
-    split = _EventReader._split
+    split = shmev.ingest._split
 
-    def counted_split(self, path):
-        rejects = split(self, path)
-        tokenizer["csv" if rejects is None else "bytes"] += 1
-        return rejects
+    def counted_split(path):
+        read = split(path)
+        tokenizer["csv" if read is None else "bytes"] += 1
+        return read
 
-    monkeypatch.setattr(_EventReader, "_split", counted_split)
+    monkeypatch.setattr(shmev.ingest, "_split", counted_split)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(event_files(), min_size=1, max_size=3))

@@ -43,11 +43,11 @@ def grid_cdf(est):
     return np.column_stack([est.cdf_at(y) for y in est.y])
 
 
-def estimate_from_blocks(gamma, delta, n, y, trials=366):
+def estimate_from_blocks(gamma, delta, n, y):
     return MaximaCdfEstimate(
         y=y,
-        blocks=BlockDraws(gamma=gamma, delta=delta, n=n, trials=trials),
-        config=PredictiveConfig(blocks_per_draw=gamma.shape[1], trials_per_block=trials),
+        blocks=BlockDraws(gamma=gamma, delta=delta, n=n),
+        config=PredictiveConfig(blocks_per_draw=gamma.shape[1]),
     )
 
 
@@ -114,7 +114,7 @@ def kernel_blocks():
     delta = pick([0.1, 1.0, 10.0, 100.0, 1e3], size=(10, 6))
     n = pick([0, 1, 17, 100, 366], size=(10, 6))
     n[-2:] = 0
-    return BlockDraws(gamma=gamma, delta=delta, n=n, trials=366)
+    return BlockDraws(gamma=gamma, delta=delta, n=n)
 
 
 class TestCdfKernel:

@@ -32,7 +32,7 @@ def estimates(draw, m=None):
     n[dry] = 0
     return MaximaCdfEstimate(
         y=np.geomspace(0.01, 5e3, 16),
-        blocks=BlockDraws(gamma=gamma, delta=delta, n=n, trials=366),
+        blocks=BlockDraws(gamma=gamma, delta=delta, n=n),
         config=PredictiveConfig(blocks_per_draw=m),
     )
 
