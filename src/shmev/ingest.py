@@ -21,6 +21,7 @@ import csv
 import datetime as dt
 import io
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -63,6 +64,9 @@ logger = logging.getLogger(__name__)
 EVENT_HEADER = ["station", "date", "prcp_mm", "qflag"]
 _MISSING = {"", "NA", "NaN", "nan"}
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+# the one date form; from Python 3.11 on, date.fromisoformat also reads
+# YYYYMMDD and week dates, so it would parse a file differently by version
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # normal 95% central interval half-width in standard deviations
 _Z95 = 1.96
@@ -236,8 +240,9 @@ def _texts(data: bytes, start: np.ndarray, end: np.ndarray) -> list[str]:
 
 
 def _days(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each date field's day since 1970-01-01 and whether it parses:
-    ``YYYY-MM-DD`` by digit arithmetic, any other text by ``date.fromisoformat``."""
+    """Each date field's day since 1970-01-01 and whether it parses: an
+    ASCII ``YYYY-MM-DD`` calendar date, optionally padded with whitespace.
+    Unpadded fields go by digit arithmetic, the rest one at a time."""
     day = np.zeros(start.size, np.int64)
     dated = np.zeros(start.size, bool)
     ten = np.flatnonzero(end - start == 10)
@@ -248,10 +253,12 @@ def _days(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, 
     other[ten] = False
     other = np.flatnonzero(other)
     for k, text in zip(other.tolist(), _texts(data, start[other], end[other])):
-        try:
-            day[k], dated[k] = dt.date.fromisoformat(text.strip()).toordinal() - _EPOCH_ORDINAL, True
-        except ValueError:
-            pass
+        text = text.strip()
+        if _ISO_DATE.fullmatch(text):
+            try:
+                day[k], dated[k] = dt.date(*map(int, text.split("-"))).toordinal() - _EPOCH_ORDINAL, True
+            except ValueError:
+                pass
     return day, dated
 
 
@@ -462,8 +469,9 @@ def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger |
     A file without quotes (see ``_split``) is cut into fields at its newline
     and comma bytes with numpy, block by block; any other file is read by
     ``csv.reader`` (see ``_csv``).  Both hand their rows to one parser,
-    ``_rows``: ``YYYY-MM-DD`` dates, ``0.0`` and empty values are parsed by
-    array arithmetic, and every other text by ``date.fromisoformat`` and
+    ``_rows``: a date is an ASCII ``YYYY-MM-DD``, optionally padded with
+    whitespace.  Unpadded dates, ``0.0`` and empty values are parsed by
+    array arithmetic, padded dates one at a time, and every other value by
     ``_parse_prcp``.  Each station's rows are sorted by day only where the
     days do not already increase.
     """

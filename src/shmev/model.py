@@ -730,6 +730,15 @@ _GEV_LIMIT_EPS = 1e-10     # value switches to the Gumbel limit below this |shap
 _GEV_GRAD_EPS = 1e-5       # shape gradient uses the series below this
 
 
+def _py_square(x: float) -> float:
+    """``x**2`` as Python floats compute it (``np.square`` can differ in the
+    last bit), and inf where it overflows."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _gev_shape_series(z, ez, tau):
     """Each maximum's shape gradient to first order in ``tau``, from its
     ``z`` and ``ez = exp(-z)``."""
@@ -773,7 +782,7 @@ class _GevRows:
                 w = np.exp(-logt / tau)  # t^(-1/tau)
                 tauA = -(tau + 1.0) / t + w / t  # tau * dloglik_i/dt_i
                 z_tauA = z * tauA
-                tau2 = np.array([[x**2] for x in tau[:, 0].tolist()])
+                tau2 = np.array([[_py_square(x)] for x in tau[:, 0].tolist()])
                 reject[a:b] = np.logical_or.reduce(t <= 0.0, axis=1)
                 loglik[a:b] = (
                     -n * lsig - (1.0 + 1.0 / tau[:, 0]) * np.add.reduce(logt, axis=1) - np.add.reduce(w, axis=1)

@@ -11,7 +11,8 @@ log y, using its analytic slope, inside a bracket that only shrinks: the
 grid's upper end (doubled as needed) above and the previous, smaller
 probability's solution below, so per-draw quantile curves are nondecreasing
 in the probability.  Inversion reads just the grid's two ends, so the
-default grid is that two-point bracket.
+default grid is that two-point bracket.  The solver's tolerance and
+extension limit are the module constants ``_CDF_TOL`` and ``_MAX_EXTENSIONS``.
 
 Every station or grid point of a command is inverted in one lockstep pass
 (:func:`invert_quantiles`): the draws of consecutive estimates are copied
@@ -64,20 +65,24 @@ _GRID_HIGH_FACTOR = 5.0
 # overhead, few enough that the chunk's buffers stay in cache
 _CHUNK_ELEMENTS = 16384
 
+# a draw's quantile is solved once its cdf is within _CDF_TOL of the level;
+# the grid's upper end is doubled at most _MAX_EXTENSIONS times to reach it
+_CDF_TOL = 1e-6
+_MAX_EXTENSIONS = 60
+
 
 @dataclass(frozen=True)
 class PredictiveConfig:
-    """Knobs for the posterior-predictive estimators.
+    """Sizes of the simulated future blocks.
 
     ``blocks_per_draw`` is the number of simulated future blocks per retained
     draw; the default keeps per-draw noise below the credible-band width at
-    the default posterior size.
+    the default posterior size.  The quantile solver's tolerance and
+    extension limit are the module constants ``_CDF_TOL`` and ``_MAX_EXTENSIONS``.
     """
 
     blocks_per_draw: int = 100
     trials_per_block: int = 366
-    cdf_tol: float = 1e-6
-    max_extensions: int = 60
 
     def __post_init__(self):
         if self.blocks_per_draw < 1:
@@ -151,20 +156,19 @@ class BlockDraws:
         return self.gamma.shape[0]
 
     def cdf_kernel(
-        self, y: np.ndarray, rows=slice(None), slope: bool = False, out: np.ndarray | None = None
+        self, y: np.ndarray, slope: bool = False, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Exact maxima cdf ``G_b(y_b) = mean_j F(y_b; gamma_bj, delta_bj)^n_bj``
-        of the draws ``rows`` at one point per row, and with ``slope`` also
+        of every draw at one point per draw, and with ``slope`` also
         ``dG_b/dlog y = mean_j n F^(n-1) e^(-t) t gamma`` with
         ``t = (y/delta)^gamma``; otherwise the second entry is None.
 
-        The three (rows, M) temporaries live in ``out``, a (3, R, M) float
-        array with R at least the number of rows, and are allocated when it
-        is None."""
+        The three (B, M) temporaries live in ``out``, a (3, R, M) float
+        array with R at least B, and are allocated when it is None."""
         y = np.asarray(y, dtype=float)[:, None]
-        gamma, n, delta = self.gamma[rows], self.n[rows], self.delta[rows]
+        gamma, n, delta = self.gamma, self.n, self.delta
         z, t, f = np.empty((3, *gamma.shape)) if out is None else out[:, : gamma.shape[0]]
-        # in place: at thousands of draws each fresh (rows, M) temporary
+        # in place: at thousands of draws each fresh (B, M) temporary
         # costs page faults comparable to its arithmetic
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logy = np.where(y > 0.0, np.log(np.maximum(y, 1e-300)), -np.inf)
@@ -201,16 +205,10 @@ def simulate_future_blocks(
     rng: np.random.Generator,
 ) -> BlockDraws:
     """Draw ``blocks_per_draw`` future blocks for every retained draw."""
-    b, m = params.n_draws, config.blocks_per_draw
-    gamma = gumbel_sample_positive(
-        GumbelParams(np.repeat(params.mu_gamma, m), np.repeat(params.sigma_gamma, m)),
-        rng,
-    ).reshape(b, m)
-    delta = gumbel_sample_positive(
-        GumbelParams(np.repeat(params.mu_delta, m), np.repeat(params.sigma_delta, m)),
-        rng,
-    ).reshape(b, m)
-    n = rng.binomial(config.trials_per_block, params.event_prob[:, None], size=(b, m))
+    size = (params.n_draws, config.blocks_per_draw)
+    gamma = gumbel_sample_positive(GumbelParams(params.mu_gamma[:, None], params.sigma_gamma[:, None]), rng, size)
+    delta = gumbel_sample_positive(GumbelParams(params.mu_delta[:, None], params.sigma_delta[:, None]), rng, size)
+    n = rng.binomial(config.trials_per_block, params.event_prob[:, None], size=size)
     return BlockDraws(gamma=gamma, delta=delta, n=n)
 
 
@@ -222,7 +220,6 @@ class MaximaCdfEstimate:
 
     y: np.ndarray
     blocks: BlockDraws
-    config: PredictiveConfig
     zero_event_blocks: int = 0
     all_dry_draws: int = 0
 
@@ -237,27 +234,25 @@ class MaximaCdfEstimate:
             y = np.full(self.n_draws, float(y))
         return self.blocks.cdf_at(y)
 
-    def per_draw_quantiles(self, probs, tol: float | None = None) -> np.ndarray:
+    def per_draw_quantiles(self, probs) -> np.ndarray:
         """Invert each draw's cdf at every probability; (k,) -> (B, k).
 
         The one-estimate call of :func:`invert_quantiles`, which documents
         the solver; equal probabilities get identical columns.
         """
-        return next(invert_quantiles([(self, probs)], tol))
+        return next(invert_quantiles([(self, probs)]))
 
 
 class _Inversion:
     """One estimate's share of :func:`invert_quantiles`: its distinct
-    levels, bracket and solver settings, and its (B, levels) solutions as
-    the chunks fill them."""
+    levels and bracket, and its (B, levels) solutions as the chunks fill
+    them."""
 
-    def __init__(self, est: MaximaCdfEstimate, probs, tol: float | None):
+    def __init__(self, est: MaximaCdfEstimate, probs):
         probs = np.atleast_1d(np.asarray(probs, dtype=float))
         if np.any(probs <= 0.0) or np.any(probs >= 1.0):
             raise ValueError("probabilities must lie in (0, 1)")
         self.levels, self.inverse = np.unique(probs, return_inverse=True)
-        self.tol = est.config.cdf_tol if tol is None else tol
-        self.max_extensions = est.config.max_extensions
         self.bracket = (float(est.y[0]), float(est.y[-1]))
         self.solved = np.empty((est.n_draws, self.levels.size))
         self.rows_left = est.n_draws
@@ -265,7 +260,7 @@ class _Inversion:
     def unreachable(self) -> ConvergenceError:
         return ConvergenceError(
             f"target probability {float(self.levels[-1])} unreachable after "
-            f"{self.max_extensions} grid extensions"
+            f"{_MAX_EXTENSIONS} grid extensions"
         )
 
 
@@ -312,33 +307,25 @@ class _RowChunk:
         size, segments = self.size, self.segments
         n_levels = np.empty(size, dtype=int)
         levels = np.full((size, max(job.levels.size for job, _, _ in segments)), np.nan)
-        y_lo, hi_global, tol = np.empty((3, size))
-        max_ext = np.empty(size, dtype=int)
+        y_lo, hi_global = np.empty((2, size))
         for job, _, rows in segments:
             n_levels[rows] = job.levels.size
             levels[rows, : job.levels.size] = job.levels
             y_lo[rows], hi_global[rows] = job.bracket
-            tol[rows] = job.tol
-            max_ext[rows] = job.max_extensions
         p_max = levels[np.arange(size), n_levels - 1]
 
         # double each row's upper bracket until its cdf reaches its largest
-        # level; a row still short after its estimate's last extension fails
-        # it, and the first failed estimate is reported
-        act, failed, extensions = np.arange(size), np.zeros(size, dtype=bool), 0
-        while True:
-            spent = max_ext[act] <= extensions
-            failed[act[spent]] = True
-            act = act[~spent]
-            if act.size == 0:
-                break
+        # level; a row still short after the last extension fails its
+        # estimate, and the first failed estimate is reported
+        act = np.arange(size)
+        for _ in range(_MAX_EXTENSIONS):
             short = self.kernel(hi_global[act], act, slope=False)[0] < p_max[act]
             act = act[short]
+            if act.size == 0:
+                break
             hi_global[act] *= 2.0
-            extensions += 1
-        if failed.any():
-            first = np.flatnonzero(failed)[0]
-            raise next(job for job, _, rows in segments if first < rows.stop).unreachable()
+        else:
+            raise next(job for job, _, rows in segments if act[0] < rows.stop).unreachable()
 
         all_rows = np.arange(size)
         x = np.sqrt(y_lo * hi_global)  # the smallest level starts midway, in log y
@@ -347,21 +334,19 @@ class _RowChunk:
         solved = np.empty_like(levels)
         for k in range(levels.shape[1]):
             act = all_rows[n_levels > k]
-            xa, ga, dga, pa, ta = x[act], g[act], dg[act], levels[act, k], tol[act]
+            xa, ga, dga, pa = x[act], g[act], dg[act], levels[act, k]
             la, ha = lo[act], hi_global[act]
             for _ in range(200):
                 below = ga < pa
                 la = np.where(below, xa, la)
                 ha = np.where(below, ha, xa)
-                stop = np.abs(ga - pa) < ta
+                stop = np.abs(ga - pa) < _CDF_TOL
                 stop |= (ha - la) <= 1e-12 * np.maximum(ha, 1.0)
                 if stop.any():
                     done = act[stop]
                     x[done], g[done], dg[done] = xa[stop], ga[stop], dga[stop]
                     keep = ~stop
-                    act, xa, ga, dga, pa, ta, la, ha = (
-                        v[keep] for v in (act, xa, ga, dga, pa, ta, la, ha)
-                    )
+                    act, xa, ga, dga, pa, la, ha = (v[keep] for v in (act, xa, ga, dga, pa, la, ha))
                     if act.size == 0:
                         break
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -379,9 +364,7 @@ class _RowChunk:
         self.segments, self.size = [], 0
 
 
-def invert_quantiles(
-    jobs: Iterable[tuple[MaximaCdfEstimate, Sequence[float]]], tol: float | None = None
-) -> Iterator[np.ndarray]:
+def invert_quantiles(jobs: Iterable[tuple[MaximaCdfEstimate, Sequence[float]]]) -> Iterator[np.ndarray]:
     """Per-draw quantiles of many estimates, each at its own probabilities:
     ``jobs`` yields ``(estimate, probs)`` pairs, and each estimate's (B, k)
     quantiles are yielded in order.
@@ -394,7 +377,7 @@ def invert_quantiles(
 
     * its upper bracket is the grid's upper end, doubled until the cdf
       reaches the estimate's largest probability, at most
-      ``max_extensions`` times (else ``ConvergenceError``);
+      ``_MAX_EXTENSIONS`` times (else ``ConvergenceError``);
     * the distinct probabilities are solved in increasing order by
       safeguarded Newton in log y on the exact mixture cdf, the smallest
       starting midway, in log y, inside the grid, and each next one from
@@ -402,8 +385,8 @@ def invert_quantiles(
       quantile curves are nondecreasing in the probability;
     * a Newton step is taken only when it lands strictly inside the row's
       bracket, otherwise the bracket is bisected, and the row stops once
-      ``|G - p| < tol`` (the estimate's ``cdf_tol`` unless ``tol`` is
-      given) or its bracket is narrower than 1e-12 relative.
+      ``|G - p| < _CDF_TOL`` or its bracket is narrower than 1e-12
+      relative.
 
     Rows with fewer distinct probabilities than others in their chunk sit
     out the extra levels.
@@ -411,7 +394,7 @@ def invert_quantiles(
     waiting: deque[_Inversion] = deque()
     chunk: _RowChunk | None = None
     for est, probs in jobs:
-        job = _Inversion(est, probs, tol)
+        job = _Inversion(est, probs)
         waiting.append(job)
         m = est.blocks.gamma.shape[1]
         if chunk is None or chunk.gamma.shape[1] != m:
@@ -466,7 +449,6 @@ def predictive_cdf(
     return MaximaCdfEstimate(
         y=y_grid,
         blocks=blocks,
-        config=config,
         zero_event_blocks=zero_blocks,
         all_dry_draws=all_dry,
     )

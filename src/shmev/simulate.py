@@ -147,8 +147,11 @@ def _draw_block_params(loc: float, spread: float, size: int, rng) -> np.ndarray:
     return gumbel_sample_positive(GumbelParams(loc, spread), rng, size=size)
 
 
-def _simulate_blocks(cfg: ScenarioConfig, fields: SiteFields, n_blocks: int, rng: np.random.Generator):
-    """Per-site lists of per-block magnitude arrays, drawn per the scenario."""
+def _simulate_blocks(
+    cfg: ScenarioConfig, fields: SiteFields, n_blocks: int, rng: np.random.Generator, part: str = "training"
+):
+    """Per-site lists of per-block magnitude arrays, drawn per the scenario;
+    a non-finite or non-positive magnitude in a ``part`` block fails."""
     events: list[list[np.ndarray]] = []
     for s in range(cfg.n_sites):
         n_events = rng.binomial(cfg.trials_per_block, fields.event_prob[s], size=n_blocks)
@@ -163,6 +166,12 @@ def _simulate_blocks(cfg: ScenarioConfig, fields: SiteFields, n_blocks: int, rng
                 rng.gamma(fields.shape_loc[s], fields.scale_loc[s], size=int(n_events[j]))
                 for j in range(n_blocks)
             ]
+        for j, mags in enumerate(site_events):
+            if not np.all((mags > 0.0) & (mags < np.inf)):
+                raise NumericError(
+                    f"scenario {cfg.scenario} drew a non-finite or non-positive magnitude at site "
+                    f"S{s + 1:02d}, {part} block {j + 1} of {n_blocks}"
+                )
         events.append(site_events)
     return events
 
@@ -198,7 +207,7 @@ def simulate_scenario(cfg: ScenarioConfig) -> SyntheticDataset:
     field_ss, train_ss, test_ss = root.spawn(3)
     fields = _site_fields(cfg, np.random.default_rng(field_ss))
     train_events = _simulate_blocks(cfg, fields, cfg.train_blocks, np.random.default_rng(train_ss))
-    test_events = _simulate_blocks(cfg, fields, cfg.test_blocks, np.random.default_rng(test_ss))
+    test_events = _simulate_blocks(cfg, fields, cfg.test_blocks, np.random.default_rng(test_ss), "test")
     test_maxima = np.full((cfg.n_sites, cfg.test_blocks), np.nan)
     for s in range(cfg.n_sites):
         for j in range(cfg.test_blocks):

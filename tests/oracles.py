@@ -15,17 +15,20 @@ with.
 import csv
 import datetime as dt
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
+import shmev.predictive as predictive
 from shmev.distributions import WeibullParams
 from shmev.errors import ConvergenceError, DataError, NumericError
 from shmev.hmc import _MAX_ENERGY_ERROR, _MIN_ABORT_WARMUP, PosteriorDraws, SamplerConfig
 from shmev.ingest import QcLedger
 from shmev.model import GevPriorSpec, HmevLayout, HmevPriorSpec
+from shmev.predictive import BlockDraws
 from shmev.special import expit, expit_log_expit_pair, gammaln, log_expit
 
 
@@ -227,6 +230,8 @@ def naive_read_event_file(paths, ledger=None):
                         continue
                     station, date_s, prcp_s, qflag = (c.strip() for c in row)
                     try:
+                        if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", date_s, re.ASCII):
+                            raise ValueError(date_s)
                         date = dt.date.fromisoformat(date_s)
                     except ValueError:
                         ledger.reject(str(path), lineno, "unparseable date", ",".join(row))
@@ -843,21 +848,22 @@ def stacked_rhat_ess(draws):
     return rhat, ess, degenerate
 
 
-def per_draw_quantiles_reference(est, probs, tol=None):
+def per_draw_quantiles_reference(est, probs):
     """``MaximaCdfEstimate.per_draw_quantiles`` as it was before the draws of
     many estimates were solved together in row chunks: one estimate, all its
-    draws at once.  The chunked solver must equal it bit for bit."""
+    draws at once, under the solver's current ``_CDF_TOL`` and
+    ``_MAX_EXTENSIONS``.  The chunked solver must equal it bit for bit."""
     probs = np.atleast_1d(np.asarray(probs, dtype=float))
     if np.any(probs <= 0.0) or np.any(probs >= 1.0):
         raise ValueError("probabilities must lie in (0, 1)")
-    tol = est.config.cdf_tol if tol is None else tol
+    tol, max_extensions = predictive._CDF_TOL, predictive._MAX_EXTENSIONS
     levels, inverse = np.unique(probs, return_inverse=True)
     b = est.n_draws
     out = np.empty((b, levels.size))
 
     hi_global = np.full(b, float(est.y[-1]))
     pmax = float(levels[-1])
-    for _ in range(est.config.max_extensions):
+    for _ in range(max_extensions):
         short = est.cdf_at(hi_global) < pmax
         if not short.any():
             break
@@ -865,7 +871,7 @@ def per_draw_quantiles_reference(est, probs, tol=None):
     else:
         raise ConvergenceError(
             f"target probability {pmax} unreachable after "
-            f"{est.config.max_extensions} grid extensions"
+            f"{max_extensions} grid extensions"
         )
 
     lo = np.zeros(b)
@@ -888,7 +894,8 @@ def per_draw_quantiles_reference(est, probs, tol=None):
                 step = x[act] * np.exp((p - g[act]) / dg[act])
             inside = (lo[act] < step) & (step < hi[act])
             x[act] = np.where(inside, step, 0.5 * (lo[act] + hi[act]))
-            g[act], dg[act] = est.blocks.cdf_kernel(x[act], act, slope=True)
+            rows = BlockDraws(gamma=est.blocks.gamma[act], delta=est.blocks.delta[act], n=est.blocks.n[act])
+            g[act], dg[act] = rows.cdf_kernel(x[act], slope=True)
         out[:, k] = x
         lo = x.copy()  # the next, larger probability's lower bracket
     return out[:, inverse]

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +397,25 @@ class TestValidation:
             assert "gp_variance" in err["message"]
         assert not (out / command / "manifest.json").exists()
 
+    def test_non_positive_simulated_magnitude_is_numeric_error(self, tmp_path, capsys):
+        # WEI_gp at seed 11 and the default sizes puts a site's Weibull-shape
+        # location below zero, and near-zero block shapes round magnitudes
+        # to 0 or inf
+        out = tmp_path / "runs"
+        body = yaml.safe_load(tiny_study_config(tmp_path, out).read_text())
+        body.update(seed=11, simulate={"scenario": "WEI_gp"})
+        config = write_config(tmp_path / "gp.yaml", body)
+        code = main(["simulate", "--config", str(config), "--out", str(out / "simulate")])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {
+            "error": "NumericError",
+            "message": "scenario WEI_gp drew a non-finite or non-positive magnitude at site S20, training block 11 of 20",
+            "command": "simulate",
+            "exit_code": 4,
+        }
+        assert not (out / "simulate" / "manifest.json").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "fit"])
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, command):
         out = tmp_path / "runs"
@@ -738,15 +756,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("command", ["predict", "map", "evaluate"])
     def test_unreachable_probability_is_numeric_error(self, study, tmp_path, capsys, monkeypatch, command):
-        import shmev.cli as cli
+        import shmev.predictive as predictive
 
         base, out, config = study
-        predictive_config = cli._predictive_config
         # with no grid extensions allowed, no upper bracket is ever confirmed
-        monkeypatch.setattr(
-            cli, "_predictive_config",
-            lambda fitted, blocks: replace(predictive_config(fitted, blocks), max_extensions=0),
-        )
+        monkeypatch.setattr(predictive, "_MAX_EXTENSIONS", 0)
         code = main([command, "--config", str(config), "--out", str(tmp_path / command)])
         assert code == 4
         err = json.loads(capsys.readouterr().err.strip())

@@ -156,6 +156,18 @@ def test_iso_dates_count_days_as_toordinal():
     assert day.tolist() == [d.toordinal() - dt.date(1970, 1, 1).toordinal() for d in days]
 
 
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_only_iso_calendar_dates_parse(tmp_path, quote):
+    # from Python 3.11 on date.fromisoformat also reads the compact and week
+    # forms; both tokenizers reject them on every version
+    dates = ["2001-01-01", "20010103", "2001-W01-2", " 2001-01-04 "]
+    path = write_files(tmp_path, ["".join(f"{quote}A{quote},{d},1.0,\n" for d in dates)])[0]
+    series, ledger = read_event_file(path)
+    assert [(r["line"], r["reason"]) for r in ledger.rejects] == [(3, "unparseable date"), (4, "unparseable date")]
+    assert series["A"][0].tolist() == [dt.date(2001, 1, 1), dt.date(2001, 1, 4)]
+    assert_same_parse(path)
+
+
 def test_matches_reference_across_files(tmp_path):
     bodies = [
         "B,2001-01-02,1.0,\nA,2001-01-05,2.0,\nA,2001-01-01,bad,\n",

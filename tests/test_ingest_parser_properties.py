@@ -15,7 +15,7 @@ from .test_ingest_parser import assert_same_parse, write_files
 
 STATIONS = ["A", "B", " A", "C "]
 DATES = ["2001-01-01", "2001-01-02", "2001-01-03", "20010103", "2001-12-31", "2000-02-29",
-         "2001-02-29", "2001-1-5", "1969-12-31", " 2001-01-02", "x", ""]
+         "2001-02-29", "2001-1-5", "1969-12-31", " 2001-01-02", "2001-W01-2", "x", ""]
 VALUES = ["0.0", "1.5", "12.25", "-0.0", "", "NA", "NaN", "nan", "NAN", "-nan", "inf",
           "-inf", "Infinity", "1e999", "-2.0", "oops", " 3.0 ", "7"]
 FLAGS = ["", "", "Q", " X", " ", "\t", "\u00a0"]

@@ -553,6 +553,30 @@ class TestRowBatchedKernels:
             rejected += int(np.sum(self.check_rows([pairs[i] for i in pick], V) == -np.inf))
         assert rejected > 0
 
+    @pytest.mark.parametrize("kind", ["shmev", "hmev", "gev"])
+    def test_huge_coordinates_raise_nothing(self, kind, stations, wei_small, wei_small_prior):
+        # +-1e300 in any one coordinate, as rows of a batch and one row at a
+        # time: a rejected state (-inf, zero gradient) or a finite value and
+        # gradient, never an exception
+        if kind == "shmev":
+            targets = [ShmevTarget(wei_small.train, wei_small_prior), ShmevTarget(wei_small.train, self.shifted(wei_small_prior))]
+        else:
+            targets = [t for t, _ in stations[kind == "gev"][:2]]
+        dim = targets[0].initial_vector().size
+        rows = targets * dim
+        for huge in (1e300, -1e300):
+            V = np.array([t.initial_vector() for t in rows])
+            V[np.arange(V.shape[0]), np.repeat(np.arange(dim), len(targets))] = huge
+            logp, grad, _ = type(targets[0]).batch_kernel(rows)(V)
+            rejected = logp == -np.inf
+            assert np.all(grad[rejected] == 0.0)
+            assert np.all(np.isfinite(logp[~rejected])) and np.all(np.isfinite(grad[~rejected]))
+            if kind == "gev":  # a huge shape puts some maximum outside the support
+                assert np.all(rejected[-len(targets):])
+            for r, (t, v) in enumerate(zip(rows, V)):
+                one_logp, one_grad = t(v)
+                assert _same_bits(logp[r], one_logp) and _same_bits(grad[r], one_grad), r
+
     def test_one_target_batch_uses_the_targets_own_kernel(self, wei_small, wei_small_prior):
         # the sampler's kernel for a single row must not copy the events again
         target = ShmevTarget(wei_small.train, wei_small_prior)

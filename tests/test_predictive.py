@@ -44,11 +44,7 @@ def grid_cdf(est):
 
 
 def estimate_from_blocks(gamma, delta, n, y):
-    return MaximaCdfEstimate(
-        y=y,
-        blocks=BlockDraws(gamma=gamma, delta=delta, n=n),
-        config=PredictiveConfig(blocks_per_draw=gamma.shape[1]),
-    )
+    return MaximaCdfEstimate(y=y, blocks=BlockDraws(gamma=gamma, delta=delta, n=n))
 
 
 class TestPredictiveCdf:
@@ -139,8 +135,6 @@ class TestCdfKernel:
         full = blocks.cdf_at(x)
         assert full.tobytes() == blocks.cdf_kernel(x)[0].tobytes()
         assert full.tobytes() == blocks.cdf_kernel(x, slope=True)[0].tobytes()
-        rows = np.array([1, 4, 8])
-        assert full[rows].tobytes() == blocks.cdf_kernel(x[rows], rows, slope=True)[0].tobytes()
 
 
 class TestPredictiveQuantile:
@@ -151,7 +145,7 @@ class TestPredictiveQuantile:
         mean_q, _, _ = predictive_quantile(est, 0.9)
         assert abs(float(est.cdf_at(mean_q).mean()) - 0.9) < 0.002
 
-    def test_degenerate_closed_form(self):
+    def test_degenerate_closed_form(self, monkeypatch):
         y = np.geomspace(1.0, 200.0, 64)
         est = estimate_from_blocks(
             gamma=np.ones((1, 3)),
@@ -164,7 +158,8 @@ class TestPredictiveQuantile:
         assert mean_q == pytest.approx(DEGENERATE_Q99, abs=5e-3)
         assert lo == pytest.approx(mean_q, abs=1e-6)
         assert hi == pytest.approx(mean_q, abs=1e-6)
-        tight = est.per_draw_quantiles([0.99], tol=1e-10)
+        monkeypatch.setattr(predictive, "_CDF_TOL", 1e-10)
+        tight = est.per_draw_quantiles([0.99])
         assert tight[0, 0] == pytest.approx(DEGENERATE_Q99, abs=1e-6)
 
     def test_fifty_year_level_matches_brute_force_oracle(self, rng):
@@ -184,7 +179,7 @@ class TestPredictiveQuantile:
         oracle = np.quantile(true_maxima_sample(cfg, site, 300_000, oracle_seed=5), 0.98)
         assert abs(mean_q - oracle) / oracle < 0.02
 
-    def test_unreachable_probability_raises(self):
+    def test_unreachable_probability_raises(self, monkeypatch):
         y = np.geomspace(1.0, 10.0, 16)
         est = estimate_from_blocks(
             gamma=np.ones((2, 4)), delta=np.full((2, 4), 10.0), n=np.zeros((2, 4), dtype=int), y=y
@@ -192,7 +187,7 @@ class TestPredictiveQuantile:
         # all-dry draws have cdf == 1 everywhere, so any prob < 1 is fine (returns 0)
         q = est.per_draw_quantiles([0.5])
         assert np.all(q == pytest.approx(0.0, abs=1e-9))
-        est.config = PredictiveConfig(blocks_per_draw=4, max_extensions=1)
+        monkeypatch.setattr(predictive, "_MAX_EXTENSIONS", 1)
         est.blocks.n = np.full((2, 4), 1)
         est.blocks.gamma = np.full((2, 4), 0.2)
         est.blocks.delta = np.full((2, 4), 1e6)
@@ -269,7 +264,7 @@ class TestInvertQuantiles:
         monkeypatch.setattr(predictive, "_CHUNK_ELEMENTS", budget)
         ests = [site_estimate(3, 12, seed, [0.5, 300.0]) for seed in range(3)]
         stuck = ests[1]
-        stuck.config = PredictiveConfig(blocks_per_draw=12, max_extensions=2)
+        monkeypatch.setattr(predictive, "_MAX_EXTENSIONS", 2)
         stuck.blocks.gamma[1:] = 0.2
         stuck.blocks.delta[1:] = 1e6
         probs = [[0.9], [0.5, 0.999999], [0.9]]

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import shmev.predictive as predictive
-from shmev.predictive import BlockDraws, MaximaCdfEstimate, PredictiveConfig, invert_quantiles
+from shmev.predictive import BlockDraws, MaximaCdfEstimate, invert_quantiles
 
 from .oracles import per_draw_quantiles_reference
 
-TOL = PredictiveConfig().cdf_tol
+TOL = predictive._CDF_TOL
 
 
 @st.composite
@@ -30,11 +30,7 @@ def estimates(draw, m=None):
     n = draw(hnp.arrays(np.int64, (b, m), elements=st.integers(0, 366)))
     dry = draw(hnp.arrays(bool, b))
     n[dry] = 0
-    return MaximaCdfEstimate(
-        y=np.geomspace(0.01, 5e3, 16),
-        blocks=BlockDraws(gamma=gamma, delta=delta, n=n),
-        config=PredictiveConfig(blocks_per_draw=m),
-    )
+    return MaximaCdfEstimate(y=np.geomspace(0.01, 5e3, 16), blocks=BlockDraws(gamma=gamma, delta=delta, n=n))
 
 
 @st.composite

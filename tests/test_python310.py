@@ -1,6 +1,7 @@
 """The package declares ``requires-python >=3.10``: every module must parse
 with Python 3.10's grammar and use none of the standard-library names added
-in 3.11 or later, whichever interpreter runs the tests."""
+in 3.11 or later, nor the methods that accept more input from 3.11 on,
+whichever interpreter runs the tests."""
 import ast
 from pathlib import Path
 
@@ -18,10 +19,14 @@ NEWER_NAMES = {
                "NotRequired", "TypeVarTuple", "Unpack", "dataclass_transform", "override"},
 }
 NEWER_MODULES = {"tomllib", "wsgiref.types"}
+# methods that read more forms from 3.11 on (date.fromisoformat takes
+# YYYYMMDD and week dates), so the same input would parse differently
+WIDER_METHODS = {"fromisoformat"}
 
 
 def newer_uses(tree: ast.Module) -> list[str]:
-    """``module.name`` for every 3.11+ name the tree imports or reads."""
+    """``module.name`` for every 3.11+ name the tree imports or reads, and
+    ``receiver.method`` for every method in ``WIDER_METHODS`` it reads."""
     aliases = {}  # local name -> module
     found = []
     for node in ast.walk(tree):
@@ -35,7 +40,9 @@ def newer_uses(tree: ast.Module) -> list[str]:
                 found.append(node.module)
             found += [f"{node.module}.{a.name}" for a in node.names if a.name in NEWER_NAMES.get(node.module, ())]
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        if isinstance(node, ast.Attribute) and node.attr in WIDER_METHODS:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             module = aliases.get(node.value.id)
             if node.attr in NEWER_NAMES.get(module, ()):
                 found.append(f"{module}.{node.attr}")
@@ -54,3 +61,13 @@ def test_newer_names_are_found():
         "itertools.batched([], 2)\ndt.UTC\ndt.timezone.utc\n"
     )
     assert sorted(newer_uses(ast.parse(source))) == ["datetime.UTC", "itertools.batched", "tomllib", "typing.Self"]
+
+
+def test_wider_methods_are_found():
+    source = (
+        "import datetime as dt\nfrom datetime import date\n"
+        "dt.date.fromisoformat('2001-01-01')\nparse = date.fromisoformat\ndt.datetime.fromisoformat(text)\n"
+    )
+    assert sorted(newer_uses(ast.parse(source))) == [
+        "date.fromisoformat", "dt.date.fromisoformat", "dt.datetime.fromisoformat"
+    ]
