@@ -74,7 +74,7 @@ from .predictive import (
 from .simulate import ScenarioConfig, simulate_scenario
 
 MANIFEST_SCHEMA_VERSION = 1
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -240,6 +240,8 @@ def load_fit(fit_dir: str | Path) -> FittedModel:
             accept_prob=np.asarray(diag["accept_prob"], dtype=float),
             divergences=np.asarray(diag["divergences"], dtype=int),
             step_sizes=np.asarray(diag["step_sizes"], dtype=float),
+            warmup_divergences=np.asarray(diag["warmup_divergences"], dtype=int),
+            grad_evals=np.asarray(diag["grad_evals"], dtype=int),
         )
     return FittedModel(kind=meta["model"], meta=meta, posteriors=posteriors, snapshot=snapshot)
 
@@ -250,6 +252,8 @@ def _diag_dict(post: PosteriorDraws) -> dict:
         "accept_prob": [float(v) for v in post.accept_prob],
         "divergences": [int(v) for v in post.divergences],
         "step_sizes": [float(v) for v in post.step_sizes],
+        "warmup_divergences": [int(v) for v in post.warmup_divergences],
+        "grad_evals": [int(v) for v in post.grad_evals],
         "max_rhat": None if post.rhat is None else float(np.nanmax(post.rhat)),
         "min_ess": None if post.ess is None else float(np.nanmin(post.ess)),
     }

@@ -20,8 +20,9 @@ the chain sampled alone, bit for bit.
 chain.  With more than one worker, the rows are split into contiguous spans
 over one pool of worker processes forked from the caller, which inherit the
 jobs and each chain's random stream; only a row's result dict (draws,
-acceptance, divergences, step size) is sent back.  Where the ``fork`` start
-method does not exist, all rows run in the calling process.
+acceptance, divergences, step size, gradient evaluations) is sent back.
+Where the ``fork`` start method does not exist, all rows run in the
+calling process.
 """
 from __future__ import annotations
 
@@ -100,6 +101,8 @@ class PosteriorDraws:
     accept_prob: np.ndarray      # per-chain mean Metropolis acceptance probability
     divergences: np.ndarray      # per-chain divergent-trajectory counts
     step_sizes: np.ndarray       # per-chain frozen step sizes
+    warmup_divergences: np.ndarray  # per-chain divergent warmup trajectories
+    grad_evals: np.ndarray       # per-chain gradient evaluations, warmup included
     rhat: np.ndarray | None = None
     ess: np.ndarray | None = None
     degenerate: np.ndarray | None = None
@@ -131,11 +134,13 @@ class _Rows:
     Rows whose targets share a row-batched kernel (``batch_kernel``, see
     ``shmev.model``) are evaluated in one kernel call, on ``q`` itself when
     they are all the rows; any other target is called row by row, and only
-    on the rows asked for.
+    on the rows asked for.  ``asked`` counts each row's evaluations asked
+    for.
     """
 
     def __init__(self, targets: Sequence):
         self.targets = targets
+        self.asked = np.zeros(len(targets), dtype=int)
         kernels: dict = {}
         self.single = []
         for r, target in enumerate(targets):
@@ -154,6 +159,7 @@ class _Rows:
         """Write the value and gradient at ``q[r]`` into ``logp[r]`` and
         ``grad[r]`` for every ``r`` in ``rows`` (a boolean mask); a batched
         kernel may write its other rows too."""
+        self.asked += rows
         for idx, kernel in self.batched:
             if rows[idx].any():
                 logp[idx], grad[idx], _ = kernel(q[idx])
@@ -232,7 +238,9 @@ def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams:
     """Sample one chain per row of ``q0`` in lockstep: every iteration draws
     each row's momentum and jittered step count from the row's own stream,
     runs all trajectories together, then accepts and adapts each row
-    separately.  Every row's result equals that of the row sampled alone."""
+    separately.  Every row's result equals that of the row sampled alone,
+    and its ``grad_evals`` counts the gradients the row asked for: the
+    initial one, the step-size search's and the leapfrog steps'."""
     rows, dim = q0.shape
     evaluate = _Rows(targets)
     mass = np.ones((rows, dim))
@@ -323,6 +331,7 @@ def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams:
             "divergences": int(divergences[r]),
             "warmup_divergences": int(warmup_divergences[r]),
             "step_size": float(eps[r]),
+            "grad_evals": int(evaluate.asked[r]),
         }
         for r in range(rows)
     ]
@@ -417,6 +426,8 @@ def run_hmc_jobs(jobs: Sequence[HmcJob], n_workers: int = 1) -> list[PosteriorDr
             accept_prob=np.array([r["accept_prob"] for r in mine]),
             divergences=np.array([r["divergences"] for r in mine]),
             step_sizes=np.array([r["step_size"] for r in mine]),
+            warmup_divergences=np.array([r["warmup_divergences"] for r in mine]),
+            grad_evals=np.array([r["grad_evals"] for r in mine]),
         )
         if config.n_chains >= 2 and config.n_kept >= 4:
             post.rhat, post.ess, post.degenerate = rhat_ess(post)
@@ -445,28 +456,16 @@ def run_hmc(
 # Convergence diagnostics
 # ---------------------------------------------------------------------------
 
-# numpy evaluates ``f * np.conj(f)`` as ``np.conj(f) * f``, in place of the
-# temporary, once ``f`` holds this many bytes (temporary elision); the two
-# operand orders can round the complex product differently
-_ELISION_BYTES = 256 * 1024
-
-
-def _autocovariance(x: np.ndarray, stacked: int) -> np.ndarray:
-    """Biased autocovariance along axis 1 via FFT; x is (chains, n, dim).
-    The power spectrum takes the operand order of one ``f * np.conj(f)``
-    over ``stacked`` arrays shaped as ``x``'s spectrum ``f``, so that
-    chains taken one at a time get the bits of the stacked computation."""
+def _autocovariance(x: np.ndarray) -> np.ndarray:
+    """Biased autocovariance along axis 1 via FFT; x is (chains, n, dim)."""
     n = x.shape[1]
     size = 2 ** int(np.ceil(np.log2(2 * n)))
     f = np.fft.rfft(x - x.mean(axis=1, keepdims=True), n=size, axis=1)
-    power = np.conj(f)
-    if stacked * f.nbytes >= _ELISION_BYTES:
-        np.multiply(power, f, out=power)
-    else:
-        np.multiply(f, power, out=power)
-    del f  # freed before the inverse FFT allocates its output
-    acov = np.fft.irfft(power, n=size, axis=1)[:, :n]
-    return acov.real / n
+    # the power spectrum f.real**2 + f.imag**2, in f's own buffer
+    f.real = f.real**2 + f.imag**2
+    f.imag = 0.0
+    acov = np.fft.irfft(f, n=size, axis=1)[:, :n]
+    return acov / n
 
 
 def rhat_ess(draws: PosteriorDraws | np.ndarray):
@@ -510,9 +509,9 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
 
     # ESS: Geyer initial monotone positive sequence on combined autocorrelations;
     # the halves' autocovariances are summed in the order of a mean over their stack
-    tau_t = _autocovariance(halves[0][None], 2 * m)[0]
+    tau_t = _autocovariance(halves[0][None])[0]
     for h in halves[1:]:
-        tau_t += _autocovariance(h[None], 2 * m)[0]
+        tau_t += _autocovariance(h[None])[0]
     tau_t /= 2 * m                              # (half, dim)
     var_plus_safe = np.where(var_plus <= 0.0, 1.0, var_plus)
     rho = 1.0 - (w - tau_t) / var_plus_safe     # (half, dim)

@@ -17,13 +17,19 @@ exact per coordinate; samplers treat a non-finite value as a rejected state.
 Every target is row-batched: one kernel call evaluates a batch of rows, one
 target per row, and each row's result equals its one-row call bit for bit.
 The two hierarchies share one block kernel, ``_weibull_gumbel_binomial``:
-from per-block log gamma and log delta, the blocks' Gumbel locations, the
+from per-block log gamma and log delta, each site's Gumbel locations, the
 two log scales and each site's logit and event count, it gives the Weibull,
-latent-Gumbel and binomial terms with their block-level gradients.  Each
-hierarchy keeps only its parameter map, its priors and the chain rule back
-to its own coordinates: the spatial model through the design matrix ``Z``,
-the single-site model through ``exp(log mu)``.  Both sum each block's
-events with one segment sum, ``np.add.reduceat`` over the blocks' runs.
+latent-Gumbel and binomial terms with their block-level and site-level
+gradients.  Each hierarchy keeps only its parameter map, its priors and the
+chain rule back to its own coordinates: the spatial model through the
+design matrix ``Z``, the single-site model through ``exp(log mu)``.
+
+The events enter the kernel as logs shifted by their block's largest log
+magnitude, ``d_e = log x_e - m_b <= 0``.  Each Weibull term ``(x_e /
+delta)^gamma`` is ``exp(gamma d_e)`` times one factor per block, so one
+pass over the events (``exp(gamma d_e)`` and its product with ``d_e``, each
+summed per block by ``np.add.reduceat`` over the blocks' runs) gives every
+block-level Weibull sum, and no per-event term exceeds 1.
 
 Unconstrained layouts
 ---------------------
@@ -370,9 +376,11 @@ def shmev_gradient(params: ShmevParams, dataset: Dataset, prior: ShmevPriorSpec)
 
 class _Events:
     """One target's event magnitudes, block by block, compiled for the block
-    kernel: the log magnitudes in block order, so that each block's events
-    form one run of ``counts[k]`` entries, with the per-block counts and log
-    sums and the binomial normalising constant."""
+    kernel: each block's largest log magnitude ``m_b`` (0 for an empty
+    block) and each event's log magnitude shifted by it, ``d_e = log x_e -
+    m_b <= 0``, in block order, so that each block's events form one run of
+    ``counts[k]`` entries; with the per-block counts and log sums and the
+    binomial normalising constant."""
 
     def __init__(self, blocks: Sequence[np.ndarray], trials: int):
         self.trials = trials
@@ -381,16 +389,17 @@ class _Events:
         over = np.flatnonzero(self.counts > trials)
         if over.size:
             raise ValueError(f"block {over[0]}: {self.counts[over[0]]} events exceed trials_per_block={trials}")
-        logs, self.slx_b = [], np.zeros(len(blocks))
+        shifted, self.m_b, self.slx_b = [], np.zeros(len(blocks)), np.zeros(len(blocks))
         for k, mags in enumerate(blocks):
             arr = np.asarray(mags, dtype=float)
             if np.any(arr <= 0.0):
                 raise ValueError("magnitudes must be strictly positive")
             if arr.size:
                 lx = np.log(arr)
-                logs.append(lx)
+                self.m_b[k] = lx.max()
                 self.slx_b[k] = lx.sum()
-        self.logx = np.concatenate(logs) if logs else np.zeros(0)
+                shifted.append(lx - self.m_b[k])
+        self.d_e = np.concatenate(shifted) if shifted else np.zeros(0)
         n, N = self.n_b, float(trials)
         self.binom_const = float(
             np.sum(gammaln(N + 1.0) - gammaln(n + 1.0) - gammaln(N - n + 1.0))
@@ -400,13 +409,11 @@ class _Events:
 class _EventRows:
     """The events of one target per row, laid out for one block-kernel call.
 
-    The rows' events are concatenated row by row (one row's are used as they
-    are), so a per-block value reaches its run of events by ``np.repeat``.
-    Per-block totals are segment sums over the runs, by ``np.add.reduceat``
-    over the starts of the non-empty blocks' runs.  Each row's event total is
-    a sum along the last axis of the ``(rows, events)`` block that its run of
-    equal-sized rows forms, as a one-row sum is.  One pair of scratch
-    buffers, allocated on first use, holds the per-event terms.
+    The rows' shifted logs are concatenated row by row (one row's are used
+    as they are), so a per-block value reaches its run of events by
+    ``np.repeat``.  Per-block totals are segment sums over the runs, by
+    ``np.add.reduceat`` over the starts of the non-empty blocks' runs.  One
+    scratch buffer, allocated on first use, holds the per-event terms.
     """
 
     def __init__(self, events: Sequence[_Events]):
@@ -414,23 +421,22 @@ class _EventRows:
         if any(e.counts.size != self.K for e in events):
             raise ValueError("rows of one kernel call must have equally many blocks")
         if self.R == 1:
-            self.counts, self.logx = events[0].counts, events[0].logx
+            self.counts, self.d_e = events[0].counts, events[0].d_e
         else:
             self.counts = np.concatenate([e.counts for e in events])
-            self.logx = np.concatenate([e.logx for e in events])
+            self.d_e = np.concatenate([e.d_e for e in events])
         self.n_b = np.array([e.n_b for e in events])
+        self.m_b = np.array([e.m_b for e in events])
         self.slx_b = np.array([e.slx_b for e in events])
         self.binom_const = np.array([e.binom_const for e in events])
-        sizes = [e.logx.size for e in events]
-        offsets = np.cumsum([0] + sizes).tolist()
-        self.runs = [(a, b, offsets[a], sizes[a]) for a, b in _equal_runs(sizes)]
+        self.empty = np.flatnonzero(self.counts == 0)  # flat (row, block) indices
         self.seg_blocks = np.flatnonzero(self.counts)  # the non-empty blocks
         self.seg_starts = (np.cumsum(self.counts) - self.counts)[self.seg_blocks]
-        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+        self._scratch: np.ndarray | None = None
 
-    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
+    def scratch(self) -> np.ndarray:
         if self._scratch is None:
-            self._scratch = (np.empty(self.logx.size), np.empty(self.logx.size))
+            self._scratch = np.empty(self.d_e.size)
         return self._scratch
 
     def block_sums(self, values: np.ndarray) -> np.ndarray:
@@ -439,12 +445,6 @@ class _EventRows:
         if self.seg_starts.size:
             out[self.seg_blocks] = np.add.reduceat(values, self.seg_starts)
         return out.reshape(self.R, self.K)
-
-    def row_sums(self, values: np.ndarray) -> np.ndarray:
-        out = np.empty(self.R)
-        for a, b, start, n in self.runs:
-            out[a:b] = values[start:start + (b - a) * n].reshape(b - a, n).sum(axis=1)
-        return out
 
 
 def _weibull_gumbel_binomial(
@@ -457,62 +457,77 @@ def _weibull_gumbel_binomial(
     group_trials,
 ) -> SimpleNamespace:
     """The likelihood terms that the spatial and single-site hierarchies share,
-    over ``R`` rows of ``K`` blocks that fall into ``G`` groups (sites).
+    over ``R`` rows of ``G`` groups (sites) of ``J`` blocks each.
 
-    ``latent_logs`` (R, 2, K) holds each block's log gamma and log delta,
-    ``loc`` (broadcastable to (R, 2, K)) the Gumbel locations of gamma and
-    delta, ``log_scale`` (R, 2) their log scales; ``logit``, ``sum_n`` and
-    ``group_trials`` (R, G) are each group's event-probability logit, event
-    count and trials (blocks times trials per block).
+    ``latent_logs`` (R, 2, G, J) holds each block's log gamma and log delta,
+    ``loc`` (broadcastable to (R, 2, G, J)) the Gumbel locations of gamma
+    and delta, ``log_scale`` (R, 2) their log scales; ``logit``, ``sum_n``
+    and ``group_trials`` (R, G) are each group's event-probability logit,
+    event count and trials (blocks times trials per block).
+
+    The Weibull terms need, per block, ``T1 = sum_e t_e`` and ``sum_e t_e
+    (log x_e - log delta)`` over ``t_e = (x_e / delta)^gamma``.  With the
+    block's largest log magnitude ``m`` and the shifted logs ``d_e``, ``t_e
+    = f exp(gamma d_e)`` for ``f = exp(gamma (m - log delta))`` (0 for an
+    empty block), so one pass over the events in one scratch buffer forms
+    ``S0 = sum_e exp(gamma d_e)`` and ``S1 = sum_e exp(gamma d_e) d_e``, and
+    ``T1 = f S0`` and ``sum_e t_e (log x_e - log delta) = f S1 + (m - log
+    delta) T1``.  No per-event term exceeds 1.
 
     Returns the Weibull, latent-Gumbel (with the log scales' normalisation),
     binomial and latent-Jacobian terms, each (R,), with their gradients: with
     respect to the log latents (Weibull, Gumbel and Jacobian together) as
-    ``d_latent`` (R, 2, K), the log scales as ``d_log_scale`` (R, 2) and the
-    logits as ``d_logit`` (R, G); the location gradient is left to the caller
-    as ``one_m_e = 1 - exp(-z)`` (R, 2, K) and ``scale`` (R, 2, 1), so that
-    each target applies its own chain rule.  Call inside ``np.errstate``.
+    ``d_latent`` (R, 2, G*J), the groups' Gumbel locations as ``d_loc``
+    (R, 2, G), the log scales as ``d_log_scale`` (R, 2) and the logits as
+    ``d_logit`` (R, G); each target applies its own chain rule to ``d_loc``
+    and ``d_logit``.  Call inside ``np.errstate``.
     """
-    ug, ud = latent_logs[:, 0], latent_logs[:, 1]
+    R, _, G, J = latent_logs.shape
+    K = G * J
+    flat = latent_logs.reshape(R, 2, K)
+    ug, ud = flat[:, 0], flat[:, 1]
     nb, slx = ev.n_b, ev.slx_b
     latents = np.exp(latent_logs)
-    gam = latents[:, 0]
-    scale = np.exp(log_scale)[:, :, None]
+    gam = latents[:, 0].reshape(R, K)
+    scale = np.exp(log_scale)[:, :, None, None]
     lam, log_lam, log_1m_lam = expit_log_expit_pair(logit)
 
-    # Weibull magnitudes: per-event (x/delta)^gamma via exp of logs
-    t_e, work = ev.scratch()
-    np.subtract(ev.logx, np.repeat(ud.ravel(), ev.counts), out=t_e)
-    np.multiply(t_e, np.repeat(gam.ravel(), ev.counts), out=t_e)
-    np.exp(t_e, out=t_e)
-    T1 = ev.block_sums(t_e)
-    np.multiply(t_e, ev.logx, out=work)
-    U = ev.block_sums(work)
+    # Weibull magnitudes: t_e = f exp(gamma d_e), summed per block
+    m_ud = ev.m_b - ud
+    f = np.exp(gam * m_ud)
+    if ev.empty.size:
+        f.reshape(-1)[ev.empty] = 0.0  # its parameters may overflow f
+    w = ev.scratch()
+    np.multiply(ev.d_e, np.repeat(gam.ravel(), ev.counts), out=w)
+    np.exp(w, out=w)
+    T1 = f * ev.block_sums(w)
+    w *= ev.d_e
+    T2 = f * ev.block_sums(w) + m_ud * T1  # sum_e t_e (log x_e - log delta)
     nb_ud = nb * ud
-    weibull = np.add.reduce(nb * ug - nb_ud + (gam - 1.0) * (slx - nb_ud), axis=1) - ev.row_sums(t_e)
+    weibull = np.add.reduce(nb * ug - nb_ud + (gam - 1.0) * (slx - nb_ud) - T1, axis=1)
 
     # Gumbel latent layers on the per-block Weibull parameters
     z = (latents - loc) / scale
     e = np.exp(-z)
-    zsum = np.add.reduce(z + e, axis=2)
-    latent = -ev.K * (log_scale[:, 0] + log_scale[:, 1]) - zsum[:, 0] - zsum[:, 1]
+    zsum = np.add.reduce((z + e).reshape(R, 2, K), axis=2)
+    latent = -K * (log_scale[:, 0] + log_scale[:, 1]) - zsum[:, 0] - zsum[:, 1]
+    one_m_e = 1.0 - e
 
     # binomial counts, logit-linked success probability
     binom = np.add.reduce(sum_n * log_lam + (group_trials - sum_n) * log_1m_lam, axis=1) + ev.binom_const
 
-    d_latent = latents * (e - 1.0) / scale
-    d_latent[:, 0] = nb + gam * (slx - nb_ud - (U - ud * T1)) + d_latent[:, 0] + 1.0
-    d_latent[:, 1] = gam * (T1 - nb) + d_latent[:, 1] + 1.0
-    one_m_e = 1.0 - e
+    # the latent-Gumbel gradient, negated
+    d_latent = (latents * one_m_e / scale).reshape(R, 2, K)
+    d_latent[:, 0] = nb + gam * (slx - nb_ud - T2) - d_latent[:, 0] + 1.0
+    d_latent[:, 1] = gam * (T1 - nb) - d_latent[:, 1] + 1.0
     return SimpleNamespace(
         weibull=weibull,
         latent=latent,
         binom=binom,
-        jacobian=np.add.reduce(ug, axis=1) + np.add.reduce(ud, axis=1),
+        jacobian=np.add.reduce(latent_logs.reshape(R, 2 * K), axis=1),
         d_latent=d_latent,
-        one_m_e=one_m_e,
-        scale=scale,
-        d_log_scale=np.add.reduce(-1.0 + z * one_m_e, axis=2),
+        d_loc=np.add.reduce(one_m_e, axis=3) / scale[:, :, :, 0],
+        d_log_scale=np.add.reduce((-1.0 + z * one_m_e).reshape(R, 2, K), axis=2),
         lam=lam,
         log_lam=log_lam,
         log_1m_lam=log_1m_lam,
@@ -614,11 +629,11 @@ class _RowBatchedTarget:
 
 class _ShmevRows:
     """The spatial kernel over one ``ShmevTarget`` per row; the rows share a
-    layout.  Each row's regressions (``Z @ beta``) and their transposes run
-    one row at a time, as a batched product could change a row's bits; the
-    block kernel and the priors run on all rows at once.  A block's Gumbel
-    locations are its site's regressions, and the location gradients go
-    back through ``Z.T`` from per-site sums.
+    layout.  Each row's three regressions (one ``(3, p+1) @ Z.T`` product)
+    and their transposes (one ``(3, S) @ Z`` product) run one row at a time,
+    as a batched product could change a row's bits; the block kernel and the
+    priors run on all rows at once.  A block's Gumbel locations are its
+    site's regressions, broadcast over the site's blocks.
     """
 
     def __init__(self, targets: Sequence["ShmevTarget"]):
@@ -629,7 +644,6 @@ class _ShmevRows:
         self.targets, self.layout = list(targets), L
         self.events = _EventRows([t._events for t in targets])
         S, J = L.n_sites, L.n_blocks
-        self.site_of_block = np.repeat(np.arange(S), J)
         self.sum_n = np.array([t._events.counts.reshape(S, J).sum(axis=1).astype(float) for t in targets])
         self.group_trials = J * np.array([[float(t._events.trials)] for t in targets])
         # the coefficient priors and the latent-scale priors side by side, as
@@ -644,47 +658,35 @@ class _ShmevRows:
 
     def __call__(self, V: np.ndarray):
         L, R = self.layout, V.shape[0]
-        S, K = L.n_sites, L.n_sites * L.n_blocks
+        S, J, p1 = L.n_sites, L.n_blocks, L.n_covariates + 1
         grad = np.empty(V.shape)
         coef, sigma = V[:, :L.log_sigma_gamma], V[:, L.log_sigma_gamma:L.log_sigma_delta + 1]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            loc, ell = np.empty((R, 2, K)), np.empty((R, S))
+            # each site's gamma and delta locations and event logit
+            linear = np.empty((R, 3, S))
             for r, t in enumerate(self.targets):
-                loc[r, 0] = (t._Z @ V[r, L.beta_gamma])[self.site_of_block]
-                loc[r, 1] = (t._Z @ V[r, L.beta_delta])[self.site_of_block]
-                ell[r] = t._Z @ V[r, L.beta_lambda]
+                linear[r] = coef[r].reshape(3, p1) @ t._Z.T
             k = _weibull_gumbel_binomial(
                 self.events,
-                V[:, L.log_gamma.start:].reshape(R, 2, K),
-                loc,
+                V[:, L.log_gamma.start:].reshape(R, 2, S, J),
+                linear[:, :2, :, None],
                 sigma,
-                ell,
+                linear[:, 2],
                 self.sum_n,
                 self.group_trials,
             )
-            coef_prior = NormalPrior.logpdf(self.coef, coef)
-            sigma_prior = InverseGammaPrior.log_density_unconstrained(self.sigma, sigma)
-            # each coefficient group summed column by column, left to right:
-            # np.add.reduce may pair the terms otherwise and change the bits
-            prior_terms = (
-                sum(coef_prior[:, L.beta_gamma].T)
-                + sum(coef_prior[:, L.beta_delta].T)
-                + sum(coef_prior[:, L.beta_lambda].T)
-                + sigma_prior[:, 0]
-                + sigma_prior[:, 1]
+            prior_terms = np.add.reduce(NormalPrior.logpdf(self.coef, coef), axis=1) + np.add.reduce(
+                InverseGammaPrior.log_density_unconstrained(self.sigma, sigma), axis=1
             )
+            d_linear = np.concatenate([k.d_loc, k.d_logit[:, None]], axis=1)
             for r, t in enumerate(self.targets):
-                v_g = np.bincount(self.site_of_block, weights=k.one_m_e[r, 0] / k.scale[r, 0], minlength=S)
-                v_d = np.bincount(self.site_of_block, weights=k.one_m_e[r, 1] / k.scale[r, 1], minlength=S)
-                grad[r, L.beta_gamma] = t._Z.T @ v_g
-                grad[r, L.beta_delta] = t._Z.T @ v_d
-                grad[r, L.beta_lambda] = t._Z.T @ k.d_logit[r]
+                grad[r, :L.log_sigma_gamma] = (d_linear[r] @ t._Z).ravel()
             grad[:, :L.log_sigma_gamma] += NormalPrior.score(self.coef, coef)
             grad[:, L.log_sigma_gamma:L.log_sigma_delta + 1] = (
                 k.d_log_scale + InverseGammaPrior.score_unconstrained(self.sigma, sigma)
             )
             logp = k.weibull + k.latent + k.binom + prior_terms + k.jacobian
-            grad[:, L.log_gamma.start:] = k.d_latent.reshape(R, 2 * K)
+            grad[:, L.log_gamma.start:] = k.d_latent.reshape(R, -1)
             _reject_non_finite(logp, grad)
         return logp, grad, _parts(k, prior_terms)
 
@@ -891,21 +893,26 @@ class _HmevRows:
     def __call__(self, V: np.ndarray):
         R, J = V.shape[0], self.J
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-            loc = np.exp(V[:, 0:4:2])[:, :, None]  # mu_gamma, mu_delta
+            mu = np.exp(V[:, 0:4:2])  # mu_gamma, mu_delta
             k = _weibull_gumbel_binomial(
-                self.events, V[:, 5:].reshape(R, 2, J), loc, V[:, 1:4:2], V[:, 4:5], self.sum_n, self.group_trials
+                self.events,
+                V[:, 5:].reshape(R, 2, 1, J),
+                mu[:, :, None, None],
+                V[:, 1:4:2],
+                V[:, 4:5],
+                self.sum_n,
+                self.group_trials,
             )
             lam, log_lam, log_1m_lam = k.lam[:, 0], k.log_lam[:, 0], k.log_1m_lam[:, 0]
             hyper_prior = InverseGammaPrior.log_density_unconstrained(self.hyper, V[:, :4])
             rate_prior = self.rate_a * log_lam + self.rate_b * log_1m_lam - self.rate_log_beta
-            prior_terms = hyper_prior[:, 0] + hyper_prior[:, 1] + hyper_prior[:, 2] + hyper_prior[:, 3] + rate_prior
+            prior_terms = np.add.reduce(hyper_prior, axis=1) + rate_prior
             logp = k.weibull + k.latent + k.binom + prior_terms + k.jacobian
 
             grad = np.empty(V.shape)
             grad[:, 5:] = k.d_latent.reshape(R, 2 * J)
             hyper_score = InverseGammaPrior.score_unconstrained(self.hyper, V[:, :4])
-            loc_score = loc[:, :, 0] * np.add.reduce(k.one_m_e, axis=2) / k.scale[:, :, 0]
-            grad[:, 0:4:2] = loc_score + hyper_score[:, 0::2]
+            grad[:, 0:4:2] = mu * k.d_loc[:, :, 0] + hyper_score[:, 0::2]
             grad[:, 1:4:2] = k.d_log_scale + hyper_score[:, 1::2]
             grad[:, 4] = k.d_logit[:, 0] + (self.rate_a - (self.rate_a + self.rate_b) * lam)
             _reject_non_finite(logp, grad)

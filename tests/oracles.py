@@ -3,14 +3,16 @@
 Everything here is a straight-line re-implementation with scalar ``math``
 loops over every observation, deliberately sharing no code with the
 vectorized package internals, except the former implementations kept as
-bit-for-bit references for the current ones: ``take_shmev_value_grad``
-(the spatial kernel before its gather went by block runs, on the event data
-it compiled before it shared a block kernel with the single-site model),
-the per-chain sampler with the one-row GEV and single-site kernels, the
-split-chain diagnostics on stacked copies of the draws and, at the end, the
-one-estimate quantile inversion.  ``weibull_cdf`` is the
-vectorized Weibull cdf that the predictive tests compare the maxima cdf
-with.
+references for the current ones: ``take_shmev_value_grad`` (the spatial
+kernel before its gather went by block runs, on the event data it compiled
+before it shared a block kernel with the single-site model), the per-chain
+sampler with the one-row GEV and single-site kernels, the split-chain
+diagnostics on stacked copies of the draws and, at the end, the
+one-estimate quantile inversion.  They are bit-for-bit references, except
+the two hierarchies' former kernels: those sum the Weibull terms over the
+unshifted logs, and the current kernels match them to a tolerance.
+``weibull_cdf`` is the vectorized Weibull cdf that the predictive tests
+compare the maxima cdf with.
 """
 import csv
 import datetime as dt
@@ -428,8 +430,9 @@ def take_shmev_value_grad(v, target):
 # The per-chain sampler and per-row kernels the lockstep sampler replaced
 # ---------------------------------------------------------------------------
 #
-# Kept verbatim as the bit-for-bit references for ``shmev.hmc`` and the
-# row-batched ``GevTarget`` and ``HmevTarget`` kernels.
+# Kept verbatim as the references for ``shmev.hmc`` and the row-batched
+# ``GevTarget`` and ``HmevTarget`` kernels: bit for bit, except the
+# single-site kernel, which sums the Weibull terms over unshifted logs.
 
 _DA_GAMMA = 0.05
 _DA_T0 = 10.0
@@ -786,8 +789,9 @@ def oracle_hmev_target(target, events, trials):
 # The split-chain diagnostics on stacked copies of the draws
 # ---------------------------------------------------------------------------
 #
-# Kept verbatim as the bit-for-bit reference for ``shmev.hmc.rhat_ess``,
-# which takes one split chain at a time.
+# Kept as the bit-for-bit reference for ``shmev.hmc.rhat_ess``, which takes
+# one split chain at a time; both form the power spectrum as
+# ``f.real**2 + f.imag**2``.
 
 def split_chains(x: np.ndarray) -> np.ndarray:
     """(M, N, dim) -> (2M, N//2, dim), dropping the middle draw when N is odd."""
@@ -802,8 +806,8 @@ def stacked_autocovariance(x: np.ndarray) -> np.ndarray:
     centered = x - x.mean(axis=1, keepdims=True)
     size = 2 ** int(np.ceil(np.log2(2 * n)))
     f = np.fft.rfft(centered, n=size, axis=1)
-    acov = np.fft.irfft(f * np.conj(f), n=size, axis=1)[:, :n]
-    return acov.real / n
+    acov = np.fft.irfft(f.real**2 + f.imag**2, n=size, axis=1)[:, :n]
+    return acov / n
 
 
 def stacked_rhat_ess(draws):

@@ -14,7 +14,7 @@ import yaml
 
 import shmev
 from shmev.cli import load_fit, main, run_command
-from shmev.errors import ConfigError
+from shmev.errors import ConfigError, DataError
 
 
 def write_config(path: Path, body: dict) -> Path:
@@ -166,6 +166,30 @@ class TestEndToEnd:
             assert post.n_chains == 2
             assert post.n_kept_per_chain == 40
             assert post.draws.shape[0] == 2 * 40
+
+    @pytest.mark.parametrize("model", ["shmev", "gev"])
+    def test_model_json_holds_each_chains_counts(self, study, model):
+        base, out, config = study
+        fit_dir = out / {"shmev": "fit", "gev": "fit_gev"}[model]
+        meta = json.loads((fit_dir / "model.json").read_text())
+        fitted = load_fit(fit_dir)
+        for key, post in fitted.posteriors.items():
+            diag = meta["diagnostics"] if model == "shmev" else meta["diagnostics"][key]
+            assert diag["grad_evals"] == post.grad_evals.tolist()
+            assert diag["warmup_divergences"] == post.warmup_divergences.tolist()
+            # the initial gradient, the step-size search and at least one
+            # leapfrog step per iteration
+            assert len(diag["grad_evals"]) == post.n_chains
+            assert all(n >= 2 + meta["sampler"]["iterations"] for n in diag["grad_evals"])
+
+    def test_fit_of_the_former_schema_is_data_error(self, study, tmp_path):
+        # schema 1 had no per-chain counts in its diagnostics
+        base, out, config = study
+        meta = json.loads((out / "fit" / "model.json").read_text())
+        meta["schema_version"] = 1
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match="schema_version 1"):
+            load_fit(tmp_path)
 
     def test_hmev_fit_runs_per_site(self, study):
         base, out, config = study

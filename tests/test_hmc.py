@@ -50,6 +50,8 @@ def make_draws(draws, n_chains, names=None):
         accept_prob=np.full(n_chains, 0.9),
         divergences=np.zeros(n_chains, dtype=int),
         step_sizes=np.full(n_chains, 0.5),
+        warmup_divergences=np.zeros(n_chains, dtype=int),
+        grad_evals=np.full(n_chains, 1000),
     )
 
 
@@ -129,6 +131,31 @@ class TestRunHmc:
             for field in ("draws", "step_sizes", "accept_prob", "divergences"):
                 assert np.array_equal(getattr(serial, field), getattr(forked, field)), (n_workers, field)
             assert multiprocessing.active_children() == []
+
+    def test_grad_evals_count_the_gradients_each_chain_asked_for(self):
+        class CountingNormal:
+            """A standard normal target that counts its calls."""
+
+            calls = 0
+
+            def __call__(self, v):
+                self.calls += 1
+                return -0.5 * float(v @ v), -v
+
+        # one single-chain job per target, so that a target's calls are its chain's
+        config = SamplerConfig(n_chains=1, n_iterations=60, leapfrog_steps=8, seed=0)
+        targets = [CountingNormal() for _ in range(3)]
+        jobs = [HmcJob(t, replace(config, seed=k), np.ones((1, 3))) for k, t in enumerate(targets)]
+        serial = run_hmc_jobs(jobs)
+        # run_hmc_jobs calls each target once to check its dimension; a
+        # trajectory on a normal target never ends early, so every step
+        # asked for is a call
+        assert [t.calls for t in targets] == [1 + post.grad_evals[0] for post in serial]
+        forked = run_hmc_jobs(jobs, n_workers=2)
+        for a, b in zip(serial, forked):
+            assert np.array_equal(a.grad_evals, b.grad_evals)
+            assert np.array_equal(a.warmup_divergences, b.warmup_divergences)
+            assert a.grad_evals[0] >= 2 + config.n_iterations * 6
 
     def test_forked_workers_emit_no_warning(self):
         target, _ = std_normal_target(3)
