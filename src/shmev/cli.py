@@ -33,8 +33,9 @@ from .config import (
 )
 from .data import StandardizationSnapshot
 from .errors import ConfigError, ConvergenceError, DataError, NumericError, ShmevError
-# run_hmc, the one-job form of run_hmc_jobs, stays importable from here
-from .hmc import HmcJob, PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, run_hmc_jobs, trace_export
+# run_hmc, the one-job form of run_hmc_jobs, and rhat_ess, which
+# PosteriorDraws.convergence calls, stay importable from here
+from .hmc import CHAIN_STATS, HmcJob, PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, run_hmc_jobs, trace_export
 from .ingest import (
     _table_rows,
     build_dataset,
@@ -211,52 +212,56 @@ def _posterior_dir(key: str) -> tuple[str, ...]:
     return ("sites", key) if key else ()
 
 
+@contextmanager
+def _damaged(*paths: Path):
+    """Report fit files that cannot be read or do not agree as a ``DataError`` naming them."""
+    try:
+        yield
+    except (OSError, EOFError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise DataError(f"damaged fit: {', '.join(map(str, paths))}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_fit(fit_dir: str | Path) -> FittedModel:
     fit_dir = Path(fit_dir)
     meta_path = fit_dir / "model.json"
     if not meta_path.exists():
         raise DataError(f"no model.json under {fit_dir}")
-    meta = json.loads(meta_path.read_text())
-    if meta.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise DataError(f"unsupported fit schema_version {meta.get('schema_version')}")
-    snapshot = (
-        StandardizationSnapshot.from_dict(meta["snapshot"]) if meta.get("snapshot") else None
-    )
-    # a spatial fit, the one with a snapshot, stores one posterior and its
-    # diagnostics unkeyed
-    diags = meta["diagnostics"]
+    with _damaged(meta_path):
+        meta = json.loads(meta_path.read_text())
+        if meta.get("schema_version") != MODEL_SCHEMA_VERSION:
+            raise DataError(f"unsupported fit schema_version {meta.get('schema_version')}")
+        snapshot = StandardizationSnapshot.from_dict(meta["snapshot"]) if meta.get("snapshot") else None
+        # a spatial fit, the one with a snapshot, stores one posterior and
+        # its diagnostics unkeyed
+        keys = [""] if snapshot is not None else meta["stations"]
+        diags = meta["diagnostics"]
     posteriors = {}
-    for key in [""] if snapshot is not None else meta["stations"]:
-        diag = diags.get(key, diags)
-        post_dir = fit_dir.joinpath(*_posterior_dir(key))
-        draws = np.load(post_dir / "draws.npy")
-        n_chains = int(diag["n_chains"])
-        posteriors[key] = PosteriorDraws(
-            draws=draws,
-            chain=np.load(post_dir / "chain.npy"),
-            param_names=list(meta["param_names"]),
-            n_chains=n_chains,
-            n_kept_per_chain=draws.shape[0] // n_chains,
-            accept_prob=np.asarray(diag["accept_prob"], dtype=float),
-            divergences=np.asarray(diag["divergences"], dtype=int),
-            step_sizes=np.asarray(diag["step_sizes"], dtype=float),
-            warmup_divergences=np.asarray(diag["warmup_divergences"], dtype=int),
-            grad_evals=np.asarray(diag["grad_evals"], dtype=int),
-        )
+    for key in keys:
+        draws_path = fit_dir.joinpath(*_posterior_dir(key), "draws.npy")
+        with _damaged(draws_path):
+            draws = np.load(draws_path)
+        with _damaged(meta_path):
+            diag = diags.get(key, diags)
+            n_chains = int(diag["n_chains"])
+            stats = {name: np.asarray(diag[name], dtype=kind) for name, kind in CHAIN_STATS.items()}
+        with _damaged(draws_path, meta_path):
+            posteriors[key] = PosteriorDraws(draws, list(meta["param_names"]), n_chains, **stats)
     return FittedModel(kind=meta["model"], meta=meta, posteriors=posteriors, snapshot=snapshot)
 
 
 def _diag_dict(post: PosteriorDraws) -> dict:
     return {
         "n_chains": post.n_chains,
-        "accept_prob": [float(v) for v in post.accept_prob],
-        "divergences": [int(v) for v in post.divergences],
-        "step_sizes": [float(v) for v in post.step_sizes],
-        "warmup_divergences": [int(v) for v in post.warmup_divergences],
-        "grad_evals": [int(v) for v in post.grad_evals],
+        **{name: [kind(v) for v in getattr(post, name)] for name, kind in CHAIN_STATS.items()},
         "max_rhat": None if post.rhat is None else float(np.nanmax(post.rhat)),
         "min_ess": None if post.ess is None else float(np.nanmin(post.ess)),
     }
+
+
+def _convergence_cells(post: PosteriorDraws, k: int) -> list[str]:
+    """Parameter ``k``'s R-hat and ESS cells, empty where there are none."""
+    rhat, ess, _ = post.convergence
+    return ["" if rhat is None else _fmt(rhat[k]), "" if ess is None or np.isnan(ess[k]) else _fmt(ess[k])]
 
 
 def _summary_rows(station: str, post: PosteriorDraws):
@@ -264,9 +269,8 @@ def _summary_rows(station: str, post: PosteriorDraws):
     means = post.draws.mean(axis=0)
     sds = post.draws.std(axis=0, ddof=1)
     for k, name in enumerate(post.param_names):
-        rhat = "" if post.rhat is None else _fmt(post.rhat[k])
-        ess = "" if post.ess is None or np.isnan(post.ess[k]) else _fmt(post.ess[k])
-        yield [station, name, _fmt(means[k]), _fmt(sds[k]), _fmt(q[0, k]), _fmt(q[1, k]), _fmt(q[2, k]), rhat, ess]
+        cells = [_fmt(means[k]), _fmt(sds[k]), _fmt(q[0, k]), _fmt(q[1, k]), _fmt(q[2, k])]
+        yield [station, name, *cells, *_convergence_cells(post, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -464,21 +468,10 @@ def cmd_diagnose(section, session: ArtifactSession, base_dir: Path) -> None:
     fitted = load_fit(base_dir / section.fit_dir)
     rows = []
     for key, post in fitted.posteriors.items():
-        # the guard run_hmc_jobs applies when it samples
-        rhat = ess = degenerate = None
-        if post.n_chains >= 2 and post.n_kept_per_chain >= 4:
-            rhat, ess, degenerate = rhat_ess(post)
+        degenerate = post.convergence[2]
         trace_export(post, session.path(*_posterior_dir(key), "trace.csv"))
         for k, name in enumerate(post.param_names):
-            rows.append(
-                [
-                    key,
-                    name,
-                    "" if rhat is None else _fmt(rhat[k]),
-                    "" if ess is None or np.isnan(ess[k]) else _fmt(ess[k]),
-                    int(degenerate[k]) if degenerate is not None else "",
-                ]
-            )
+            rows.append([key, name, *_convergence_cells(post, k), "" if degenerate is None else int(degenerate[k])])
     _write_csv(session.path("diagnostics.csv"), ["station", "param", "rhat", "ess", "degenerate"], rows)
 
 

@@ -19,8 +19,8 @@ the chain sampled alone, bit for bit.
 ``run_hmc_jobs`` samples several posteriors (jobs) at once, one row per
 chain.  With more than one worker, the rows are split into contiguous spans
 over one pool of worker processes forked from the caller, which inherit the
-jobs and each chain's random stream; only a row's result dict (draws,
-acceptance, divergences, step size, gradient evaluations) is sent back.
+jobs and each chain's random stream; only a row's kept draws and its
+``CHAIN_STATS`` values are sent back.
 Where the ``fork`` start method does not exist, all rows run in the
 calling process.
 """
@@ -30,6 +30,7 @@ import csv
 import io
 import multiprocessing
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -89,31 +90,64 @@ class SamplerConfig:
         return self.n_iterations - self.n_warmup
 
 
+# each per-chain statistic of a posterior and its type, in the order
+# _lockstep returns a row's values
+CHAIN_STATS = {
+    "accept_prob": float,         # mean Metropolis acceptance probability
+    "divergences": int,           # divergent trajectories after warmup
+    "step_sizes": float,          # frozen step size
+    "warmup_divergences": int,    # divergent warmup trajectories
+    "grad_evals": int,            # gradient evaluations, warmup included
+}
+
+
 @dataclass(eq=False)
 class PosteriorDraws:
-    """Post-warmup draws merged across chains plus convergence diagnostics."""
+    """Post-warmup draws merged across chains, chain after chain, and one
+    array per ``CHAIN_STATS`` entry with a value per chain.  Chain labels
+    follow from the draws and ``n_chains``; ``convergence`` (R-hat, ESS and
+    degenerate flags) is computed on first use."""
 
     draws: np.ndarray            # (B, dim)
-    chain: np.ndarray            # (B,) chain label of each draw
     param_names: list[str]
     n_chains: int
-    n_kept_per_chain: int
-    accept_prob: np.ndarray      # per-chain mean Metropolis acceptance probability
-    divergences: np.ndarray      # per-chain divergent-trajectory counts
-    step_sizes: np.ndarray       # per-chain frozen step sizes
-    warmup_divergences: np.ndarray  # per-chain divergent warmup trajectories
-    grad_evals: np.ndarray       # per-chain gradient evaluations, warmup included
-    rhat: np.ndarray | None = None
-    ess: np.ndarray | None = None
-    degenerate: np.ndarray | None = None
+    accept_prob: np.ndarray
+    divergences: np.ndarray
+    step_sizes: np.ndarray
+    warmup_divergences: np.ndarray
+    grad_evals: np.ndarray
 
     def __post_init__(self):
-        if self.draws.ndim != 2 or self.draws.shape[0] != self.chain.size:
-            raise ValueError("draws must be (B, dim) with one chain label per draw")
+        if self.n_chains < 1:
+            raise ValueError("n_chains must be >= 1")
+        if self.draws.ndim != 2 or self.draws.shape[0] % self.n_chains:
+            raise ValueError(f"draws must be (B, dim) with B a multiple of n_chains={self.n_chains}")
         if not np.all(np.isfinite(self.draws)):
             raise ValueError("posterior draws contain non-finite entries")
         if len(self.param_names) != self.draws.shape[1]:
             raise ValueError("one parameter name per column required")
+        if any(np.shape(getattr(self, name)) != (self.n_chains,) for name in CHAIN_STATS):
+            raise ValueError(f"each of {', '.join(CHAIN_STATS)} must hold one value per chain")
+
+    @property
+    def n_kept_per_chain(self) -> int:
+        return self.draws.shape[0] // self.n_chains
+
+    @property
+    def chain(self) -> np.ndarray:
+        """The chain label of each draw."""
+        return np.repeat(np.arange(self.n_chains), self.n_kept_per_chain)
+
+    @cached_property
+    def convergence(self) -> tuple:
+        """``(rhat, ess, degenerate)`` of :func:`rhat_ess`; all ``None``
+        with fewer than 2 chains or 4 kept draws per chain."""
+        if self.n_chains < 2 or self.n_kept_per_chain < 4:
+            return None, None, None
+        return rhat_ess(self)
+
+    rhat = property(lambda self: self.convergence[0])
+    ess = property(lambda self: self.convergence[1])
 
     @property
     def n_draws(self) -> int:
@@ -234,13 +268,13 @@ def _first_step_sizes(evaluate: _Rows, q, logp, grad, mass, streams) -> np.ndarr
     return eps
 
 
-def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams: Sequence) -> list[dict]:
+def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams: Sequence) -> list[tuple]:
     """Sample one chain per row of ``q0`` in lockstep: every iteration draws
     each row's momentum and jittered step count from the row's own stream,
     runs all trajectories together, then accepts and adapts each row
-    separately.  Every row's result equals that of the row sampled alone,
-    and its ``grad_evals`` counts the gradients the row asked for: the
-    initial one, the step-size search's and the leapfrog steps'."""
+    separately.  Returns each row's kept draws and ``CHAIN_STATS`` values, as
+    the row sampled alone would; ``grad_evals`` counts the gradients a row
+    asked for: the initial one, the step-size search's and the leapfrog steps'."""
     rows, dim = q0.shape
     evaluate = _Rows(targets)
     mass = np.ones((rows, dim))
@@ -324,20 +358,11 @@ def _lockstep(targets: Sequence, config: SamplerConfig, q0: np.ndarray, streams:
             kept[:, it - n_warmup] = q
             accept_sum += alpha
 
-    return [
-        {
-            "draws": kept[r],
-            "accept_prob": float(accept_sum[r] / config.n_kept),
-            "divergences": int(divergences[r]),
-            "warmup_divergences": int(warmup_divergences[r]),
-            "step_size": float(eps[r]),
-            "grad_evals": int(evaluate.asked[r]),
-        }
-        for r in range(rows)
-    ]
+    stats = (accept_sum / config.n_kept, divergences, eps, warmup_divergences, evaluate.asked)
+    return [(kept[r], tuple(kind(s[r]) for s, kind in zip(stats, CHAIN_STATS.values()))) for r in range(rows)]
 
 
-def _sample_rows(rows: Sequence[tuple]) -> list[dict]:
+def _sample_rows(rows: Sequence[tuple]) -> list[tuple]:
     """Sample the given ``(target, config, init, stream)`` rows, each group of
     rows with one dimension and one configuration (seeds aside) in lockstep;
     results come back in row order."""
@@ -357,7 +382,7 @@ def _sample_rows(rows: Sequence[tuple]) -> list[dict]:
     return results
 
 
-def _forked_rows(span: tuple[int, int]) -> list[dict]:
+def _forked_rows(span: tuple[int, int]) -> list[tuple]:
     """Sample rows ``[start, stop)`` of the call a worker process was forked from."""
     start, stop = span
     return _sample_rows(_FORKED_ROWS[start:stop])
@@ -414,24 +439,15 @@ def run_hmc_jobs(jobs: Sequence[HmcJob], n_workers: int = 1) -> list[PosteriorDr
 
     posts, start = [], 0
     for target, config, init, param_names in jobs:
-        mine = results[start:start + config.n_chains]
+        draws, stats = zip(*results[start:start + config.n_chains])
         start += config.n_chains
-        dim = mine[0]["draws"].shape[1]
-        post = PosteriorDraws(
-            draws=np.concatenate([r["draws"] for r in mine], axis=0),
-            chain=np.repeat(np.arange(config.n_chains), config.n_kept),
+        dim = draws[0].shape[1]
+        posts.append(PosteriorDraws(
+            draws=np.concatenate(draws, axis=0),
             param_names=list(param_names if param_names is not None else [f"theta[{k}]" for k in range(dim)]),
             n_chains=config.n_chains,
-            n_kept_per_chain=config.n_kept,
-            accept_prob=np.array([r["accept_prob"] for r in mine]),
-            divergences=np.array([r["divergences"] for r in mine]),
-            step_sizes=np.array([r["step_size"] for r in mine]),
-            warmup_divergences=np.array([r["warmup_divergences"] for r in mine]),
-            grad_evals=np.array([r["grad_evals"] for r in mine]),
-        )
-        if config.n_chains >= 2 and config.n_kept >= 4:
-            post.rhat, post.ess, post.degenerate = rhat_ess(post)
-        posts.append(post)
+            **{name: np.array(values, dtype=kind) for (name, kind), values in zip(CHAIN_STATS.items(), zip(*stats))},
+        ))
     return posts
 
 

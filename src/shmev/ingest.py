@@ -520,13 +520,14 @@ def read_covariate_file(path: str | Path) -> tuple[list[str], dict[str, dict[str
     return names, table
 
 
-def write_event_file(path: str | Path, rows: Iterable[tuple[str, dt.date, float, str]]) -> Path:
+def write_event_file(path: str | Path, rows: Iterable[tuple[str, dt.date, float | None, str]]) -> Path:
+    """Write rows in the canonical event format, a ``None`` value as a missing day."""
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_HEADER)
         for station, date, value, qflag in rows:
-            writer.writerow([station, date.isoformat(), repr(float(value)), qflag])
+            writer.writerow([station, date.isoformat(), "" if value is None else repr(float(value)), qflag])
     return path
 
 
@@ -958,12 +959,4 @@ def convert_ghcn_dly(in_path: str | Path, out_path: str | Path, element: str = "
                 else:
                     rows.append((station, date, value / 10.0, qflag))
     rows.sort(key=lambda r: (r[0], r[1]))
-    out_path = Path(out_path)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_HEADER)
-        for station, date, value, qflag in rows:
-            writer.writerow(
-                [station, date.isoformat(), "" if value is None else repr(float(value)), qflag]
-            )
-    return out_path
+    return write_event_file(out_path, rows)

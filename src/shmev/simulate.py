@@ -147,6 +147,23 @@ def _draw_block_params(loc: float, spread: float, size: int, rng) -> np.ndarray:
     return gumbel_sample_positive(GumbelParams(loc, spread), rng, size=size)
 
 
+def _site_magnitudes(cfg: ScenarioConfig, fields: SiteFields, site: int, n_blocks: int, rng: np.random.Generator):
+    """One site's magnitudes of ``n_blocks`` blocks, block after block, drawn
+    per the scenario in one pass, and each block's event count."""
+    n_events = rng.binomial(cfg.trials_per_block, fields.event_prob[site], size=n_blocks)
+    if fields.family == "weibull":
+        gam = _draw_block_params(fields.shape_loc[site], cfg.shape_spread, n_blocks, rng)
+        dlt = _draw_block_params(fields.scale_loc[site], cfg.scale_spread, n_blocks, rng)
+        return np.repeat(dlt, n_events) * rng.weibull(np.repeat(gam, n_events)), n_events
+    return rng.gamma(fields.shape_loc[site], fields.scale_loc[site], size=int(n_events.sum())), n_events
+
+
+def _block_maxima(x: np.ndarray, n_events: np.ndarray) -> np.ndarray:
+    """The maximum of each block of ``x`` with events, in block order."""
+    starts = (np.cumsum(n_events) - n_events)[n_events > 0]
+    return np.maximum.reduceat(x, starts) if starts.size else np.empty(0)
+
+
 def _simulate_blocks(
     cfg: ScenarioConfig, fields: SiteFields, n_blocks: int, rng: np.random.Generator, part: str = "training"
 ):
@@ -154,25 +171,15 @@ def _simulate_blocks(
     a non-finite or non-positive magnitude in a ``part`` block fails."""
     events: list[list[np.ndarray]] = []
     for s in range(cfg.n_sites):
-        n_events = rng.binomial(cfg.trials_per_block, fields.event_prob[s], size=n_blocks)
-        if fields.family == "weibull":
-            gam = _draw_block_params(fields.shape_loc[s], cfg.shape_spread, n_blocks, rng)
-            dlt = _draw_block_params(fields.scale_loc[s], cfg.scale_spread, n_blocks, rng)
-            site_events = [
-                dlt[j] * rng.weibull(gam[j], size=int(n_events[j])) for j in range(n_blocks)
-            ]
-        else:
-            site_events = [
-                rng.gamma(fields.shape_loc[s], fields.scale_loc[s], size=int(n_events[j]))
-                for j in range(n_blocks)
-            ]
-        for j, mags in enumerate(site_events):
-            if not np.all((mags > 0.0) & (mags < np.inf)):
-                raise NumericError(
-                    f"scenario {cfg.scenario} drew a non-finite or non-positive magnitude at site "
-                    f"S{s + 1:02d}, {part} block {j + 1} of {n_blocks}"
-                )
-        events.append(site_events)
+        x, n_events = _site_magnitudes(cfg, fields, s, n_blocks, rng)
+        bad = ~((x > 0.0) & (x < np.inf))
+        if bad.any():
+            j = int(np.searchsorted(np.cumsum(n_events), np.argmax(bad), side="right"))
+            raise NumericError(
+                f"scenario {cfg.scenario} drew a non-finite or non-positive magnitude at site "
+                f"S{s + 1:02d}, {part} block {j + 1} of {n_blocks}"
+            )
+        events.append(np.split(x, np.cumsum(n_events)[:-1]))
     return events
 
 
@@ -209,11 +216,9 @@ def simulate_scenario(cfg: ScenarioConfig) -> SyntheticDataset:
     train_events = _simulate_blocks(cfg, fields, cfg.train_blocks, np.random.default_rng(train_ss))
     test_events = _simulate_blocks(cfg, fields, cfg.test_blocks, np.random.default_rng(test_ss), "test")
     test_maxima = np.full((cfg.n_sites, cfg.test_blocks), np.nan)
-    for s in range(cfg.n_sites):
-        for j in range(cfg.test_blocks):
-            mags = test_events[s][j]
-            if mags.size:
-                test_maxima[s, j] = mags.max()
+    for s, blocks in enumerate(test_events):
+        n_events = np.array([b.size for b in blocks])
+        test_maxima[s, n_events > 0] = _block_maxima(np.concatenate(blocks), n_events)
     return SyntheticDataset(
         config=cfg,
         fields=fields,
@@ -237,16 +242,7 @@ def true_maxima_sample(
     remaining = n_years
     while remaining > 0:
         chunk = min(_ORACLE_YEAR_CHUNK, remaining)
-        n_events = rng.binomial(cfg.trials_per_block, fields.event_prob[site], size=chunk)
-        if fields.family == "weibull":
-            gam = _draw_block_params(fields.shape_loc[site], cfg.shape_spread, chunk, rng)
-            dlt = _draw_block_params(fields.scale_loc[site], cfg.scale_spread, chunk, rng)
-            x = np.repeat(dlt, n_events) * rng.weibull(np.repeat(gam, n_events))
-        else:
-            x = rng.gamma(fields.shape_loc[site], fields.scale_loc[site], size=int(n_events.sum()))
-        nonzero = n_events > 0
-        starts = np.concatenate([[0], np.cumsum(n_events)[:-1]])[nonzero]
-        maxima = np.maximum.reduceat(x, starts) if starts.size else np.empty(0)
+        maxima = _block_maxima(*_site_magnitudes(cfg, fields, site, chunk, rng))
         out[filled : filled + maxima.size] = maxima
         filled += maxima.size
         remaining -= chunk

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -957,6 +958,82 @@ class TestValidation:
         code = main(["simulate", "--config", str(config), "--out", str(out / "simulate")])
         assert code == 0
         assert "artifacts written" in capsys.readouterr().out
+
+
+def edit_model_json(fit_dir: Path, edit) -> None:
+    path = fit_dir / "model.json"
+    meta = json.loads(path.read_text())
+    edit(meta["diagnostics"])
+    path.write_text(json.dumps(meta))
+
+
+# each damage done to a copy of a shmev fit directory, the files the data
+# error must name and the error it reports
+FIT_DAMAGES = {
+    "missing draws.npy": (lambda fit: (fit / "draws.npy").unlink(), ["draws.npy"], "FileNotFoundError"),
+    "non-array draws.npy": (lambda fit: (fit / "draws.npy").write_text("not an array\n"), ["draws.npy"], "ValueError"),
+    "model.json not JSON": (lambda fit: (fit / "model.json").write_text("{"), ["model.json"], "JSONDecodeError"),
+    "no grad_evals": (lambda fit: edit_model_json(fit, lambda d: d.pop("grad_evals")), ["model.json"], "KeyError"),
+    "no chains": (
+        lambda fit: edit_model_json(fit, lambda d: d.update(n_chains=0)), ["draws.npy", "model.json"], "ValueError"
+    ),
+    "a value per chain too many": (
+        lambda fit: edit_model_json(fit, lambda d: d["step_sizes"].append(0.5)), ["draws.npy", "model.json"], "ValueError"
+    ),
+    "draws n_chains does not divide": (
+        lambda fit: np.save(fit / "draws.npy", np.load(fit / "draws.npy")[:-1]), ["draws.npy", "model.json"], "ValueError"
+    ),
+}
+
+
+class TestFitDirectory:
+    @pytest.mark.parametrize("damage", list(FIT_DAMAGES))
+    def test_damaged_fit_is_data_error(self, study, tmp_path, capsys, damage):
+        base, out, config = study
+        spoil, files, error = FIT_DAMAGES[damage]
+        fit_dir = tmp_path / "fit"
+        shutil.copytree(out / "fit", fit_dir)
+        spoil(fit_dir)
+        body = yaml.safe_load(config.read_text())
+        body["diagnose"]["fit_dir"] = str(fit_dir)
+        bad = write_config(tmp_path / "diagnose.yaml", body)
+        capsys.readouterr()
+        assert main(["diagnose", "--config", str(bad), "--out", str(tmp_path / "diagnose")]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert (err["error"], err["command"], err["exit_code"]) == ("DataError", "diagnose", 3)
+        named = ", ".join(str(fit_dir / name) for name in files)
+        assert err["message"].startswith(f"damaged fit: {named}: {error}: "), err["message"]
+        assert not (tmp_path / "diagnose" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "model, chains, iterations",
+        [("shmev", 2, 80), ("hmev", 2, 60), ("shmev", 1, 80), ("shmev", 2, 6)],
+        ids=["two-chain shmev", "two-chain hmev", "one-chain", "three kept draws"],
+    )
+    def test_diagnose_agrees_with_fit(self, study, tmp_path, model, chains, iterations):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        body["fit"]["model"] = model
+        body["fit"]["sampler"].update(chains=chains, iterations=iterations)
+        body["diagnose"]["fit_dir"] = str(tmp_path / "fit")
+        config = write_config(tmp_path / "study.yaml", body)
+        run_command("fit", config, tmp_path / "fit")
+        run_command("diagnose", config, tmp_path / "diagnose")
+
+        def cells(path):
+            with open(path, newline="") as fh:
+                return {(r["station"], r["param"]): (r["rhat"], r["ess"]) for r in csv.DictReader(fh)}
+
+        summary, diagnostics = cells(tmp_path / "fit" / "summary.csv"), cells(tmp_path / "diagnose" / "diagnostics.csv")
+        assert summary == diagnostics
+        stations = {station for station, _ in summary}
+        assert stations == ({""} if model == "shmev" else {"S01", "S02", "S03", "S04"})
+        empty = chains == 1 or iterations == 6
+        assert all((rhat == "" and ess == "") == empty for rhat, ess in summary.values())
+        kept = iterations - iterations // 2
+        for station in stations:
+            chain = np.load(tmp_path.joinpath("fit", *(("sites", station) if station else ()), "chain.npy"))
+            assert np.array_equal(chain, np.repeat(np.arange(chains), kept))
 
 
 class TestManifest:

@@ -40,13 +40,10 @@ def std_normal_target(dim):
 
 def make_draws(draws, n_chains, names=None):
     draws = np.asarray(draws, dtype=float)
-    n_kept = draws.shape[0] // n_chains
     return PosteriorDraws(
         draws=draws,
-        chain=np.repeat(np.arange(n_chains), n_kept),
         param_names=names or [f"theta[{k}]" for k in range(draws.shape[1])],
         n_chains=n_chains,
-        n_kept_per_chain=n_kept,
         accept_prob=np.full(n_chains, 0.9),
         divergences=np.zeros(n_chains, dtype=int),
         step_sizes=np.full(n_chains, 0.5),
@@ -422,7 +419,6 @@ class TestTraceExport:
     def test_empty_draws_rejected(self, tmp_path):
         post = make_draws(np.zeros((2, 1)), n_chains=2)
         post.draws = np.zeros((0, 1))
-        post.chain = np.zeros(0)
         with pytest.raises(ValueError):
             trace_export(post, tmp_path / "trace.csv")
 
