@@ -27,7 +27,6 @@ from .predictive import (
     PredictiveConfig,
     predictive_cdf,
     predictive_quantile,
-    return_level_map,
 )
 from .simulate import ScenarioConfig, simulate_scenario, true_quantile_oracle
 
@@ -54,7 +53,6 @@ __all__ = [
     "PredictiveConfig",
     "predictive_cdf",
     "predictive_quantile",
-    "return_level_map",
     "ScenarioConfig",
     "simulate_scenario",
     "true_quantile_oracle",

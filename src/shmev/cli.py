@@ -61,16 +61,13 @@ from .model import (
     ShmevTarget,
 )
 from .predictive import (
-    GridCovariates,
     PredictiveConfig,
     default_y_grid,
     gev_per_draw_quantiles,
     hmev_site_params,
     invert_quantiles,
     predictive_cdf,
-    return_level_map,
     shmev_site_params,
-    write_return_level_field,
 )
 from .simulate import ScenarioConfig, simulate_scenario
 
@@ -166,6 +163,11 @@ def _fmt(value) -> str:
 # Fit artifact layout
 # ---------------------------------------------------------------------------
 
+# what the predictive path needs of a station or grid point: the draws that
+# describe it, its standardised covariate row and its quantile bracket
+Site = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(eq=False)
 class FittedModel:
     """In-memory view of a fit directory: one posterior per key, ``""`` for
@@ -180,18 +182,14 @@ class FittedModel:
     def stations(self) -> list[str]:
         return list(self.meta["stations"])
 
-    def site_z(self, station: str) -> np.ndarray:
+    def site(self, station: str) -> Site:
+        """A station's draws (its own in a per-site fit, the shared ones in a
+        spatial fit), its standardised covariate row and its quantile bracket."""
         for site in self.meta["sites"]:
             if site["station"] == station:
-                return np.asarray(site["z"], dtype=float)
+                draws = self.posteriors[station if station in self.posteriors else ""].draws
+                return draws, np.asarray(site["z"], dtype=float), default_y_grid(self.magnitude_range(station))
         raise DataError(f"station {station!r} not present in the fit")
-
-    def site_draws(self, station: str) -> np.ndarray:
-        """The draws that describe one station: its own in a per-site fit,
-        the shared ones in a spatial fit."""
-        if station not in self.meta["stations"]:
-            raise DataError(f"station {station!r} not present in the fit")
-        return self.posteriors[station if station in self.posteriors else ""].draws
 
     def shmev_layout(self) -> ShmevLayout:
         lay = self.meta["layout"]
@@ -254,7 +252,8 @@ def _diag_dict(post: PosteriorDraws) -> dict:
         "n_chains": post.n_chains,
         **{name: [kind(v) for v in getattr(post, name)] for name, kind in CHAIN_STATS.items()},
         "max_rhat": None if post.rhat is None else float(np.nanmax(post.rhat)),
-        "min_ess": None if post.ess is None else float(np.nanmin(post.ess)),
+        # over the parameters that have an ESS: a degenerate one has none
+        "min_ess": None if post.ess is None or np.isnan(post.ess).all() else float(np.nanmin(post.ess)),
     }
 
 
@@ -483,26 +482,37 @@ def _predictive_config(fitted: FittedModel, blocks_per_draw: int) -> PredictiveC
 
 
 def _site_quantiles(
-    fitted: FittedModel, config: PredictiveConfig, jobs: Iterable[tuple[str, np.ndarray, np.random.SeedSequence]]
+    fitted: FittedModel,
+    config: PredictiveConfig,
+    jobs: Iterable[tuple[Site, np.ndarray, np.random.SeedSequence]],
 ) -> Iterator[np.ndarray]:
-    """Per-draw quantiles (B, k) of each ``(station, probs, stream)`` job, in
-    order, under any fitted model.  Predictive estimates are simulated from
-    their station's stream as the inversion reaches them; GEV fits have a
-    closed form."""
+    """Per-draw quantiles (B, k) of each ``(site, probs, stream)`` job, in
+    order, under any fitted model; a site is the ``(draws, z, bracket)`` of
+    :meth:`FittedModel.site`, or of a map's grid point.  Predictive estimates
+    are simulated from their site's stream as the inversion reaches them;
+    GEV fits have a closed form."""
     if fitted.kind == "gev":
-        return (gev_per_draw_quantiles(fitted.site_draws(station), probs) for station, probs, _ in jobs)
+        return (gev_per_draw_quantiles(draws, probs) for (draws, _, _), probs, _ in jobs)
 
     def estimates():
-        for station, probs, stream in jobs:
-            draws = fitted.site_draws(station)
+        for (draws, z, bracket), probs, stream in jobs:
             if fitted.kind == "shmev":
-                params = shmev_site_params(draws, fitted.shmev_layout(), fitted.site_z(station))
+                params = shmev_site_params(draws, fitted.shmev_layout(), z)
             else:
                 params = hmev_site_params(draws, HmevLayout(fitted.meta["layout"]["J"]))
-            y_grid = default_y_grid(fitted.magnitude_range(station))
-            yield predictive_cdf(params, y_grid, config, np.random.default_rng(stream)), probs
+            yield predictive_cdf(params, bracket, config, np.random.default_rng(stream)), probs
 
     return invert_quantiles(estimates())
+
+
+def _level_rows(key_cells: list[str], periods: np.ndarray, q: np.ndarray) -> Iterator[list[str]]:
+    """One site's rows ``key_cells, T, rl_mean, rl_q05, rl_q95``, one per
+    period, from its (B, k) per-draw quantiles."""
+    # one call for both bands; the per-column means stay, as an axis-0 mean
+    # of GEV's C-ordered quantiles can differ from them in the last bit
+    bands = np.quantile(q, [0.05, 0.95], axis=0)
+    for t, period in enumerate(periods):
+        yield [*key_cells, _fmt(period), _fmt(q[:, t].mean()), _fmt(bands[0, t]), _fmt(bands[1, t])]
 
 
 def cmd_predict(section: PredictSection, session: ArtifactSession, seed: int, base_dir: Path) -> None:
@@ -512,30 +522,15 @@ def cmd_predict(section: PredictSection, session: ArtifactSession, seed: int, ba
     periods = np.asarray(sorted(section.return_periods), dtype=float)
     probs = 1.0 - 1.0 / periods
     streams = np.random.SeedSequence([seed, 3]).spawn(len(stations))
-    quantiles = _site_quantiles(fitted, config, ((s, probs, stream) for s, stream in zip(stations, streams)))
-    rows = []
-    for station, q in zip(stations, quantiles):
-        # one call for both bands; the per-column means stay, as an axis-0
-        # mean can differ from them in the last bit
-        bands = np.quantile(q, [0.05, 0.95], axis=0)
-        for t_idx, period in enumerate(periods):
-            rows.append(
-                [
-                    station,
-                    _fmt(period),
-                    _fmt(q[:, t_idx].mean()),
-                    _fmt(bands[0, t_idx]),
-                    _fmt(bands[1, t_idx]),
-                ]
-            )
-    _write_csv(
-        session.path("predictions.csv"),
-        ["station", "T", "rl_mean", "rl_q05", "rl_q95"],
-        rows,
-    )
+    jobs = ((fitted.site(s), probs, stream) for s, stream in zip(stations, streams))
+    quantiles = _site_quantiles(fitted, config, jobs)
+    rows = (row for station, q in zip(stations, quantiles) for row in _level_rows([station], periods, q))
+    _write_csv(session.path("predictions.csv"), ["station", "T", "rl_mean", "rl_q05", "rl_q95"], rows)
 
 
-def _read_grid_file(path: Path, snapshot: StandardizationSnapshot) -> GridCovariates:
+def _read_grid_file(path: Path, snapshot: StandardizationSnapshot) -> tuple[list[str], np.ndarray]:
+    """The grid's covariate names, which must be the snapshot's, and its
+    (n_points, k) raw values."""
     rows = _table_rows(path, "grid file")
     _, header = next(rows)
     values = []
@@ -552,7 +547,7 @@ def _read_grid_file(path: Path, snapshot: StandardizationSnapshot) -> GridCovari
         )
     if not values:
         raise DataError(f"{path}: no grid points")
-    return GridCovariates(names=tuple(header), values=np.asarray(values, dtype=float), snapshot=snapshot)
+    return header, np.asarray(values, dtype=float)
 
 
 def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: Path) -> None:
@@ -560,19 +555,25 @@ def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: 
     if fitted.snapshot is None:
         raise ConfigError("return-level maps require a spatial (shmev) fit")
     config = _predictive_config(fitted, section.blocks_per_draw)
-    grid = _read_grid_file(base_dir / section.grid, fitted.snapshot)
-    field_ = return_level_map(
-        fitted.posteriors[""].draws,
-        fitted.shmev_layout(),
-        grid,
-        section.return_periods,
-        config,
-        seed,
-        default_y_grid(fitted.magnitude_range()),
-    )
-    raster_path = session.path("return_levels.csv")
-    write_return_level_field(field_, raster_path)
-    session.created.append(raster_path.with_suffix(raster_path.suffix + ".meta.json"))
+    names, raw = _read_grid_file(base_dir / section.grid, fitted.snapshot)
+    periods = np.asarray(sorted(section.return_periods), dtype=float)
+    probs = 1.0 - 1.0 / periods
+    # every grid point is a site of the shared draws, standardised as the
+    # stations were, with the pooled bracket and its own stream
+    draws, bracket = fitted.posteriors[""].draws, default_y_grid(fitted.magnitude_range())
+    streams = np.random.SeedSequence(seed).spawn(len(raw))
+    jobs = (((draws, z, bracket), probs, stream) for z, stream in zip(fitted.snapshot.standardize(raw), streams))
+    quantiles = _site_quantiles(fitted, config, jobs)
+    rows = (row for point, q in zip(raw, quantiles) for row in _level_rows([_fmt(v) for v in point], periods, q))
+    _write_csv(session.path("return_levels.csv"), [*names, "T", "rl_mean", "rl_q05", "rl_q95"], rows)
+    sidecar = {
+        "seed": seed,
+        "blocks_per_draw": config.blocks_per_draw,
+        "n_draws": int(draws.shape[0]),
+        "trials_per_block": config.trials_per_block,
+        "snapshot": fitted.snapshot.to_dict(),
+    }
+    session.path("return_levels.csv.meta.json").write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
 
 
 def _read_test_maxima(path: Path) -> dict[str, np.ndarray]:
@@ -609,7 +610,9 @@ def cmd_evaluate(section: EvaluateSection, session: ArtifactSession, seed: int, 
         threshold = section.threshold_return_time
         ranked = [qualifying_maxima(maxima[station], threshold) for station in stations]
         # stations where no maximum qualifies are scored without an inversion
-        jobs = ((s, probs, stream) for s, (probs, _), stream in zip(stations, ranked, streams) if probs.size)
+        jobs = (
+            (fitted.site(s), probs, stream) for s, (probs, _), stream in zip(stations, ranked, streams) if probs.size
+        )
         quantiles = _site_quantiles(fitted, config, jobs)
         for station, (probs, observed) in zip(stations, ranked):
             q = next(quantiles) if probs.size else None

@@ -489,8 +489,9 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
 
     Accepts a :class:`PosteriorDraws` or an array shaped (chains, n, dim).
     Returns ``(rhat, ess, degenerate)``; parameters whose chains are all
-    constant are flagged degenerate with ``rhat = 1`` by convention and an
-    undefined (NaN) ESS.  A single chain yields ``rhat = None``.
+    constant at one value are flagged degenerate with ``rhat = 1`` by
+    convention and an undefined (NaN) ESS, and chains constant at different
+    values get ``rhat = inf``.  A single chain yields ``rhat = None``.
 
     Each chain is split into halves (the middle draw dropped when ``n`` is
     odd), which are views of the draws: the means, variances and
@@ -518,10 +519,11 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
     variances = np.array([h.var(axis=0, ddof=1) for h in halves])    # (2M, dim)
     w = variances.mean(axis=0)                  # within-chain
     b = n_half * means.var(axis=0, ddof=1)      # between-chain
-    degenerate = w <= 0.0
-    w_safe = np.where(degenerate, 1.0, w)
+    degenerate = (w <= 0.0) & (b <= 0.0)
     var_plus = (n_half - 1.0) / n_half * w + b / n_half
-    rhat = np.sqrt(np.where(degenerate, 1.0, var_plus / w_safe))
+    # constant chains at different values never mixed: R-hat is infinite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhat = np.sqrt(np.where(degenerate, 1.0, var_plus / w))
 
     # ESS: Geyer initial monotone positive sequence on combined autocorrelations;
     # the halves' autocovariances are summed in the order of a mean over their stack

@@ -1,4 +1,4 @@
-"""Posterior-predictive block-maxima cdfs, quantiles, and return-level grids.
+"""Posterior-predictive block-maxima cdfs and quantiles.
 
 For each retained posterior draw the site-level parameters are recovered
 from the regression coefficients and covariates, a batch of future blocks
@@ -24,15 +24,13 @@ quantiles equal a one-estimate-at-a-time inversion bit for bit;
 """
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import SiteCovariates, StandardizationSnapshot
+from .data import SiteCovariates
 from .distributions import GumbelParams, gumbel_sample_positive
 from .errors import ConvergenceError
 from .model import HmevLayout, ShmevLayout
@@ -50,10 +48,6 @@ __all__ = [
     "predictive_quantile",
     "invert_quantiles",
     "default_y_grid",
-    "GridCovariates",
-    "ReturnLevelField",
-    "return_level_map",
-    "write_return_level_field",
 ]
 
 # the default grid spans these multiples of the smallest and largest magnitude
@@ -475,123 +469,3 @@ def gev_per_draw_quantiles(draws: np.ndarray, probs) -> np.ndarray:
     general = loc + scale * np.expm1(-shape * loglog) / shape_safe
     gumbel_limit = loc - scale * loglog
     return np.where(np.abs(shape) < 1e-10, gumbel_limit, general)
-
-
-# ---------------------------------------------------------------------------
-# Gridded return levels
-# ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class GridCovariates:
-    """Raster points with raw covariates and the standardization snapshot
-    they must be transformed with (declaring it is mandatory)."""
-
-    names: tuple[str, ...]
-    values: np.ndarray  # (n_points, k) raw covariates
-    snapshot: StandardizationSnapshot
-
-    def __post_init__(self):
-        if self.snapshot is None:
-            raise ValueError(
-                "raster must declare the standardization snapshot used for training"
-            )
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if tuple(self.names) != tuple(self.snapshot.names):
-            raise ValueError(
-                f"raster covariates {tuple(self.names)} do not match snapshot {self.snapshot.names}"
-            )
-        if self.values.shape[1] != len(self.names):
-            raise ValueError("one raw column per covariate name required")
-
-    @property
-    def n_points(self) -> int:
-        return self.values.shape[0]
-
-    def design_rows(self) -> np.ndarray:
-        return self.snapshot.standardize(self.values)
-
-
-@dataclass(eq=False)
-class ReturnLevelField:
-    """Gridded return-level estimates with pointwise 90% bands."""
-
-    grid: GridCovariates
-    return_periods: np.ndarray            # (nT,) years
-    mean: np.ndarray                      # (n_points, nT) mm
-    q05: np.ndarray
-    q95: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-
-def return_level_map(
-    draws: np.ndarray,
-    layout: ShmevLayout,
-    grid: GridCovariates,
-    return_periods: Sequence[float],
-    config: PredictiveConfig,
-    seed: int,
-    y_grid: np.ndarray,
-) -> ReturnLevelField:
-    """Evaluate predictive return levels at every grid point.
-
-    Return periods ``T`` map to probabilities ``1 - 1/T``.  Each point uses
-    an independent random stream spawned from ``seed``, so the output is
-    deterministic; the points' draws are inverted together, each point's
-    blocks simulated as the inversion reaches it.
-    """
-    periods = np.asarray(sorted(return_periods), dtype=float)
-    if np.any(periods <= 1.0):
-        raise ValueError("return periods must exceed 1 year")
-    probs = 1.0 - 1.0 / periods
-    z_rows = grid.design_rows()
-    streams = np.random.SeedSequence(seed).spawn(grid.n_points)
-    mean = np.empty((grid.n_points, periods.size))
-    q05 = np.empty_like(mean)
-    q95 = np.empty_like(mean)
-
-    def estimates():
-        for z, stream in zip(z_rows, streams):
-            params = shmev_site_params(draws, layout, z)
-            yield predictive_cdf(params, y_grid, config, np.random.default_rng(stream)), probs
-
-    for i, q in enumerate(invert_quantiles(estimates())):
-        mean[i] = q.mean(axis=0)
-        q05[i] = np.quantile(q, 0.05, axis=0)
-        q95[i] = np.quantile(q, 0.95, axis=0)
-    return ReturnLevelField(
-        grid=grid,
-        return_periods=periods,
-        mean=mean,
-        q05=q05,
-        q95=q95,
-        metadata={
-            "seed": seed,
-            "blocks_per_draw": config.blocks_per_draw,
-            "n_draws": int(draws.shape[0]),
-            "trials_per_block": config.trials_per_block,
-            "snapshot": grid.snapshot.to_dict(),
-        },
-    )
-
-
-def write_return_level_field(field_: ReturnLevelField, path: str | Path) -> Path:
-    """Write the raster as columnar text (one row per point and period) plus
-    a JSON metadata sidecar recording seed, sizes, and the snapshot."""
-    path = Path(path)
-    cols = list(field_.grid.names) + ["T", "rl_mean", "rl_q05", "rl_q95"]
-    lines = [",".join(cols)]
-    for i in range(field_.grid.n_points):
-        raw = field_.grid.values[i]
-        for t_idx, period in enumerate(field_.return_periods):
-            row = [repr(float(v)) for v in raw]
-            row += [
-                repr(float(period)),
-                repr(float(field_.mean[i, t_idx])),
-                repr(float(field_.q05[i, t_idx])),
-                repr(float(field_.q95[i, t_idx])),
-            ]
-            lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    sidecar.write_text(json.dumps(field_.metadata, sort_keys=True, indent=1) + "\n")
-    return path

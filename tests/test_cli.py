@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,10 @@ import pytest
 import yaml
 
 import shmev
-from shmev.cli import load_fit, main, run_command
+from shmev.cli import _diag_dict, load_fit, main, run_command
 from shmev.errors import ConfigError, DataError
+from shmev.hmc import CHAIN_STATS, PosteriorDraws
+from shmev.predictive import PredictiveConfig, default_y_grid, predictive_cdf, shmev_site_params
 
 
 def write_config(path: Path, body: dict) -> Path:
@@ -218,6 +221,54 @@ class TestEndToEnd:
             rows = list(csv.DictReader(fh))
         assert rows
         assert all(r["rhat"] == "" and r["ess"] == "" and r["degenerate"] == "" for r in rows)
+
+    def test_map_predicts_a_stations_covariates_like_the_station(self, study, tmp_path):
+        # a grid point at a station's raw covariates is standardised to the
+        # station's row, and its levels are the station's quantiles under the
+        # map's pooled bracket and first stream, bit for bit
+        base, out, config = study
+        fitted = load_fit(out / "fit")
+        site = fitted.meta["sites"][1]
+        raw = [site["raw"][name] for name in fitted.snapshot.names]
+        (tmp_path / "grid.csv").write_text("z1,z2\n" + ",".join(map(repr, raw)) + "\n")
+        body = yaml.safe_load(config.read_text())
+        body["map"].update(grid=str(tmp_path / "grid.csv"), return_periods=[50, 10])
+        run_command("map", write_config(tmp_path / "map.yaml", body), tmp_path / "map")
+        with open(tmp_path / "map" / "return_levels.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+
+        draws, z, _ = fitted.site(site["station"])
+        bracket = default_y_grid(fitted.magnitude_range())
+        config_ = PredictiveConfig(blocks_per_draw=10, trials_per_block=fitted.meta["trials_per_block"])
+        stream = np.random.SeedSequence(777).spawn(1)[0]
+        est = predictive_cdf(shmev_site_params(draws, fitted.shmev_layout(), z), bracket, config_,
+                             np.random.default_rng(stream))
+        q = est.per_draw_quantiles([0.9, 0.98])
+        assert rows == [
+            [repr(float(v)) for v in (*raw, period, q[:, t].mean(), np.quantile(q[:, t], 0.05),
+                                      np.quantile(q[:, t], 0.95))]
+            for t, period in enumerate([10.0, 50.0])
+        ]
+
+    def test_covariate_name_that_needs_quoting_survives_map(self, study, tmp_path):
+        base, out, config = study
+        with open(out / "simulate" / "covariates.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        table[0] = ["station", "alt,m", "z2"]
+        with open(tmp_path / "covariates.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(table)
+        (tmp_path / "grid.csv").write_text('"alt,m",z2\n0.2,0.3\n0.7,0.6\n')
+        body = yaml.safe_load(config.read_text())
+        body["fit"].update(covariates=str(tmp_path / "covariates.csv"), covariate_columns=["alt,m", "z2"])
+        body["fit"]["sampler"]["iterations"] = 20
+        body["map"].update(fit_dir=str(tmp_path / "fit"), grid=str(tmp_path / "grid.csv"))
+        quoted = write_config(tmp_path / "quoted.yaml", body)
+        run_command("fit", quoted, tmp_path / "fit")
+        run_command("map", quoted, tmp_path / "map")
+        with open(tmp_path / "map" / "return_levels.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["alt,m", "z2", "T", "rl_mean", "rl_q05", "rl_q95"]
+        assert [row[:3] for row in rows[1:]] == [["0.2", "0.3", "25.0"], ["0.7", "0.6", "25.0"]]
 
     @pytest.mark.parametrize("model", ["shmev", "hmev", "gev"])
     def test_one_warmup_iteration_fits(self, study, tmp_path, capsys, model):
@@ -1133,3 +1184,30 @@ def test_predict_bands_in_one_call_equal_the_per_column_quantiles():
         for t in range(k):
             assert bands[0, t].tobytes() == np.quantile(q[:, t], 0.05).tobytes()
             assert bands[1, t].tobytes() == np.quantile(q[:, t], 0.95).tobytes()
+
+
+@pytest.mark.parametrize("degenerate", [[True, False], [True, True]])
+def test_min_ess_is_taken_over_the_parameters_with_an_ess(degenerate):
+    draws = np.random.default_rng(8).standard_normal((40, 2))
+    draws[:, degenerate] = 2.5  # constant in every chain
+    post = PosteriorDraws(draws, ["a", "b"], 2, **{
+        name: np.zeros(2, dtype=kind) for name, kind in CHAIN_STATS.items()
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = _diag_dict(post)
+    assert diag["max_rhat"] == float(np.max(post.rhat))
+    if all(degenerate):
+        assert diag["min_ess"] is None
+    else:
+        assert diag["min_ess"] == float(post.ess[1])
+    assert "NaN" not in json.dumps(diag)
+
+
+def test_traced_harness_wrap_points_resolve():
+    # the benchmark's tracer looks up each layer function it wraps by name
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    code = "import tracer; tracer.install(tracer.Tracer())"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

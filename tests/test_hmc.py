@@ -59,7 +59,7 @@ def loop_ess(x):
     n_half = s.shape[1]
     w = s.var(axis=1, ddof=1).mean(axis=0)
     b = n_half * s.mean(axis=1).var(axis=0, ddof=1)
-    degenerate = w <= 0.0
+    degenerate = (w <= 0.0) & (b <= 0.0)
     var_plus = (n_half - 1.0) / n_half * w + b / n_half
     tau_t = stacked_autocovariance(s).mean(axis=0)
     rho = 1.0 - (w - tau_t) / np.where(var_plus <= 0.0, 1.0, var_plus)
@@ -295,6 +295,17 @@ class TestRhatEss:
         assert np.all(np.isnan(ess))
         assert np.all(degenerate)
 
+    def test_chains_constant_at_different_values_never_mixed(self):
+        # no within-chain variance, but between-chain variance: R-hat is
+        # infinite and the ESS finite, not a degenerate parameter
+        post = make_draws(np.repeat([[0.0], [5.0]], 20, axis=0), n_chains=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rhat, ess, degenerate = rhat_ess(post)
+        assert rhat.tolist() == [np.inf]
+        assert np.all(np.isfinite(ess))
+        assert not degenerate.any()
+
     def test_iid_normal_draws(self):
         rng = np.random.default_rng(123)
         post = make_draws(rng.standard_normal((4000, 2)), n_chains=4)
@@ -337,7 +348,7 @@ class TestRhatEss:
         _, ess, degenerate = rhat_ess(x)
         expected = loop_ess(x)
         assert np.array_equal(ess, expected, equal_nan=True)
-        assert list(degenerate) == [False, False, False, False, True, True, False]
+        assert list(degenerate) == [False, False, False, False, True, False, False]
         # one parameter alone: its pair sums lie along the contiguous axis
         assert np.array_equal(rhat_ess(x[..., 1:2])[1], loop_ess(x[..., 1:2]))
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import shmev.predictive as predictive
+from shmev.cli import FittedModel, _level_rows, _site_quantiles
 from shmev.data import StandardizationSnapshot
 from shmev.distributions import WeibullParams
 from shmev.errors import ConvergenceError
 from shmev.model import ShmevLayout
 from shmev.predictive import (
     BlockDraws,
-    GridCovariates,
     MaximaCdfEstimate,
     PredictiveConfig,
     SitePredictiveParams,
@@ -17,7 +17,6 @@ from shmev.predictive import (
     invert_quantiles,
     predictive_cdf,
     predictive_quantile,
-    return_level_map,
     shmev_site_params,
 )
 from shmev.simulate import ScenarioConfig, simulate_scenario, true_maxima_sample
@@ -291,44 +290,54 @@ def fitted_like():
     return draws, layout, snapshot
 
 
+def spatial_fit(draws, layout, snapshot) -> FittedModel:
+    """The fields of a spatial fit that its predictive path reads."""
+    meta = {"layout": {"p": layout.n_covariates, "J": layout.n_blocks, "S": layout.n_sites}}
+    return FittedModel(kind="shmev", meta=meta, posteriors={}, snapshot=snapshot)
+
+
+def grid_levels(fitted_like, points, periods, config, seed, y):
+    """``map``'s rows over ``points``: the shared draws, each point's
+    standardised row, the common bracket ``y`` and the point's own stream."""
+    draws, layout, snapshot = fitted_like
+    probs = 1.0 - 1.0 / np.asarray(periods, dtype=float)
+    streams = np.random.SeedSequence(seed).spawn(len(points))
+    jobs = [((draws, z, y), probs, stream) for z, stream in zip(snapshot.standardize(points), streams)]
+    quantiles = _site_quantiles(spatial_fit(*fitted_like), config, jobs)
+    rows = [row for q in quantiles for row in _level_rows([], periods, q)]
+    return np.array(rows, dtype=float).reshape(len(points), len(periods), 4)
+
+
 class TestReturnLevelMap:
     def test_single_point_matches_site_quantile(self, fitted_like):
+        # a grid point's quantiles are a station's with the same draws,
+        # covariate row, bracket and stream, bit for bit
         draws, layout, snapshot = fitted_like
-        grid = GridCovariates(("z1", "z2"), np.array([[0.6, 0.4]]), snapshot)
         config = PredictiveConfig(blocks_per_draw=100)
         y = np.geomspace(1.0, 400.0, 128)
-        seed = 42
-        field = return_level_map(draws, layout, grid, [25.0], config, seed, y)
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        params = shmev_site_params(draws, layout, snapshot.standardize([[0.6, 0.4]])[0])
-        est = predictive_cdf(params, y, config, rng)
-        mean_q, lo, hi = predictive_quantile(est, 1.0 - 1.0 / 25.0)
-        assert field.mean[0, 0] == pytest.approx(mean_q, rel=1e-12)
-        assert field.q05[0, 0] == pytest.approx(lo, rel=1e-12)
-        assert field.q95[0, 0] == pytest.approx(hi, rel=1e-12)
+        stream = np.random.SeedSequence(42).spawn(1)[0]
+        z = snapshot.standardize([[0.6, 0.4]])[0]
+        probs = np.array([1.0 - 1.0 / 25.0, 1.0 - 1.0 / 50.0])
+        q = next(_site_quantiles(spatial_fit(*fitted_like), config, [((draws, z, y), probs, stream)]))
+        est = predictive_cdf(shmev_site_params(draws, layout, z), y, config, np.random.default_rng(stream))
+        assert q.tobytes() == est.per_draw_quantiles(probs).tobytes()
+        _, mean_q, lo, hi = grid_levels(fitted_like, [[0.6, 0.4]], [25.0], config, 42, y)[0, 0]
+        assert (mean_q, lo, hi) == predictive_quantile(est, 1.0 - 1.0 / 25.0)
 
     def test_monotone_in_return_period_and_bands_ordered(self, fitted_like):
-        draws, layout, snapshot = fitted_like
         pts = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
-        grid = GridCovariates(("z1", "z2"), pts, snapshot)
         y = np.geomspace(1.0, 400.0, 128)
-        field = return_level_map(draws, layout, grid, [25.0, 50.0], PredictiveConfig(blocks_per_draw=60), 1, y)
-        assert np.all(field.mean[:, 1] >= field.mean[:, 0])
-        assert np.all(field.q05 <= field.mean + 1e-12)
-        assert np.all(field.mean <= field.q95 + 1e-12)
+        levels = grid_levels(fitted_like, pts, [25.0, 50.0], PredictiveConfig(blocks_per_draw=60), 1, y)
+        mean, q05, q95 = levels[..., 1], levels[..., 2], levels[..., 3]
+        assert np.all(np.diff(levels[..., 1:], axis=1) >= 0.0)
+        assert np.all(q05 <= mean) and np.all(mean <= q95)
 
     def test_constant_raster_is_constant_up_to_noise(self, fitted_like):
-        draws, layout, snapshot = fitted_like
         pts = np.repeat([[0.5, 0.5]], 5, axis=0)
-        grid = GridCovariates(("z1", "z2"), pts, snapshot)
         y = np.geomspace(1.0, 400.0, 128)
-        field = return_level_map(draws, layout, grid, [25.0], PredictiveConfig(blocks_per_draw=100), 9, y)
-        spread = field.mean[:, 0].max() - field.mean[:, 0].min()
-        assert spread / field.mean[:, 0].mean() < 0.01
-
-    def test_missing_snapshot_is_structural_error(self):
-        with pytest.raises(ValueError, match="snapshot"):
-            GridCovariates(("z1", "z2"), np.zeros((1, 2)), None)
+        mean = grid_levels(fitted_like, pts, [25.0], PredictiveConfig(blocks_per_draw=100), 9, y)[:, 0, 1]
+        spread = mean.max() - mean.min()
+        assert spread / mean.mean() < 0.01
 
 
 class TestInvariants:
