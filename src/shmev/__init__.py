@@ -16,11 +16,8 @@ from .model import (
     GevTarget,
     HmevPriorSpec,
     HmevTarget,
-    ShmevParams,
     ShmevPriorSpec,
     ShmevTarget,
-    shmev_gradient,
-    shmev_log_posterior,
 )
 from .predictive import (
     MaximaCdfEstimate,
@@ -40,11 +37,8 @@ __all__ = [
     "run_hmc",
     "rhat_ess",
     "trace_export",
-    "ShmevParams",
     "ShmevPriorSpec",
     "ShmevTarget",
-    "shmev_log_posterior",
-    "shmev_gradient",
     "GevPriorSpec",
     "GevTarget",
     "HmevPriorSpec",

@@ -142,8 +142,14 @@ class ArtifactSession:
             ],
         }
         path = self.path("manifest.json")
-        path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+        _write_json(path, manifest)
         return path
+
+
+def _write_json(path: Path, obj) -> None:
+    """Write an artifact as strict JSON, with sorted keys and a one-space
+    indent; a non-finite number fails here rather than reach the file."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
@@ -248,10 +254,13 @@ def load_fit(fit_dir: str | Path) -> FittedModel:
 
 
 def _diag_dict(post: PosteriorDraws) -> dict:
+    max_rhat = None if post.rhat is None else float(np.nanmax(post.rhat))
     return {
         "n_chains": post.n_chains,
         **{name: [kind(v) for v in getattr(post, name)] for name, kind in CHAIN_STATS.items()},
-        "max_rhat": None if post.rhat is None else float(np.nanmax(post.rhat)),
+        # inf where chains sat at different values: strict JSON has no
+        # Infinity, so it is the string "inf", as summary.csv writes it
+        "max_rhat": "inf" if max_rhat == np.inf else max_rhat,
         # over the parameters that have an ESS: a degenerate one has none
         "min_ess": None if post.ess is None or np.isnan(post.ess).all() else float(np.nanmin(post.ess)),
     }
@@ -306,7 +315,7 @@ def cmd_simulate(cfg: ScenarioConfig, session: ArtifactSession) -> None:
         ["station", "z1", "z2", "shape_loc", "scale_loc", "event_prob", "family"],
         truth_rows,
     )
-    synth.train.snapshot.save(session.path("snapshot.json"))
+    _write_json(session.path("snapshot.json"), synth.train.snapshot.to_dict())
 
 
 def _select_records(records, stations):
@@ -447,7 +456,6 @@ def cmd_fit(
     diagnostics, priors, summary_rows = {}, {}, []
     for (key, _, target), post in zip(fits, posts):
         np.save(session.path(*_posterior_dir(key), "draws.npy"), post.draws)
-        np.save(session.path(*_posterior_dir(key), "chain.npy"), post.chain)
         diagnostics[key] = _diag_dict(post)
         priors[key] = asdict(target.prior)
         summary_rows.extend(_summary_rows(key, post))
@@ -460,7 +468,7 @@ def cmd_fit(
         ["station", "param", "mean", "sd", "q05", "q50", "q95", "rhat", "ess"],
         summary_rows,
     )
-    session.path("model.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    _write_json(session.path("model.json"), meta)
 
 
 def cmd_diagnose(section, session: ArtifactSession, base_dir: Path) -> None:
@@ -573,7 +581,7 @@ def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: 
         "trials_per_block": config.trials_per_block,
         "snapshot": fitted.snapshot.to_dict(),
     }
-    session.path("return_levels.csv.meta.json").write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    _write_json(session.path("return_levels.csv.meta.json"), sidecar)
 
 
 def _read_test_maxima(path: Path) -> dict[str, np.ndarray]:

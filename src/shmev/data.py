@@ -1,9 +1,7 @@
 """Shared data containers: covariates, ordinary-event records, datasets."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,13 +50,6 @@ class StandardizationSnapshot:
             sds=np.asarray(d["sds"], dtype=float),
             schema_version=int(d.get("schema_version", SNAPSHOT_SCHEMA_VERSION)),
         )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "StandardizationSnapshot":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +135,3 @@ class Dataset:
 
     def design_matrix(self) -> np.ndarray:
         return np.vstack([s.z for s in self.sites]) if self.sites else np.zeros((0, 1))
-
-    def block_maxima(self) -> np.ndarray:
-        """Per-site, per-block maxima as an (S, J) array; NaN for empty blocks."""
-        out = np.full((self.n_sites, self.n_blocks), np.nan)
-        for s, row in enumerate(self.events):
-            for j, mags in enumerate(row):
-                if mags.size:
-                    out[s, j] = mags.max()
-        return out

@@ -133,11 +133,6 @@ class PosteriorDraws:
     def n_kept_per_chain(self) -> int:
         return self.draws.shape[0] // self.n_chains
 
-    @property
-    def chain(self) -> np.ndarray:
-        """The chain label of each draw."""
-        return np.repeat(np.arange(self.n_chains), self.n_kept_per_chain)
-
     @cached_property
     def convergence(self) -> tuple:
         """``(rhat, ess, degenerate)`` of :func:`rhat_ess`; all ``None``

@@ -55,7 +55,6 @@ __all__ = [
     "ElicitationRules",
     "elicit_priors",
     "elicit_hmev_priors",
-    "station_maxima",
     "convert_ghcn_dly",
 ]
 
@@ -686,23 +685,6 @@ def training_events(
     for year in years[:train_blocks]:
         vals = record.values[year_arr == year]
         out.append(np.sort(vals[vals > wet_day_threshold]))
-    return out
-
-
-def station_maxima(records: Sequence[StationRecord], exclude_first: int = 0) -> dict[str, np.ndarray]:
-    """Annual maxima per station, optionally excluding each station's first
-    ``exclude_first`` retained years (the training window)."""
-    out = {}
-    for rec in records:
-        years = sorted(set(int(y) for y in rec.years()))[exclude_first:]
-        year_arr = rec.years()
-        maxima = []
-        for year in years:
-            vals = rec.values[year_arr == year]
-            wet = vals[vals > 0.0]
-            if wet.size:
-                maxima.append(wet.max())
-        out[rec.station] = np.asarray(maxima, dtype=float)
     return out
 
 

@@ -65,10 +65,7 @@ __all__ = [
     "GevPriorSpec",
     "HmevPriorSpec",
     "ShmevLayout",
-    "ShmevParams",
     "ShmevTarget",
-    "shmev_log_posterior",
-    "shmev_gradient",
     "GevTarget",
     "HmevLayout",
     "HmevTarget",
@@ -287,89 +284,6 @@ class ShmevLayout:
         return names
 
 
-@dataclass(eq=False)
-class ShmevParams:
-    """Structured view of the unconstrained spatial parameter vector."""
-
-    beta_gamma: np.ndarray
-    beta_delta: np.ndarray
-    beta_lambda: np.ndarray
-    log_sigma_gamma: float
-    log_sigma_delta: float
-    log_gamma: np.ndarray  # (J, S)
-    log_delta: np.ndarray  # (J, S)
-
-    def __post_init__(self):
-        self.beta_gamma = np.asarray(self.beta_gamma, dtype=float)
-        self.beta_delta = np.asarray(self.beta_delta, dtype=float)
-        self.beta_lambda = np.asarray(self.beta_lambda, dtype=float)
-        self.log_gamma = np.asarray(self.log_gamma, dtype=float)
-        self.log_delta = np.asarray(self.log_delta, dtype=float)
-        p1 = self.beta_gamma.size
-        if self.beta_delta.size != p1 or self.beta_lambda.size != p1:
-            raise ValueError("coefficient vectors must share length p+1")
-        if self.log_gamma.shape != self.log_delta.shape or self.log_gamma.ndim != 2:
-            raise ValueError("latent matrices must both be (J, S)")
-
-    @property
-    def layout(self) -> ShmevLayout:
-        J, S = self.log_gamma.shape
-        return ShmevLayout(self.beta_gamma.size - 1, J, S)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.beta_gamma,
-                self.beta_delta,
-                self.beta_lambda,
-                [self.log_sigma_gamma, self.log_sigma_delta],
-                self.log_gamma.T.ravel(),  # site-major
-                self.log_delta.T.ravel(),
-            ]
-        )
-
-    @classmethod
-    def from_vector(cls, layout: ShmevLayout, v: np.ndarray) -> "ShmevParams":
-        v = np.asarray(v, dtype=float)
-        if v.size != layout.dim:
-            raise ValueError(f"vector length {v.size} != layout dim {layout.dim}")
-        J, S = layout.n_blocks, layout.n_sites
-        return cls(
-            beta_gamma=v[layout.beta_gamma].copy(),
-            beta_delta=v[layout.beta_delta].copy(),
-            beta_lambda=v[layout.beta_lambda].copy(),
-            log_sigma_gamma=float(v[layout.log_sigma_gamma]),
-            log_sigma_delta=float(v[layout.log_sigma_delta]),
-            log_gamma=v[layout.log_gamma].reshape(S, J).T.copy(),
-            log_delta=v[layout.log_delta].reshape(S, J).T.copy(),
-        )
-
-
-def _check_shmev_args(params: ShmevParams, dataset: Dataset):
-    J, S = params.log_gamma.shape
-    if (
-        S != dataset.n_sites
-        or J != dataset.n_blocks
-        or params.beta_gamma.size != dataset.n_covariates + 1
-    ):
-        raise ValueError(
-            f"parameter dimensions (p={params.beta_gamma.size - 1}, J={J}, S={S}) do not match "
-            f"dataset (p={dataset.n_covariates}, J={dataset.n_blocks}, S={dataset.n_sites})"
-        )
-
-
-def shmev_log_posterior(params: ShmevParams, dataset: Dataset, prior: ShmevPriorSpec) -> float:
-    """Joint unnormalized log-posterior of the spatial model."""
-    _check_shmev_args(params, dataset)
-    return ShmevTarget(dataset, prior).value(params.to_vector())
-
-
-def shmev_gradient(params: ShmevParams, dataset: Dataset, prior: ShmevPriorSpec) -> np.ndarray:
-    """Exact gradient with respect to every unconstrained coordinate."""
-    _check_shmev_args(params, dataset)
-    return ShmevTarget(dataset, prior)(params.to_vector())[1]
-
-
 # ---------------------------------------------------------------------------
 # The Weibull–Gumbel–binomial block kernel
 # ---------------------------------------------------------------------------
@@ -586,8 +500,9 @@ class _RowBatchedTarget:
     ``logp`` of shape ``(R,)`` and ``grad`` of shape ``(R, dim)``; rows may
     belong to different targets of the class, and each row's result equals
     its one-row call bit for bit.  ``__call__`` is that kernel on one row,
-    and a batch of one target is the target's own kernel, so its compiled
-    data are not copied.  The sampler evaluates many rows in one kernel call
+    after a check that the vector has ``dim`` entries (kernel calls are not
+    checked), and a batch of one target is the target's own kernel, so its
+    compiled data are not copied.  The sampler evaluates many rows in one kernel call
     only while a class keeps this ``__call__`` (marked ``batched``): a
     subclass or patch that replaces it is evaluated row by row through the
     replacement.
@@ -607,8 +522,15 @@ class _RowBatchedTarget:
             self._kernel = self._rows([self])
         return self._kernel
 
+    @property
+    def dim(self) -> int:
+        return self.layout.dim
+
     def _one_row(self, v):
-        return self._own_kernel()(np.asarray(v, dtype=float)[None, :])
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.dim,):
+            raise ValueError(f"vector length {v.size} and target dimension {self.dim} do not match")
+        return self._own_kernel()(v[None, :])
 
     def __call__(self, v):
         logp, grad, _ = self._one_row(v)
@@ -819,6 +741,7 @@ class GevTarget(_RowBatchedTarget):
     """Callable target over ``[loc, log_scale, shape]`` for one maxima sample."""
 
     layout_names = ("loc", "log_scale", "shape")
+    dim = 3
     _rows = _GevRows
 
     def __init__(self, maxima: np.ndarray, prior: GevPriorSpec):
@@ -827,7 +750,6 @@ class GevTarget(_RowBatchedTarget):
             raise ValueError("maxima sequence must be nonempty")
         self.maxima = maxima
         self.prior = prior
-        self.dim = 3
 
     def param_names(self) -> list[str]:
         return list(self.layout_names)

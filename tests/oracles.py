@@ -42,6 +42,24 @@ def _invgamma_unconstrained(u, shape, scale):
     return shape * math.log(scale) - math.lgamma(shape) - shape * u - scale * math.exp(-u)
 
 
+def shmev_params_view(layout, v):
+    """The attributes of a spatial vector that
+    ``naive_shmev_log_posterior`` reads: the three coefficient vectors, the
+    two latent log scales as floats, and ``log_gamma`` and ``log_delta`` as
+    (J, S) arrays (the vector holds them site-major)."""
+    v = np.asarray(v, dtype=float)
+    J, S = layout.n_blocks, layout.n_sites
+    return SimpleNamespace(
+        beta_gamma=v[layout.beta_gamma].copy(),
+        beta_delta=v[layout.beta_delta].copy(),
+        beta_lambda=v[layout.beta_lambda].copy(),
+        log_sigma_gamma=float(v[layout.log_sigma_gamma]),
+        log_sigma_delta=float(v[layout.log_sigma_delta]),
+        log_gamma=v[layout.log_gamma].reshape(S, J).T.copy(),
+        log_delta=v[layout.log_delta].reshape(S, J).T.copy(),
+    )
+
+
 def naive_shmev_log_posterior(params, dataset, prior):
     total = 0.0
     n_trials = dataset.trials_per_block

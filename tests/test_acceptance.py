@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from shmev.cli import run_command
-from shmev.hmc import SamplerConfig, run_hmc
+from shmev.hmc import HmcJob, SamplerConfig, run_hmc, run_hmc_jobs
 from shmev.ingest import (
     ElicitationRules,
     QcPolicy,
@@ -237,14 +237,15 @@ def test_criterion_5_simulation_benchmark_ordering():
         starget.layout.param_names(), n_workers=4,
     )
 
-    maxima_by_site = dataset.block_maxima()
-    gev_draws = {}
+    # each site's block maxima as cmd_fit takes them; the sites' GEV fits
+    # run as one job each in one call, whose chains advance in lockstep
+    gev_jobs = []
     for s in range(dataset.n_sites):
-        maxima = maxima_by_site[s][np.isfinite(maxima_by_site[s])]
+        maxima = np.array([b.max() for b in dataset.events[s] if b.size])
         gtarget = GevTarget(maxima, GevPriorSpec.from_maxima(maxima))
         gconfig = SamplerConfig(n_chains=4, n_iterations=600, leapfrog_steps=16, seed=7000 + s)
-        gpost = run_hmc(gtarget, gconfig, perturbed_inits(gtarget, gconfig, 7000 + s))
-        gev_draws[s] = gpost.draws
+        gev_jobs.append(HmcJob(gtarget, gconfig, perturbed_inits(gtarget, gconfig, 7000 + s)))
+    gev_draws = [post.draws for post in run_hmc_jobs(gev_jobs)]
 
     pconfig = PredictiveConfig(blocks_per_draw=100, trials_per_block=cfg.trials_per_block)
     streams = np.random.SeedSequence(808).spawn(dataset.n_sites)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +165,7 @@ class TestEndToEnd:
         posterior_dirs = [""] if model == "shmev" else [f"sites/{s}/" for s in fitted.stations]
         files = {p.relative_to(fit_dir).as_posix() for p in fit_dir.rglob("*") if p.is_file()}
         assert files == {"manifest.json", "model.json", "qc_ledger.csv", "summary.csv"} | {
-            d + name for d in posterior_dirs for name in ("draws.npy", "chain.npy")
+            d + "draws.npy" for d in posterior_dirs
         }
         for post in fitted.posteriors.values():
             assert post.n_chains == 2
@@ -509,7 +510,7 @@ class TestValidation:
         body = yaml.safe_load(config.read_text())
         body["fit"]["priors"] = {"mode": "explicit", "explicit": elicited["priors"]}
         run_command("fit", write_config(tmp_path / "explicit.yaml", body), tmp_path / "fit")
-        for name in ("model.json", "draws.npy", "chain.npy", "summary.csv"):
+        for name in ("model.json", "draws.npy", "summary.csv"):
             assert (tmp_path / "fit" / name).read_bytes() == (out / "fit" / name).read_bytes(), name
 
     @pytest.mark.parametrize("model", ["shmev", "hmev", "gev"])
@@ -1082,9 +1083,74 @@ class TestFitDirectory:
         empty = chains == 1 or iterations == 6
         assert all((rhat == "" and ess == "") == empty for rhat, ess in summary.values())
         kept = iterations - iterations // 2
-        for station in stations:
-            chain = np.load(tmp_path.joinpath("fit", *(("sites", station) if station else ()), "chain.npy"))
-            assert np.array_equal(chain, np.repeat(np.arange(chains), kept))
+        for post in load_fit(tmp_path / "fit").posteriors.values():
+            assert (post.n_chains, post.n_kept_per_chain) == (chains, kept)
+
+
+def training_magnitudes(events_csv: Path, train_blocks: int, threshold: float) -> dict:
+    """Each station's magnitudes above ``threshold`` in each of its first
+    ``train_blocks`` years, read from an events file with no missing days."""
+    by_year: dict = {}
+    with open(events_csv, newline="") as fh:
+        for row in csv.DictReader(fh):
+            by_year.setdefault(row["station"], {}).setdefault(row["date"][:4], []).append(float(row["prcp_mm"]))
+    return {
+        station: [[x for x in years[y] if x > threshold] for y in sorted(years)[:train_blocks]]
+        for station, years in sorted(by_year.items())
+    }
+
+
+class TestWetDayThreshold:
+    def test_threshold_drops_the_events_at_or_below_it(self, study, tmp_path, monkeypatch):
+        import shmev.cli as cli
+
+        base, out, config = study
+        events = training_magnitudes(out / "simulate" / "events.csv", 4, 0.0)
+        threshold = float(np.quantile([x for blocks in events.values() for b in blocks for x in b], 0.25))
+        before = json.loads((out / "fit" / "model.json").read_text())["magnitude_range"]
+        assert all(before[station][0] < threshold for station in events)
+
+        body = yaml.safe_load(config.read_text())
+        body["fit"]["wet_day_threshold"] = threshold
+        targets = []
+        run_hmc_jobs = cli.run_hmc_jobs
+
+        def capture(jobs, **kwargs):
+            targets.extend(job.target for job in jobs)
+            return run_hmc_jobs(jobs, **kwargs)
+
+        monkeypatch.setattr(cli, "run_hmc_jobs", capture)
+        run_command("fit", write_config(tmp_path / "fit.yaml", body), tmp_path / "fit")
+        after = json.loads((tmp_path / "fit" / "model.json").read_text())["magnitude_range"]
+
+        kept = training_magnitudes(out / "simulate" / "events.csv", 4, threshold)
+        assert targets[0].dataset.counts().tolist() == [[len(b) for b in blocks] for blocks in kept.values()]
+        assert targets[0].dataset.counts().sum() < sum(len(b) for blocks in events.values() for b in blocks)
+        for station, blocks in kept.items():
+            mags = [x for b in blocks for x in b]
+            assert after[station] == [min(mags), max(mags)]
+            assert after[station][0] > threshold
+        pooled = [x for blocks in kept.values() for b in blocks for x in b]
+        assert after["__pooled__"] == [min(pooled), max(pooled)]
+
+    def test_zero_threshold_is_the_default(self, study, tmp_path):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        body["fit"]["wet_day_threshold"] = 0.0
+        run_command("fit", write_config(tmp_path / "fit.yaml", body), tmp_path / "fit")
+        for name in ("model.json", "draws.npy", "summary.csv"):
+            assert (tmp_path / "fit" / name).read_bytes() == (out / "fit" / name).read_bytes(), name
+
+    def test_negative_threshold_is_config_error(self, study, tmp_path, capsys):
+        base, out, config = study
+        body = yaml.safe_load(config.read_text())
+        body["fit"]["wet_day_threshold"] = -0.5
+        bad = write_config(tmp_path / "fit.yaml", body)
+        assert main(["fit", "--config", str(bad), "--out", str(tmp_path / "fit")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert (err["error"], err["command"], err["exit_code"]) == ("ConfigError", "fit", 2)
+        assert "fit.wet_day_threshold" in err["message"]
+        assert not (tmp_path / "fit").exists()
 
 
 class TestManifest:
@@ -1202,6 +1268,55 @@ def test_min_ess_is_taken_over_the_parameters_with_an_ess(degenerate):
     else:
         assert diag["min_ess"] == float(post.ess[1])
     assert "NaN" not in json.dumps(diag)
+
+
+def strict_json(text: str):
+    """``text`` parsed as strict JSON: ``NaN`` and ``Infinity`` are refused."""
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_artifacts_are_strict_with_sorted_keys_and_one_space_indent(study):
+    base, out, config = study
+    paths = sorted(out.rglob("*.json"))
+    assert {p.relative_to(out).as_posix() for p in paths} >= {
+        "simulate/snapshot.json", "simulate/manifest.json", "fit/model.json", "fit/manifest.json",
+        "fit_gev/model.json", "fit_gev/manifest.json",
+    }
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(strict_json(text), sort_keys=True, indent=1) + "\n", path
+
+
+def test_infinite_rhat_is_written_as_the_string_inf(study, tmp_path, monkeypatch):
+    # every chain constant, the two at different values: R-hat is infinite,
+    # which model.json holds as "inf", as summary.csv and diagnose write it
+    import shmev.cli as cli
+
+    base, out, config = study
+    run_hmc_jobs = cli.run_hmc_jobs
+
+    def stuck(jobs, **kwargs):
+        return [
+            replace(post, draws=np.repeat([[0.0], [5.0]], post.n_kept_per_chain, axis=0) * np.ones(post.dim))
+            for post in run_hmc_jobs(jobs, **kwargs)
+        ]
+
+    monkeypatch.setattr(cli, "run_hmc_jobs", stuck)
+    body = yaml.safe_load(config.read_text())
+    body["diagnose"]["fit_dir"] = str(tmp_path / "fit")
+    config = write_config(tmp_path / "study.yaml", body)
+    run_command("fit", config, tmp_path / "fit")
+    run_command("diagnose", config, tmp_path / "diagnose")
+    meta = strict_json((tmp_path / "fit" / "model.json").read_text())
+    assert meta["diagnostics"]["max_rhat"] == "inf"
+    assert isinstance(meta["diagnostics"]["min_ess"], float)
+    strict_json((tmp_path / "fit" / "manifest.json").read_text())
+    for name in ("fit/summary.csv", "diagnose/diagnostics.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            assert {row["rhat"] for row in csv.DictReader(fh)} == {"inf"}, name
 
 
 def test_traced_harness_wrap_points_resolve():

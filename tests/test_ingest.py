@@ -22,7 +22,6 @@ from shmev.ingest import (
     load_and_qc,
     read_covariate_file,
     read_event_file,
-    station_maxima,
     training_events,
     weibull_mom,
     write_covariate_file,
@@ -212,13 +211,6 @@ class TestBuildDataset:
                     np.sort(rebuilt.events[s][j]), np.sort(synth.train.events[s][j])
                 )
         assert np.allclose(rebuilt.design_matrix(), synth.train.design_matrix())
-
-    def test_station_maxima_excludes_training_years(self, tmp_path):
-        records = self._records(tmp_path, n_stations=2, n_years=6)
-        maxima = station_maxima(records, exclude_first=4)
-        blocks = training_events(records[0], 6)
-        expected = [b.max() for b in blocks[4:] if b.size]
-        assert maxima[records[0].station] == pytest.approx(expected)
 
 
 class TestWeibullMom:

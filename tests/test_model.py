@@ -13,11 +13,8 @@ from shmev.model import (
     InverseGammaPrior,
     NormalPrior,
     ShmevLayout,
-    ShmevParams,
     ShmevPriorSpec,
     ShmevTarget,
-    shmev_gradient,
-    shmev_log_posterior,
 )
 
 from .oracles import (
@@ -27,6 +24,7 @@ from .oracles import (
     naive_shmev_log_posterior,
     oracle_gev_target,
     oracle_hmev_target,
+    shmev_params_view,
     take_shmev_value_grad,
 )
 
@@ -72,7 +70,7 @@ class TestShmevLogPosterior:
         prior = _tiny_prior(2)
         layout = ShmevLayout(1, 0, 1)
         v = np.array([0.6, 0.1, 9.0, 0.5, -1.0, 0.2, np.log(0.05), np.log(2.0)])
-        params = ShmevParams.from_vector(layout, v)
+        assert ShmevTarget(dataset, prior).dim == layout.dim
         expected = (
             sum(q.logpdf(x) for q, x in zip(prior.beta_gamma, v[0:2]))
             + sum(q.logpdf(x) for q, x in zip(prior.beta_delta, v[2:4]))
@@ -80,7 +78,7 @@ class TestShmevLogPosterior:
             + prior.sigma_gamma.log_density_unconstrained(v[6])
             + prior.sigma_delta.log_density_unconstrained(v[7])
         )
-        assert shmev_log_posterior(params, dataset, prior) == pytest.approx(expected, abs=1e-12)
+        assert ShmevTarget(dataset, prior).value(v) == pytest.approx(expected, abs=1e-12)
 
     def test_single_observation_closed_form(self):
         # one site, one block, one event at x = delta, n = 1
@@ -89,15 +87,8 @@ class TestShmevLogPosterior:
         dataset = Dataset(sites, [2001], [[np.array([dlt])]], trials_per_block=n_trials)
         prior = _tiny_prior(1)
         beta_g, beta_d, beta_l = 0.7, 10.0, -0.9
-        params = ShmevParams(
-            beta_gamma=[beta_g],
-            beta_delta=[beta_d],
-            beta_lambda=[beta_l],
-            log_sigma_gamma=np.log(0.05),
-            log_sigma_delta=np.log(1.5),
-            log_gamma=np.array([[np.log(gam)]]),
-            log_delta=np.array([[np.log(dlt)]]),
-        )
+        # [beta_gamma, beta_delta, beta_lambda, log_sigma_gamma, log_sigma_delta, log_gamma, log_delta]
+        v = np.array([beta_g, beta_d, beta_l, np.log(0.05), np.log(1.5), np.log(gam), np.log(dlt)])
         lam = 1.0 / (1.0 + np.exp(0.9))
         weibull = np.log(gam) - np.log(dlt) + (gam - 1.0) * 0.0 - 1.0
         binom = np.log(n_trials) + np.log(lam) + (n_trials - 1) * np.log1p(-lam)
@@ -113,23 +104,23 @@ class TestShmevLogPosterior:
         )
         jac = np.log(gam) + np.log(dlt)
         expected = weibull + binom + gumbel + priors + jac
-        assert shmev_log_posterior(params, dataset, prior) == pytest.approx(expected, abs=1e-12)
+        assert ShmevTarget(dataset, prior).value(v) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_naive_loop_oracle(self, wei_small, wei_small_prior, rng):
         dataset = wei_small.train
         target = ShmevTarget(dataset, wei_small_prior)
         for _ in range(5):
             v = _random_params(target.layout, rng)
-            params = ShmevParams.from_vector(target.layout, v)
-            fast = shmev_log_posterior(params, dataset, wei_small_prior)
-            slow = naive_shmev_log_posterior(params, dataset, wei_small_prior)
+            fast = target.value(v)
+            slow = naive_shmev_log_posterior(shmev_params_view(target.layout, v), dataset, wei_small_prior)
             assert fast == pytest.approx(slow, rel=1e-10)
 
     def test_dimension_mismatch_rejected(self, wei_small, wei_small_prior):
         layout = ShmevLayout(2, 3, 2)  # J/S disagree with the dataset
-        params = ShmevParams.from_vector(layout, np.zeros(layout.dim))
+        target = ShmevTarget(wei_small.train, wei_small_prior)
+        assert layout.dim != target.dim
         with pytest.raises(ValueError, match="do not match"):
-            shmev_log_posterior(params, wei_small.train, wei_small_prior)
+            target.value(np.zeros(layout.dim))
 
 
 def _without_blocks(dataset, empty):
@@ -191,7 +182,7 @@ class TestShmevEventGather:
                 assert_near_former(logp, grad, ref_logp, ref_grad, spread)
                 assert _same_bits(target.value(v), logp)
                 if spread < 1.0:  # the scalar loop overflows farther out
-                    params = ShmevParams.from_vector(target.layout, v)
+                    params = shmev_params_view(target.layout, v)
                     slow = naive_shmev_log_posterior(params, target.dataset, wei_small_prior)
                     assert logp == pytest.approx(slow, rel=1e-10)
 
@@ -257,16 +248,14 @@ class TestShmevGradient:
         layout = ShmevLayout(1, 2, 2)
         v = _random_params(layout, np.random.default_rng(1), spread=0.0)
         v[layout.beta_lambda] = [np.log(lam / (1 - lam)), 0.0]
-        params = ShmevParams.from_vector(layout, v)
-        grad = shmev_gradient(params, dataset, flat_prior)
+        grad = ShmevTarget(dataset, flat_prior)(v)[1]
         assert np.allclose(grad[layout.beta_lambda], 0.0, atol=1e-6)
 
     def test_prior_only_gradient_is_gaussian_score(self):
         dataset = _empty_dataset()
         prior = _tiny_prior(2)
-        layout = ShmevLayout(1, 0, 1)
         v = np.array([0.9, -0.2, 8.0, 1.0, -0.5, 0.3, np.log(0.04), np.log(1.0)])
-        grad = shmev_gradient(ShmevParams.from_vector(layout, v), dataset, prior)
+        grad = ShmevTarget(dataset, prior)(v)[1]
         q = prior.beta_gamma[0]
         assert grad[0] == pytest.approx(-(v[0] - q.mean) / q.sd**2, abs=1e-12)
         q = prior.beta_delta[1]
@@ -413,17 +402,10 @@ class TestModelInvariants:
         sites = [dataset.sites[i] for i in perm]
         events = [dataset.events[i] for i in perm]
         permuted = Dataset(sites, dataset.blocks, events, dataset.trials_per_block)
-        params = ShmevParams.from_vector(target.layout, v)
-        pparams = ShmevParams(
-            beta_gamma=params.beta_gamma,
-            beta_delta=params.beta_delta,
-            beta_lambda=params.beta_lambda,
-            log_sigma_gamma=params.log_sigma_gamma,
-            log_sigma_delta=params.log_sigma_delta,
-            log_gamma=params.log_gamma[:, perm],
-            log_delta=params.log_delta[:, perm],
-        )
-        assert shmev_log_posterior(pparams, permuted, wei_small_prior) == pytest.approx(base, rel=1e-12)
+        L, pv = target.layout, v.copy()
+        for latents in (L.log_gamma, L.log_delta):  # site-major: one row of J per site
+            pv[latents] = v[latents].reshape(L.n_sites, L.n_blocks)[perm].ravel()
+        assert ShmevTarget(permuted, wei_small_prior).value(pv) == pytest.approx(base, rel=1e-12)
 
         # permute events within one block
         events2 = [list(row) for row in dataset.events]
@@ -431,7 +413,7 @@ class TestModelInvariants:
         rng.shuffle(shuffled)
         events2[0][0] = shuffled
         permuted2 = Dataset(dataset.sites, dataset.blocks, events2, dataset.trials_per_block)
-        assert shmev_log_posterior(params, permuted2, wei_small_prior) == pytest.approx(base, rel=1e-12)
+        assert ShmevTarget(permuted2, wei_small_prior).value(v) == pytest.approx(base, rel=1e-12)
 
     def test_zero_covariate_column_shifts_by_its_prior_only(self, wei_small, wei_small_prior, rng):
         dataset = wei_small.train
@@ -451,18 +433,11 @@ class TestModelInvariants:
             SiteCovariates(s.station, np.concatenate([s.z, [0.0]]), s.raw) for s in dataset.sites
         ]
         dataset2 = Dataset(sites2, dataset.blocks, dataset.events, dataset.trials_per_block)
-        params = ShmevParams.from_vector(target.layout, v)
-        params2 = ShmevParams(
-            beta_gamma=np.concatenate([params.beta_gamma, [0.0]]),
-            beta_delta=np.concatenate([params.beta_delta, [0.0]]),
-            beta_lambda=np.concatenate([params.beta_lambda, [0.0]]),
-            log_sigma_gamma=params.log_sigma_gamma,
-            log_sigma_delta=params.log_sigma_delta,
-            log_gamma=params.log_gamma,
-            log_delta=params.log_delta,
-        )
+        # a zero coefficient of the new column after each coefficient vector
+        p1 = target.layout.n_covariates + 1
+        v2 = np.insert(v, [p1, 2 * p1, 3 * p1], 0.0)
         expected = base + 3 * extra.logpdf(0.0)
-        assert shmev_log_posterior(params2, dataset2, prior2) == pytest.approx(expected, rel=1e-12)
+        assert ShmevTarget(dataset2, prior2).value(v2) == pytest.approx(expected, rel=1e-12)
 
     def test_tail_magnitude_decreases_all_log_posteriors(self, wei_small, wei_small_prior, rng):
         dataset = wei_small.train
@@ -474,8 +449,7 @@ class TestModelInvariants:
         moved[-1] = moved[-1] * 50.0  # far into the Weibull tail
         events2[0][0] = moved
         dataset2 = Dataset(dataset.sites, dataset.blocks, events2, dataset.trials_per_block)
-        params = ShmevParams.from_vector(target.layout, v)
-        assert shmev_log_posterior(params, dataset2, wei_small_prior) < base
+        assert ShmevTarget(dataset2, wei_small_prior).value(v) < base
 
         site_events = dataset.events[0]
         trials = dataset.trials_per_block
@@ -627,6 +601,15 @@ class TestRowBatchedKernels:
             for r, (t, v) in enumerate(zip(rows, V)):
                 one_logp, one_grad = t(v)
                 assert _same_bits(logp[r], one_logp) and _same_bits(grad[r], one_grad), r
+
+    @pytest.mark.parametrize("kind", ["hmev", "gev"])
+    def test_one_row_call_of_the_wrong_length_rejected(self, stations, kind):
+        target = stations[kind == "gev"][0][0]
+        v = target.initial_vector()
+        for wrong in (v[:-1], np.append(v, 0.5), np.zeros(5 if kind == "gev" else 3)):
+            for call in (target, target.value):
+                with pytest.raises(ValueError, match=f"vector length {wrong.size} and target dimension {v.size} do not match"):
+                    call(wrong)
 
     def test_one_target_batch_uses_the_targets_own_kernel(self, wei_small, wei_small_prior):
         # the sampler's kernel for a single row must not copy the events again
