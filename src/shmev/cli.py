@@ -376,7 +376,11 @@ def cmd_fit(
     records, ledger = load_and_qc(base_dir / section.events, section.qc, cov_table)
     if not records:
         raise DataError("no stations survive quality control")
-    ledger.save(session.path("qc_ledger.csv"))
+    _write_csv(
+        session.path("qc_ledger.csv"),
+        ["station", "code", "year", "detail"],
+        ([e["station"], e["code"], "" if e["year"] is None else e["year"], e["detail"]] for e in ledger.entries),
+    )
     if ledger.rejects:
         # the file as the config names it, so the bytes do not depend on
         # where the config lives

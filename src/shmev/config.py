@@ -136,6 +136,7 @@ def _intervals(value, context: str) -> dict[str, tuple[float, float]]:
 
 
 _NON_NEGATIVE = _checked(_as_float, "must be >= 0", lambda x: x >= 0.0)
+_POSITIVE = _checked(_as_float, "must be > 0", lambda x: x > 0.0)
 _FRACTION = _checked(_as_float, "must lie in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 _SCENARIO_KEYS = {
@@ -157,8 +158,8 @@ _MODEL = _checked(_as_str, "must be shmev, hmev, or gev", lambda s: s in ("shmev
 _MODE = _checked(_as_str, "must be 'elicit' or 'explicit'", lambda s: s in ("elicit", "explicit"))
 _QC_KEYS = {"max_missing_days": _count(0), "min_retained_years": _count(0), "drop_flagged": _as_bool}
 _ELICITATION_KEYS = {
-    "gamma_intercept_center": lambda v, c: None if v is None else _as_float(v, c),
-    "interval_fraction": _checked(_as_float, "must be > 0", lambda x: x > 0.0),
+    "gamma_intercept_center": lambda v, c: None if v is None else _POSITIVE(v, c),
+    "interval_fraction": _POSITIVE,
     "intervals": _intervals,
 }
 

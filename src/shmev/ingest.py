@@ -121,15 +121,6 @@ class QcLedger:
     def reject(self, path: str, line: int, reason: str, row: str):
         self.rejects.append({"file": path, "line": line, "reason": reason, "row": row})
 
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["station", "code", "year", "detail"])
-            for e in self.entries:
-                writer.writerow([e["station"], e["code"], "" if e["year"] is None else e["year"], e["detail"]])
-        return path
-
 
 # ---------------------------------------------------------------------------
 # File IO
@@ -772,6 +763,8 @@ class ElicitationRules:
     def __post_init__(self):
         if self.interval_fraction <= 0.0:
             raise ValueError("interval_fraction must be positive")
+        if self.gamma_intercept_center is not None and not self.gamma_intercept_center > 0.0:
+            raise ValueError("gamma_intercept_center must be positive")
 
 
 # the latent Gumbel scales' prior means as fractions of the location

@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .special import betaln, expit, expit_log_expit_pair, gammaln, log_expit, logit
+from .special import betaln, expit, gammaln, log_expit, logit
 
 __all__ = [
     "NormalPrior",
@@ -404,7 +404,8 @@ def _weibull_gumbel_binomial(
     latents = np.exp(latent_logs)
     gam = latents[:, 0].reshape(R, K)
     scale = np.exp(log_scale)[:, :, None, None]
-    lam, log_lam, log_1m_lam = expit_log_expit_pair(logit)
+    log_lam, log_1m_lam = log_expit(logit), log_expit(-logit)
+    lam = np.exp(log_lam)  # expit(logit)
 
     # Weibull magnitudes: t_e = f exp(gamma d_e), summed per block
     m_ud = ev.m_b - ud

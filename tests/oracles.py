@@ -31,7 +31,7 @@ from shmev.hmc import _MAX_ENERGY_ERROR, _MIN_ABORT_WARMUP, PosteriorDraws, Samp
 from shmev.ingest import QcLedger
 from shmev.model import GevPriorSpec, HmevLayout, HmevPriorSpec
 from shmev.predictive import BlockDraws
-from shmev.special import expit, expit_log_expit_pair, gammaln, log_expit
+from shmev.special import expit, gammaln, log_expit
 
 
 def _normal_logpdf(x, mean, sd):
@@ -392,7 +392,7 @@ def take_shmev_value_grad(v, target):
         latent = float(-nb * (lsg + lsd) - np.sum(z1 + e1) - np.sum(z2 + e2))
 
         N = float(c.trials)
-        _, log_lam, log_1m_lam = expit_log_expit_pair(ell)
+        log_lam, log_1m_lam = log_expit(ell), log_expit(-ell)
         binom = float(
             np.sum(c.sum_n_s * log_lam + (c.J * N - c.sum_n_s) * log_1m_lam) + c.binom_const
         )

@@ -448,6 +448,8 @@ class TestValidation:
             # elicitation rules out of range
             ("fit", lambda b: b["fit"].update(priors={"interval_fraction": 0.0}), "fit.priors.interval_fraction"),
             ("fit", lambda b: b["fit"].update(priors={"interval_fraction": -0.5}), "fit.priors.interval_fraction"),
+            ("fit", lambda b: b["fit"].update(priors={"gamma_intercept_center": 0.0}), "fit.priors.gamma_intercept_center"),
+            ("fit", lambda b: b["fit"].update(priors={"gamma_intercept_center": -0.5}), "fit.priors.gamma_intercept_center"),
             (
                 "fit",
                 lambda b: b["fit"].update(priors={"intervals": {"beta_delta[0]": [12.0, 8.0]}}),

@@ -102,6 +102,19 @@ class TestQualityControl:
         assert records[0].dates.size == 366 - 4
         assert not set(records[0].dates.tolist()) & {rows[i][1] for i in flagged_days}
 
+    def test_flagged_values_kept_when_drop_flagged_is_off(self, tmp_path):
+        rows = daily_rows("A", 2000)
+        flagged_days = (3, 40, 41, 365)
+        for i, flag in zip(flagged_days, ("Q", "0", "a", "X")):
+            rows[i] = (*rows[i][:2], 7.25 + i, flag)
+        path = write_events(tmp_path / "e.csv", rows)
+        policy = QcPolicy(max_missing_days=366, min_retained_years=0, drop_flagged=False)
+        records, ledger = load_and_qc(path, policy)
+        assert not any(e["code"] == "FLAGGED_VALUE" for e in ledger.entries)
+        assert records[0].dates.size == 366
+        kept = dict(zip(records[0].dates.tolist(), records[0].values.tolist()))
+        assert [kept[rows[i][1]] for i in flagged_days] == [7.25 + i for i in flagged_days]
+
     def test_malformed_rows_collected_not_skipped(self, tmp_path):
         path = tmp_path / "e.csv"
         with open(path, "w", newline="") as fh:
@@ -301,6 +314,12 @@ class TestElicitation:
         # the latent-scale priors mean-match fixed fractions of the centers
         assert prior.sigma_gamma.mean == pytest.approx(0.05 * 2.0 / 3.0)
         assert prior.sigma_delta.mean == pytest.approx(0.25 * prior.beta_delta[0].mean)
+
+    @pytest.mark.parametrize("center", [0.0, -0.5, float("nan")])
+    def test_non_positive_gamma_intercept_center_rejected(self, center):
+        # a Weibull shape is positive
+        with pytest.raises(ValueError, match="gamma_intercept_center must be positive"):
+            ElicitationRules(gamma_intercept_center=center)
 
     def test_collinear_covariate_falls_back_to_wide_zero_prior(self, rng, caplog):
         dataset = self._dataset([10.0, 11.0], rng)

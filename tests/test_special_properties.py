@@ -1,6 +1,5 @@
-"""Property tests: the ``shmev.special`` ports equal ``scipy.special`` bit for
-bit on random finite doubles."""
-import math
+"""Property tests: ``shmev.special`` stays within its error bounds of
+``scipy.special`` on random doubles of each function's domain."""
 import warnings
 
 import numpy as np
@@ -13,12 +12,9 @@ from hypothesis import strategies as st
 
 from shmev import special
 
+from .test_special import assert_near
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-def same_bits(ours, theirs):
-    assert math.copysign(1.0, ours) == math.copysign(1.0, theirs)
-    assert ours == theirs or (math.isnan(ours) and math.isnan(theirs))
 
 
 def check(name, x):
@@ -26,8 +22,8 @@ def check(name, x):
         warnings.simplefilter("error")
         ours = getattr(special, name)
         theirs = getattr(sc, name)
-        same_bits(ours(x), theirs(x))
-        same_bits(ours(np.array([x]))[0], theirs(np.array([x]))[0])
+        assert_near(name, x, ours(x), theirs(x))
+        assert_near(name, [x], ours(np.array([x])), theirs(np.array([x])))
 
 
 @settings(max_examples=300, deadline=None)
@@ -44,6 +40,6 @@ def test_logit(x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=-34.0, allow_nan=False, allow_infinity=False))
+@given(st.floats(min_value=1e-6, max_value=7e10, exclude_min=True, exclude_max=True))
 def test_gammaln(x):
     check("gammaln", x)
