@@ -10,7 +10,8 @@ GEV and single-site hierarchical benchmarks.
 __version__ = "0.1.0"
 
 from .data import Dataset, SiteCovariates, StandardizationSnapshot
-from .hmc import PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, trace_export
+from .hmc import PosteriorDraws, SamplerConfig, rhat_ess, run_hmc
+from .ingest import trace_export
 from .model import (
     GevPriorSpec,
     GevTarget,

@@ -9,7 +9,6 @@ with 2 (config), 3 (data), or 4 (numeric/convergence).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -35,18 +34,22 @@ from .data import StandardizationSnapshot
 from .errors import ConfigError, ConvergenceError, DataError, NumericError, ShmevError
 # run_hmc, the one-job form of run_hmc_jobs, and rhat_ess, which
 # PosteriorDraws.convergence calls, stay importable from here
-from .hmc import CHAIN_STATS, HmcJob, PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, run_hmc_jobs, trace_export
+from .hmc import CHAIN_STATS, HmcJob, PosteriorDraws, SamplerConfig, rhat_ess, run_hmc, run_hmc_jobs
 from .ingest import (
-    _table_rows,
     build_dataset,
     dataset_to_rows,
     elicit_hmev_priors,
     elicit_priors,
     load_and_qc,
+    number_cell,
     read_covariate_file,
+    read_grid_file,
+    read_test_maxima,
+    trace_export,
     training_events,
     write_covariate_file,
     write_event_file,
+    write_table,
 )
 # evaluate_site, the one-station form of cmd_evaluate's rank, inversion and
 # scoring steps, stays importable from here
@@ -150,19 +153,6 @@ def _write_json(path: Path, obj) -> None:
     """Write an artifact as strict JSON, with sorted keys and a one-space
     indent; a non-finite number fails here rather than reach the file."""
     path.write_text(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n")
-
-
-def _write_csv(path: Path, header: Sequence[str], rows) -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-    return path
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +259,9 @@ def _diag_dict(post: PosteriorDraws) -> dict:
 def _convergence_cells(post: PosteriorDraws, k: int) -> list[str]:
     """Parameter ``k``'s R-hat and ESS cells, empty where there are none."""
     rhat, ess, _ = post.convergence
-    return ["" if rhat is None else _fmt(rhat[k]), "" if ess is None or np.isnan(ess[k]) else _fmt(ess[k])]
+    rhat_k = None if rhat is None else rhat[k]
+    ess_k = None if ess is None or np.isnan(ess[k]) else ess[k]
+    return [number_cell(rhat_k), number_cell(ess_k)]
 
 
 def _summary_rows(station: str, post: PosteriorDraws):
@@ -277,7 +269,7 @@ def _summary_rows(station: str, post: PosteriorDraws):
     means = post.draws.mean(axis=0)
     sds = post.draws.std(axis=0, ddof=1)
     for k, name in enumerate(post.param_names):
-        cells = [_fmt(means[k]), _fmt(sds[k]), _fmt(q[0, k]), _fmt(q[1, k]), _fmt(q[2, k])]
+        cells = [number_cell(x) for x in (means[k], sds[k], *q[:, k])]
         yield [station, name, *cells, *_convergence_cells(post, k)]
 
 
@@ -296,21 +288,21 @@ def cmd_simulate(cfg: ScenarioConfig, session: ArtifactSession) -> None:
         for j in range(cfg.test_blocks):
             value = synth.test_maxima[s, j]
             if np.isfinite(value):
-                maxima_rows.append([site.station, j, _fmt(value)])
-    _write_csv(session.path("test_maxima.csv"), ["station", "block", "max_mm"], maxima_rows)
+                maxima_rows.append([site.station, j, number_cell(value)])
+    write_table(session.path("test_maxima.csv"), ["station", "block", "max_mm"], maxima_rows)
     truth_rows = [
         [
             site.station,
-            _fmt(synth.fields.coords[s, 0]),
-            _fmt(synth.fields.coords[s, 1]),
-            _fmt(synth.fields.shape_loc[s]),
-            _fmt(synth.fields.scale_loc[s]),
-            _fmt(synth.fields.event_prob[s]),
+            number_cell(synth.fields.coords[s, 0]),
+            number_cell(synth.fields.coords[s, 1]),
+            number_cell(synth.fields.shape_loc[s]),
+            number_cell(synth.fields.scale_loc[s]),
+            number_cell(synth.fields.event_prob[s]),
             synth.fields.family,
         ]
         for s, site in enumerate(synth.train.sites)
     ]
-    _write_csv(
+    write_table(
         session.path("truth.csv"),
         ["station", "z1", "z2", "shape_loc", "scale_loc", "event_prob", "family"],
         truth_rows,
@@ -376,7 +368,7 @@ def cmd_fit(
     records, ledger = load_and_qc(base_dir / section.events, section.qc, cov_table)
     if not records:
         raise DataError("no stations survive quality control")
-    _write_csv(
+    write_table(
         session.path("qc_ledger.csv"),
         ["station", "code", "year", "detail"],
         ([e["station"], e["code"], "" if e["year"] is None else e["year"], e["detail"]] for e in ledger.entries),
@@ -384,7 +376,7 @@ def cmd_fit(
     if ledger.rejects:
         # the file as the config names it, so the bytes do not depend on
         # where the config lives
-        _write_csv(
+        write_table(
             session.path("rejects.csv"),
             ["file", "line", "reason", "row"],
             ([section.events, r["line"], r["reason"], r["row"]] for r in ledger.rejects),
@@ -422,9 +414,8 @@ def cmd_fit(
                 selected,
                 section.train_blocks,
                 section.covariate_columns,
-                section.wet_day_threshold,
+                list(events_by_station.values()),
                 section.trials_per_block,
-                events=list(events_by_station.values()),
             )
         if isinstance(section.priors, ShmevPriorSpec):
             prior = section.priors
@@ -467,7 +458,7 @@ def cmd_fit(
     # the spatial fit's priors and diagnostics are stored unkeyed
     meta["priors"] = priors.get("", priors)
     meta["diagnostics"] = diagnostics.get("", diagnostics)
-    _write_csv(
+    write_table(
         session.path("summary.csv"),
         ["station", "param", "mean", "sd", "q05", "q50", "q95", "rhat", "ess"],
         summary_rows,
@@ -483,7 +474,7 @@ def cmd_diagnose(section, session: ArtifactSession, base_dir: Path) -> None:
         trace_export(post, session.path(*_posterior_dir(key), "trace.csv"))
         for k, name in enumerate(post.param_names):
             rows.append([key, name, *_convergence_cells(post, k), "" if degenerate is None else int(degenerate[k])])
-    _write_csv(session.path("diagnostics.csv"), ["station", "param", "rhat", "ess", "degenerate"], rows)
+    write_table(session.path("diagnostics.csv"), ["station", "param", "rhat", "ess", "degenerate"], rows)
 
 
 def _predictive_config(fitted: FittedModel, blocks_per_draw: int) -> PredictiveConfig:
@@ -524,7 +515,7 @@ def _level_rows(key_cells: list[str], periods: np.ndarray, q: np.ndarray) -> Ite
     # of GEV's C-ordered quantiles can differ from them in the last bit
     bands = np.quantile(q, [0.05, 0.95], axis=0)
     for t, period in enumerate(periods):
-        yield [*key_cells, _fmt(period), _fmt(q[:, t].mean()), _fmt(bands[0, t]), _fmt(bands[1, t])]
+        yield [*key_cells, *map(number_cell, (period, q[:, t].mean(), bands[0, t], bands[1, t]))]
 
 
 def cmd_predict(section: PredictSection, session: ArtifactSession, seed: int, base_dir: Path) -> None:
@@ -537,29 +528,7 @@ def cmd_predict(section: PredictSection, session: ArtifactSession, seed: int, ba
     jobs = ((fitted.site(s), probs, stream) for s, stream in zip(stations, streams))
     quantiles = _site_quantiles(fitted, config, jobs)
     rows = (row for station, q in zip(stations, quantiles) for row in _level_rows([station], periods, q))
-    _write_csv(session.path("predictions.csv"), ["station", "T", "rl_mean", "rl_q05", "rl_q95"], rows)
-
-
-def _read_grid_file(path: Path, snapshot: StandardizationSnapshot) -> tuple[list[str], np.ndarray]:
-    """The grid's covariate names, which must be the snapshot's, and its
-    (n_points, k) raw values."""
-    rows = _table_rows(path, "grid file")
-    _, header = next(rows)
-    values = []
-    for line, row in rows:
-        try:
-            values.append([float(v) for v in row])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line}: non-numeric grid value") from exc
-        if not np.all(np.isfinite(values[-1])):
-            raise DataError(f"{path}:{line}: non-finite grid value")
-    if tuple(header) != tuple(snapshot.names):
-        raise DataError(
-            f"grid columns {header} must match the training snapshot {list(snapshot.names)}"
-        )
-    if not values:
-        raise DataError(f"{path}: no grid points")
-    return header, np.asarray(values, dtype=float)
+    write_table(session.path("predictions.csv"), ["station", "T", "rl_mean", "rl_q05", "rl_q95"], rows)
 
 
 def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: Path) -> None:
@@ -567,7 +536,7 @@ def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: 
     if fitted.snapshot is None:
         raise ConfigError("return-level maps require a spatial (shmev) fit")
     config = _predictive_config(fitted, section.blocks_per_draw)
-    names, raw = _read_grid_file(base_dir / section.grid, fitted.snapshot)
+    names, raw = read_grid_file(base_dir / section.grid, fitted.snapshot)
     periods = np.asarray(sorted(section.return_periods), dtype=float)
     probs = 1.0 - 1.0 / periods
     # every grid point is a site of the shared draws, standardised as the
@@ -576,8 +545,8 @@ def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: 
     streams = np.random.SeedSequence(seed).spawn(len(raw))
     jobs = (((draws, z, bracket), probs, stream) for z, stream in zip(fitted.snapshot.standardize(raw), streams))
     quantiles = _site_quantiles(fitted, config, jobs)
-    rows = (row for point, q in zip(raw, quantiles) for row in _level_rows([_fmt(v) for v in point], periods, q))
-    _write_csv(session.path("return_levels.csv"), [*names, "T", "rl_mean", "rl_q05", "rl_q95"], rows)
+    rows = (row for point, q in zip(raw, quantiles) for row in _level_rows([number_cell(v) for v in point], periods, q))
+    write_table(session.path("return_levels.csv"), [*names, "T", "rl_mean", "rl_q05", "rl_q95"], rows)
     sidecar = {
         "seed": seed,
         "blocks_per_draw": config.blocks_per_draw,
@@ -588,29 +557,8 @@ def cmd_map(section: MapSection, session: ArtifactSession, seed: int, base_dir: 
     _write_json(session.path("return_levels.csv.meta.json"), sidecar)
 
 
-def _read_test_maxima(path: Path) -> dict[str, np.ndarray]:
-    rows = _table_rows(path, "test maxima file")
-    if next(rows)[1] != ["station", "block", "max_mm"]:
-        raise DataError(f"{path}: expected header station,block,max_mm")
-    per_station: dict[str, list[float]] = {}
-    seen: set[tuple[str, str]] = set()
-    for line, row in rows:
-        try:
-            value = float(row[2])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line}: non-numeric maximum") from exc
-        if not np.isfinite(value):
-            raise DataError(f"{path}:{line}: non-finite maximum")
-        station, block = row[0].strip(), row[1].strip()
-        if (station, block) in seen:
-            raise DataError(f"{path}:{line}: repeated block {block} of station {station}")
-        seen.add((station, block))
-        per_station.setdefault(station, []).append(value)
-    return {k: np.asarray(v, dtype=float) for k, v in per_station.items()}
-
-
 def cmd_evaluate(section: EvaluateSection, session: ArtifactSession, seed: int, base_dir: Path) -> None:
-    maxima = _read_test_maxima(base_dir / section.test_maxima)
+    maxima = read_test_maxima(base_dir / section.test_maxima)
     results: list[tuple[str, EvalResult]] = []
     for label_idx, (label, fit_dir) in enumerate(sorted(section.fits.items())):
         fitted = load_fit(base_dir / fit_dir)

@@ -23,22 +23,22 @@ jobs and each chain's random stream; only a row's kept draws and its
 ``CHAIN_STATS`` values are sent back.
 Where the ``fork`` start method does not exist, all rows run in the
 calling process.
+
+The module opens no file: ``shmev.ingest.trace_export`` writes a
+posterior's draws as a table.
 """
 from __future__ import annotations
 
-import csv
-import io
 import multiprocessing
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericError
 
-__all__ = ["SamplerConfig", "PosteriorDraws", "HmcJob", "run_hmc", "run_hmc_jobs", "rhat_ess", "trace_export"]
+__all__ = ["SamplerConfig", "PosteriorDraws", "HmcJob", "run_hmc", "run_hmc_jobs", "rhat_ess"]
 
 # dual-averaging constants (Hoffman & Gelman 2014, sec. 3.2)
 _DA_GAMMA = 0.05
@@ -541,33 +541,3 @@ def rhat_ess(draws: PosteriorDraws | np.ndarray):
     tau = np.maximum(-1.0 + 2.0 * pair_sum, 1.0 / total)
     ess = np.where(degenerate, np.nan, total / tau)
     return rhat, ess, degenerate
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it inside a row (quoted when needed)."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow(["", text])
-    return buf.getvalue()[1:-2]  # without the leading comma and the "\r\n"
-
-
-def trace_export(draws: PosteriorDraws, path: str | Path) -> Path:
-    """Write the draws as columnar text with schema ``iter,chain,param,value``.
-
-    The file is the one ``csv.writer`` would write (``\r\n`` line ends,
-    names quoted where needed); values use ``repr`` so a round trip through
-    the file is bit-identical.  Each name is quoted once and each draw's rows
-    are joined into one write.
-    """
-    if draws.n_draws == 0:
-        raise ValueError("draws are empty")
-    path = Path(path)
-    per_chain = draws.by_chain()
-    names = [_csv_field(name) for name in draws.param_names]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("iter,chain,param,value\r\n")
-        for c in range(draws.n_chains):
-            for it in range(draws.n_kept_per_chain):
-                lead = f"{it},{c},"
-                values = per_chain[c, it].tolist()
-                fh.write("".join([f"{lead}{name},{value!r}\r\n" for name, value in zip(names, values)]))
-    return path

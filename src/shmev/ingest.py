@@ -8,6 +8,14 @@ reader is header-driven, with ``station,lat,lon,alt_m,dist_coast_km`` the
 canonical layout.  A converter for the fixed-width GHCN daily archive
 format is provided, but the columnar form is canonical.
 
+Every table the package reads or writes goes through the File IO section
+here: ``_table_rows`` reads the small tables (covariates, a map's grid, test
+maxima), ``write_table`` writes every CSV artifact in ``csv.writer``'s
+dialect with numbers as ``number_cell`` texts (``repr(float)``, ``None``
+empty), and ``trace_export`` writes a posterior's draws.  A numeric cell
+that is not a number or not finite is a ``path:line: non-numeric <what>``
+or ``non-finite <what>`` data error.
+
 Quality control removes flagged values, drops whole years over the
 missing-day budget, and drops stations that do not exceed the minimum
 retained-year count; every exclusion lands in a ledger with a reason code
@@ -31,6 +39,7 @@ import numpy as np
 from .data import Dataset, SiteCovariates, StandardizationSnapshot
 from .distributions import WeibullParams
 from .errors import ConvergenceError, DataError
+from .hmc import PosteriorDraws
 from .model import (
     BetaPrior,
     HmevPriorSpec,
@@ -46,8 +55,13 @@ __all__ = [
     "QcLedger",
     "read_event_file",
     "read_covariate_file",
+    "read_grid_file",
+    "read_test_maxima",
+    "number_cell",
+    "write_table",
     "write_event_file",
     "write_covariate_file",
+    "trace_export",
     "load_and_qc",
     "build_dataset",
     "dataset_to_rows",
@@ -483,6 +497,19 @@ def read_event_file(paths: str | Path | Sequence[str | Path], ledger: QcLedger |
     return _series(ids, parts), ledger
 
 
+def _numbers(path: Path, line: int, cells: Sequence[str], what: str) -> list[float]:
+    """The numeric ``cells`` of a table row as floats.  A cell that is not a
+    number is a ``DataError`` ``path:line: non-numeric <what>``; when all
+    are numbers, one that is not finite is ``path:line: non-finite <what>``."""
+    try:
+        values = [float(c) for c in cells]
+    except ValueError as exc:
+        raise DataError(f"{path}:{line}: non-numeric {what}") from exc
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}:{line}: non-finite {what}")
+    return values
+
+
 def read_covariate_file(path: str | Path) -> tuple[list[str], dict[str, dict[str, float]]]:
     """Header-driven covariate table: ``station`` plus numeric columns; a
     repeated column or station is a ``DataError``."""
@@ -497,12 +524,7 @@ def read_covariate_file(path: str | Path) -> tuple[list[str], dict[str, dict[str
     names = header[1:]
     table: dict[str, dict[str, float]] = {}
     for line, row in rows:
-        try:
-            values = {n: float(v) for n, v in zip(names, row[1:])}
-        except ValueError as exc:
-            raise DataError(f"{path}:{line}: non-numeric covariate") from exc
-        if not all(np.isfinite(v) for v in values.values()):
-            raise DataError(f"{path}:{line}: non-finite covariate")
+        values = dict(zip(names, _numbers(path, line, row[1:], "covariate")))
         station = row[0].strip()
         if station in table:
             raise DataError(f"{path}:{line}: repeated station {station!r}")
@@ -510,24 +532,94 @@ def read_covariate_file(path: str | Path) -> tuple[list[str], dict[str, dict[str
     return names, table
 
 
-def write_event_file(path: str | Path, rows: Iterable[tuple[str, dt.date, float | None, str]]) -> Path:
-    """Write rows in the canonical event format, a ``None`` value as a missing day."""
+def read_grid_file(path: Path, snapshot: StandardizationSnapshot) -> tuple[list[str], np.ndarray]:
+    """The grid's covariate names, which must be the snapshot's, and its
+    (n_points, k) raw values."""
+    rows = _table_rows(path, "grid file")
+    _, header = next(rows)
+    values = [_numbers(path, line, row, "grid value") for line, row in rows]
+    if tuple(header) != tuple(snapshot.names):
+        raise DataError(
+            f"grid columns {header} must match the training snapshot {list(snapshot.names)}"
+        )
+    if not values:
+        raise DataError(f"{path}: no grid points")
+    return header, np.asarray(values, dtype=float)
+
+
+def read_test_maxima(path: Path) -> dict[str, np.ndarray]:
+    """Each station's test maxima, in file order, from ``station,block,max_mm``;
+    a station's repeated block is a ``DataError``."""
+    rows = _table_rows(path, "test maxima file")
+    if next(rows)[1] != ["station", "block", "max_mm"]:
+        raise DataError(f"{path}: expected header station,block,max_mm")
+    per_station: dict[str, list[float]] = {}
+    seen: set[tuple[str, str]] = set()
+    for line, row in rows:
+        value = _numbers(path, line, row[2:], "maximum")[0]
+        station, block = row[0].strip(), row[1].strip()
+        if (station, block) in seen:
+            raise DataError(f"{path}:{line}: repeated block {block} of station {station}")
+        seen.add((station, block))
+        per_station.setdefault(station, []).append(value)
+    return {k: np.asarray(v, dtype=float) for k, v in per_station.items()}
+
+
+def number_cell(value: float | None) -> str:
+    """A number as every written table holds it: ``repr(float)``, so a round
+    trip is bit-identical, and ``None`` as the empty cell."""
+    return "" if value is None else repr(float(value))
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write a table as ``csv.writer`` does (``\r\n`` line ends, fields
+    quoted where needed); a float cell is given as its ``number_cell``."""
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(EVENT_HEADER)
-        for station, date, value, qflag in rows:
-            writer.writerow([station, date.isoformat(), "" if value is None else repr(float(value)), qflag])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 
+def write_event_file(path: str | Path, rows: Iterable[tuple[str, dt.date, float | None, str]]) -> Path:
+    """Write rows in the canonical event format, a ``None`` value as a missing day."""
+    rows = ([station, date.isoformat(), number_cell(value), qflag] for station, date, value, qflag in rows)
+    return write_table(path, EVENT_HEADER, rows)
+
+
 def write_covariate_file(path: str | Path, names: Sequence[str], table: Mapping[str, Mapping[str, float]]) -> Path:
+    rows = ([station, *(number_cell(table[station][n]) for n in names)] for station in table)
+    return write_table(path, ["station", *names], rows)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row (quoted when needed)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", text])
+    return buf.getvalue()[1:-2]  # without the leading comma and the "\r\n"
+
+
+def trace_export(draws: PosteriorDraws, path: str | Path) -> Path:
+    """Write the draws as columnar text with schema ``iter,chain,param,value``.
+
+    The file is the one ``csv.writer`` would write (``\r\n`` line ends,
+    names quoted where needed); values use ``repr`` so a round trip through
+    the file is bit-identical.  Each name is quoted once and each draw's rows
+    are joined into one write.
+    """
+    if draws.n_draws == 0:
+        raise ValueError("draws are empty")
     path = Path(path)
+    per_chain = draws.by_chain()
+    names = [_csv_field(name) for name in draws.param_names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station", *names])
-        for station in table:
-            writer.writerow([station, *(repr(float(table[station][n])) for n in names)])
+        fh.write("iter,chain,param,value\r\n")
+        for c in range(draws.n_chains):
+            for it in range(draws.n_kept_per_chain):
+                lead = f"{it},{c},"
+                values = per_chain[c, it].tolist()
+                fh.write("".join([f"{lead}{name},{value!r}\r\n" for name, value in zip(names, values)]))
     return path
 
 
@@ -595,17 +687,13 @@ def build_dataset(
     records: Sequence[StationRecord],
     train_blocks: int,
     covariate_names: Sequence[str],
-    wet_day_threshold: float = 0.0,
+    events: Sequence[list[np.ndarray]],
     trials_per_block: int = 366,
-    events: Sequence[list[np.ndarray]] | None = None,
 ) -> Dataset:
-    """Assemble the training dataset from each station's first K retained years.
-
-    Ordinary events are the strictly positive daily values (above the wet-day
-    threshold); counts are per calendar year; covariates are standardized
-    over the training stations and the snapshot is attached to the dataset.
-    ``events`` takes each record's ``training_events`` when the caller has
-    already computed them.
+    """Assemble the training dataset of ``records`` from ``events``, each
+    record's ``training_events``: its ordinary events in its first K
+    retained years, counted per year.  Covariates are standardized over the
+    training stations and the snapshot is attached to the dataset.
     """
     if not records:
         raise DataError("no stations to build a dataset from")
@@ -626,8 +714,6 @@ def build_dataset(
 
     # training years are each station's first K retained years; a common
     # block axis is required, so block labels are per-station year indices
-    if events is None:
-        events = [training_events(rec, train_blocks, wet_day_threshold) for rec in records]
     sites = [
         SiteCovariates(rec.station, z_rows[idx], dict(rec.covariates))
         for idx, rec in enumerate(records)

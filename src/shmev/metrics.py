@@ -12,12 +12,13 @@ empirical return time exceeds a threshold:
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .ingest import number_cell, write_table
 
 __all__ = [
     "EvalResult",
@@ -117,33 +118,23 @@ def evaluate_site(
     return score_site(station, q, observed, threshold, maxima.size)
 
 
+def _median_count(counts: Sequence[int]) -> int | str:
+    """The median of whole counts: whole as an integer, a half as ``3.5``."""
+    median = float(np.median(counts))
+    return int(median) if median.is_integer() else number_cell(median)
+
+
 def write_eval_report(results: Sequence[tuple[str, EvalResult]], path: str | Path) -> Path:
     """Columnar report ``site,model,fse,bias,width,m_T`` with one summary row
     of medians across sites per model."""
-    path = Path(path)
-
-    def fmt(v):
-        return "" if v is None else repr(float(v))
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["site", "model", "fse", "bias", "width", "m_T"])
-        by_model: dict[str, list[EvalResult]] = {}
-        for model, res in results:
-            writer.writerow([res.station, model, fmt(res.fse), fmt(res.bias), fmt(res.width), res.m_t])
-            by_model.setdefault(model, []).append(res)
-        for model in sorted(by_model):
-            rows = [r for r in by_model[model] if r.fse is not None]
-            if not rows:
-                continue
-            writer.writerow(
-                [
-                    "median",
-                    model,
-                    fmt(float(np.median([r.fse for r in rows]))),
-                    fmt(float(np.median([r.bias for r in rows]))),
-                    fmt(float(np.median([r.width for r in rows]))),
-                    int(np.median([r.m_t for r in rows])),
-                ]
-            )
-    return path
+    rows = []
+    by_model: dict[str, list[EvalResult]] = {}
+    for model, res in results:
+        rows.append([res.station, model, number_cell(res.fse), number_cell(res.bias), number_cell(res.width), res.m_t])
+        by_model.setdefault(model, []).append(res)
+    for model in sorted(by_model):
+        scored = [r for r in by_model[model] if r.fse is not None]
+        if scored:
+            medians = [number_cell(np.median([getattr(r, k) for r in scored])) for k in ("fse", "bias", "width")]
+            rows.append(["median", model, *medians, _median_count([r.m_t for r in scored])])
+    return write_table(path, ["site", "model", "fse", "bias", "width", "m_T"], rows)

@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .special import betaln, expit, gammaln, log_expit, logit
+from .special import betaln, gammaln, log_expit, logit
 
 __all__ = [
     "NormalPrior",
@@ -182,13 +182,6 @@ class BetaPrior:
     @cached_property
     def _log_beta(self) -> float:
         return betaln(self.a, self.b)
-
-    def log_density_unconstrained(self, u: float) -> float:
-        """Density over u = logit(x), transform Jacobian included."""
-        return self.a * log_expit(u) + self.b * log_expit(-u) - self._log_beta
-
-    def score_unconstrained(self, u: float) -> float:
-        return self.a - (self.a + self.b) * expit(u)
 
 
 @dataclass(frozen=True)
@@ -538,13 +531,6 @@ class _RowBatchedTarget:
         return logp[0], grad[0]
 
     __call__.batched = True
-
-    def value(self, v) -> float:
-        return self._one_row(v)[0][0]
-
-    def parts(self, v) -> dict:
-        """The log-posterior's terms at ``v``, for the hierarchies' kernels."""
-        return {k: float(x[0]) for k, x in self._one_row(v)[2].items()}
 
     def param_names(self) -> list[str]:
         return self.layout.param_names()

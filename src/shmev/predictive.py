@@ -221,13 +221,6 @@ class MaximaCdfEstimate:
     def n_draws(self) -> int:
         return self.blocks.n_draws
 
-    def cdf_at(self, y) -> np.ndarray:
-        """Per-draw cdf at a common scalar point or per-draw points (B,)."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 0:
-            y = np.full(self.n_draws, float(y))
-        return self.blocks.cdf_at(y)
-
     def per_draw_quantiles(self, probs) -> np.ndarray:
         """Invert each draw's cdf at every probability; (k,) -> (B, k).
 

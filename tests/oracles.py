@@ -208,6 +208,20 @@ def weibull_cdf(x, p: WeibullParams):
     return weibull_logpdf_cdf(x, p)[1]
 
 
+def kernel_parts(target, v) -> dict:
+    """The log-posterior's terms at ``v``, as a hierarchy's kernel gives them."""
+    return {k: float(x[0]) for k, x in target._one_row(v)[2].items()}
+
+
+def beta_log_density_unconstrained(prior, u):
+    """A ``BetaPrior``'s density over u = logit(x), transform Jacobian included."""
+    return prior.a * log_expit(u) + prior.b * log_expit(-u) - prior._log_beta
+
+
+def beta_score_unconstrained(prior, u):
+    return prior.a - (prior.a + prior.b) * expit(u)
+
+
 def central_difference(value_fn, v, step=1e-5):
     """Central finite-difference gradient of a scalar function."""
     fd = [0.0] * len(v)
@@ -731,7 +745,7 @@ def _hmev_value_grad(
             + prior.sigma_gamma.log_density_unconstrained(lsg)
             + prior.mu_delta.log_density_unconstrained(lmd)
             + prior.sigma_delta.log_density_unconstrained(lsd)
-            + prior.event_rate.log_density_unconstrained(llam)
+            + beta_log_density_unconstrained(prior.event_rate, llam)
         )
         jacobian = float(np.sum(ug) + np.sum(ud))
         logp = weibull + latent + binom + prior_terms + jacobian
@@ -770,7 +784,7 @@ def _hmev_value_grad(
                 np.sum(-1.0 + z2 * (1.0 - e2)) + prior.sigma_delta.score_unconstrained(lsd)
             )
             grad[layout.logit_lambda] = float(
-                sum_n - c.J * N * lam + prior.event_rate.score_unconstrained(llam)
+                sum_n - c.J * N * lam + beta_score_unconstrained(prior.event_rate, llam)
             )
             if not np.all(np.isfinite(grad)):
                 logp, grad = -np.inf, np.zeros(layout.dim)
@@ -886,7 +900,7 @@ def per_draw_quantiles_reference(est, probs):
     hi_global = np.full(b, float(est.y[-1]))
     pmax = float(levels[-1])
     for _ in range(max_extensions):
-        short = est.cdf_at(hi_global) < pmax
+        short = est.blocks.cdf_at(hi_global) < pmax
         if not short.any():
             break
         hi_global[short] *= 2.0

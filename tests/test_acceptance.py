@@ -21,6 +21,7 @@ from shmev.ingest import (
     elicit_priors,
     load_and_qc,
     read_covariate_file,
+    training_events,
 )
 from shmev.metrics import evaluate_site
 from shmev.model import GevPriorSpec, GevTarget, HmevTarget, ShmevTarget
@@ -67,7 +68,7 @@ def test_criterion_1_gradient_correctness():
                 vp, vm = v.copy(), v.copy()
                 vp[k] += step
                 vm[k] -= step
-                fd = (target.value(vp) - target.value(vm)) / (2 * step)
+                fd = (target(vp)[0] - target(vm)[0]) / (2 * step)
                 rel = abs(grad[k] - fd) / max(1.0, abs(fd))
                 worst = max(worst, rel)
 
@@ -77,7 +78,7 @@ def test_criterion_1_gradient_correctness():
         v = starget.initial_vector() + 0.1 * rng.standard_normal(starget.layout.dim)
         # keep |logp| moderate so the FD oracle's float64 roundoff stays
         # well below the 1e-5 tolerance
-        if abs(starget.value(v)) < 5e4:
+        if abs(starget(v)[0]) < 5e4:
             points.append(v)
     check(starget, points)
 
@@ -88,7 +89,7 @@ def test_criterion_1_gradient_correctness():
         v = np.array(
             [rng.uniform(30, 90), np.log(rng.uniform(5, 30)), rng.uniform(-0.3, 0.4)]
         )
-        if np.isfinite(gtarget.value(v)):
+        if np.isfinite(gtarget(v)[0]):
             points.append(v)
     check(gtarget, points)
 
@@ -172,7 +173,7 @@ def test_criterion_3_predictive_cdf_oracle_equivalence():
 
     qs = np.quantile(maxima, np.linspace(0.0005, 0.9995, 2000))
     ecdf = np.searchsorted(maxima, qs, side="right") / maxima.size
-    pooled = np.array([float(est.cdf_at(float(q)).mean()) for q in qs])
+    pooled = np.array([float(est.blocks.cdf_at(np.full(est.n_draws, q)).mean()) for q in qs])
     ks = float(np.abs(pooled - ecdf).max())
     elapsed = time.time() - start
     report(3, ks < 0.01 and elapsed < 120, f"KS distance {ks:.4f} over {filled} years", elapsed)
@@ -328,7 +329,8 @@ def test_criterion_7_nc_replication():
     else:
         records = records[:25]
     assert len(records) == 25, f"expected 25 training stations, have {len(records)}"
-    dataset = build_dataset(records, 20, ["lat", "lon", "alt_m", "dist_coast_km"])
+    events = [training_events(rec, 20) for rec in records]
+    dataset = build_dataset(records, 20, ["lat", "lon", "alt_m", "dist_coast_km"], events)
     target = ShmevTarget(dataset, elicit_priors(dataset, ElicitationRules()))
     config = SamplerConfig(n_chains=4, n_iterations=2000, leapfrog_steps=32, seed=1870)
     post = run_hmc(

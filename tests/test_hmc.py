@@ -17,8 +17,8 @@ from shmev.hmc import (
     rhat_ess,
     run_hmc,
     run_hmc_jobs,
-    trace_export,
 )
+from shmev.ingest import trace_export
 
 from .oracles import (
     csv_writer_trace_export,

@@ -178,14 +178,15 @@ class TestBuildDataset:
 
     def test_paper_scale_dataset_dimensions(self, tmp_path):
         records = self._records(tmp_path)
-        dataset = build_dataset(records, 20, ["lat", "lon", "alt_m", "dist_coast_km"])
+        events = [training_events(rec, 20) for rec in records]
+        dataset = build_dataset(records, 20, ["lat", "lon", "alt_m", "dist_coast_km"], events)
         assert dataset.n_sites == 25
         assert dataset.n_blocks == 20
         assert dataset.n_covariates == 4
 
     def test_standardization_is_exact(self, tmp_path):
         records = self._records(tmp_path, n_stations=8, n_years=4)
-        dataset = build_dataset(records, 3, ["lat", "alt_m"])
+        dataset = build_dataset(records, 3, ["lat", "alt_m"], [training_events(rec, 3) for rec in records])
         z = dataset.design_matrix()
         assert np.all(z[:, 0] == 1.0)
         assert np.max(np.abs(z[:, 1:].mean(axis=0))) < 1e-12
@@ -194,21 +195,12 @@ class TestBuildDataset:
     def test_missing_covariate_is_structural_error(self, tmp_path):
         records = self._records(tmp_path, n_stations=3, n_years=3)
         with pytest.raises(DataError, match="lacks covariates"):
-            build_dataset(records, 2, ["lat", "nope"])
+            build_dataset(records, 2, ["lat", "nope"], [training_events(rec, 2) for rec in records])
 
     def test_short_station_rejected(self, tmp_path):
         records = self._records(tmp_path, n_stations=3, n_years=3)
         with pytest.raises(DataError, match="train window"):
-            build_dataset(records, 10, ["lat"])
-
-    def test_precomputed_training_events_give_the_same_dataset(self, tmp_path):
-        records = self._records(tmp_path, n_stations=4, n_years=5)
-        events = [training_events(rec, 4) for rec in records]
-        given = build_dataset(records, 4, ["lat", "alt_m"], events=events)
-        built = build_dataset(records, 4, ["lat", "alt_m"])
-        assert given.design_matrix().tobytes() == built.design_matrix().tobytes()
-        for given_row, built_row in zip(given.events, built.events, strict=True):
-            assert [m.tobytes() for m in given_row] == [m.tobytes() for m in built_row]
+            build_dataset(records, 10, ["lat"], [training_events(rec, 10) for rec in records])
 
     def test_simulated_roundtrip_is_identity(self, tmp_path):
         synth = simulate_scenario(ScenarioConfig(n_sites=4, train_blocks=3, test_blocks=2, seed=13))
@@ -216,7 +208,7 @@ class TestBuildDataset:
         path = write_events(tmp_path / "sim.csv", rows)
         cov = {site.station: dict(site.raw) for site in synth.train.sites}
         records, _ = load_and_qc(path, PERMISSIVE, cov)
-        rebuilt = build_dataset(records, 3, ["z1", "z2"])
+        rebuilt = build_dataset(records, 3, ["z1", "z2"], [training_events(rec, 3) for rec in records])
         assert rebuilt.n_sites == synth.train.n_sites
         for s in range(rebuilt.n_sites):
             for j in range(rebuilt.n_blocks):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import shmev.ingest
-from shmev.cli import _read_grid_file, _read_test_maxima
 from shmev.data import StandardizationSnapshot
 from shmev.errors import DataError
 from shmev.ingest import (
@@ -17,6 +16,8 @@ from shmev.ingest import (
     load_and_qc,
     read_covariate_file,
     read_event_file,
+    read_grid_file,
+    read_test_maxima,
     write_event_file,
 )
 
@@ -265,12 +266,12 @@ LINE_ERRORS = {
         ":5: non-numeric covariate",
     ),
     "grid": (
-        lambda path: _read_grid_file(path, SNAPSHOT),
+        lambda path: read_grid_file(path, SNAPSHOT),
         'lat,alt_m\n1.0,"2.0\n"\n1.0\n',
         ":4: wrong field count",
     ),
     "test maxima": (
-        _read_test_maxima,
+        read_test_maxima,
         'station,block,max_mm\n"A\n",1,3.0\nA,2,inf\n',
         ":4: non-finite maximum",
     ),

@@ -174,6 +174,16 @@ class TestReport:
         fses = sorted(float(r[2]) for r in parsed[1:4])
         assert float(median_row[2]) == pytest.approx(fses[1])
 
+    def test_median_m_t_keeps_a_half(self, tmp_path):
+        # two stations with m_T 3 and 4 have the median 3.5, three with 3, 4
+        # and 6 the whole median 4
+        sites = {"wei": (("A", 3), ("B", 4)), "gev": (("A", 3), ("B", 4), ("C", 6))}
+        rows = [(model, EvalResult(s, 0.1, 0.0, 1.0, m_t, 2.0, 10)) for model in sites for s, m_t in sites[model]]
+        path = write_eval_report(rows, tmp_path / "eval.csv")
+        with open(path, newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert parsed[-2:] == [["median", "gev", "0.1", "0.0", "1.0", "4"], ["median", "wei", "0.1", "0.0", "1.0", "3.5"]]
+
     def test_absent_metrics_serialize_empty(self, tmp_path):
         res = EvalResult("A", None, None, None, 0, 2.0, 1)
         path = write_eval_report([("wei", res)], tmp_path / "eval.csv")

@@ -18,7 +18,9 @@ from shmev.model import (
 )
 
 from .oracles import (
+    beta_log_density_unconstrained,
     hmev_params_view,
+    kernel_parts,
     naive_gev_log_posterior,
     naive_hmev_log_posterior,
     naive_shmev_log_posterior,
@@ -78,7 +80,7 @@ class TestShmevLogPosterior:
             + prior.sigma_gamma.log_density_unconstrained(v[6])
             + prior.sigma_delta.log_density_unconstrained(v[7])
         )
-        assert ShmevTarget(dataset, prior).value(v) == pytest.approx(expected, abs=1e-12)
+        assert ShmevTarget(dataset, prior)(v)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_single_observation_closed_form(self):
         # one site, one block, one event at x = delta, n = 1
@@ -104,14 +106,14 @@ class TestShmevLogPosterior:
         )
         jac = np.log(gam) + np.log(dlt)
         expected = weibull + binom + gumbel + priors + jac
-        assert ShmevTarget(dataset, prior).value(v) == pytest.approx(expected, abs=1e-12)
+        assert ShmevTarget(dataset, prior)(v)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_naive_loop_oracle(self, wei_small, wei_small_prior, rng):
         dataset = wei_small.train
         target = ShmevTarget(dataset, wei_small_prior)
         for _ in range(5):
             v = _random_params(target.layout, rng)
-            fast = target.value(v)
+            fast = target(v)[0]
             slow = naive_shmev_log_posterior(shmev_params_view(target.layout, v), dataset, wei_small_prior)
             assert fast == pytest.approx(slow, rel=1e-10)
 
@@ -120,7 +122,7 @@ class TestShmevLogPosterior:
         target = ShmevTarget(wei_small.train, wei_small_prior)
         assert layout.dim != target.dim
         with pytest.raises(ValueError, match="do not match"):
-            target.value(np.zeros(layout.dim))
+            target(np.zeros(layout.dim))
 
 
 def _without_blocks(dataset, empty):
@@ -180,7 +182,7 @@ class TestShmevEventGather:
                 ref_logp, ref_grad = take_shmev_value_grad(v, target)
                 logp, grad = target(v)
                 assert_near_former(logp, grad, ref_logp, ref_grad, spread)
-                assert _same_bits(target.value(v), logp)
+                assert _same_bits(target(v)[0], logp)
                 if spread < 1.0:  # the scalar loop overflows farther out
                     params = shmev_params_view(target.layout, v)
                     slow = naive_shmev_log_posterior(params, target.dataset, wei_small_prior)
@@ -195,11 +197,11 @@ class TestShmevEventGather:
         empty, neighbour = 1 * L.n_blocks + 2, 1 * L.n_blocks + 3
         v = _random_params(L, np.random.default_rng(3), 0.05)
         _, base_grad = target(v)
-        base = target.parts(v)
+        base = kernel_parts(target, v)
 
         v[L.log_delta.start + empty] = -2000.0
         logp, grad = target(v)
-        parts = target.parts(v)
+        parts = kernel_parts(target, v)
         assert np.isfinite(logp) and np.all(np.isfinite(grad))
         assert _same_bits(parts["weibull"], base["weibull"])
         # each block's log-gamma gradient has no term in the empty block's delta
@@ -208,7 +210,7 @@ class TestShmevEventGather:
 
         v[L.log_delta.start + neighbour] = -2000.0
         logp, grad = target(v)
-        assert target.parts(v)["weibull"] == -np.inf
+        assert kernel_parts(target, v)["weibull"] == -np.inf
         assert logp == -np.inf and np.all(grad == 0.0)
         assert_near_former(logp, grad, *take_shmev_value_grad(v, target), "neighbour")
 
@@ -226,7 +228,7 @@ class TestShmevGradient:
                 vp, vm = v.copy(), v.copy()
                 vp[k] += h
                 vm[k] -= h
-                fd = (target.value(vp) - target.value(vm)) / (2 * h)
+                fd = (target(vp)[0] - target(vm)[0]) / (2 * h)
                 assert abs(grad[k] - fd) / max(1.0, abs(fd)) < 1e-5
 
     def test_count_score_vanishes_at_rate_mle(self):
@@ -266,17 +268,17 @@ class TestGevModel:
     def test_support_violation_is_minus_infinity(self):
         prior = GevPriorSpec(loc=NormalPrior(0.0, 10.0), scale=__import__("shmev.model", fromlist=["GammaPrior"]).GammaPrior(1.0, 1.0))
         theta = np.array([0.0, 0.0, 0.5])  # lower endpoint -2
-        assert GevTarget(np.array([-3.0]), prior).value(theta) == -np.inf
+        assert GevTarget(np.array([-3.0]), prior)(theta)[0] == -np.inf
 
     def test_shape_limit_continuity(self):
         maxima = np.array([40.0, 55.0, 62.0, 38.0, 71.0])
         prior = GevPriorSpec.from_maxima(maxima)
         base = np.array([50.0, np.log(12.0), 0.0])
-        at_zero = GevTarget(maxima, prior).value(base)
+        at_zero = GevTarget(maxima, prior)(base)[0]
         for tau in (1e-12, -1e-12, 1e-9, -1e-9):
             theta = base.copy()
             theta[2] = tau
-            assert abs(GevTarget(maxima, prior).value(theta) - at_zero) < 1e-6
+            assert abs(GevTarget(maxima, prior)(theta)[0] - at_zero) < 1e-6
 
     def test_matches_naive_oracle(self, rng):
         maxima = 40.0 + 20.0 * rng.weibull(1.5, size=60)
@@ -285,7 +287,7 @@ class TestGevModel:
             theta = np.array(
                 [rng.uniform(30, 70), np.log(rng.uniform(5, 25)), rng.uniform(-0.3, 0.4)]
             )
-            fast = GevTarget(maxima, prior).value(theta)
+            fast = GevTarget(maxima, prior)(theta)[0]
             slow = naive_gev_log_posterior(theta, maxima, prior)
             assert fast == pytest.approx(slow, rel=1e-10)
 
@@ -298,14 +300,14 @@ class TestGevModel:
             theta = np.array(
                 [rng.uniform(30, 70), np.log(rng.uniform(5, 25)), rng.uniform(-0.3, 0.4)]
             )
-            if not np.isfinite(target.value(theta)):
+            if not np.isfinite(target(theta)[0]):
                 continue
             _, grad = target(theta)
             for k in range(3):
                 tp, tm = theta.copy(), theta.copy()
                 tp[k] += h
                 tm[k] -= h
-                fd = (target.value(tp) - target.value(tm)) / (2 * h)
+                fd = (target(tp)[0] - target(tm)[0]) / (2 * h)
                 assert abs(grad[k] - fd) / max(1.0, abs(fd)) < 1e-5
 
     def test_empty_maxima_rejected(self):
@@ -334,7 +336,7 @@ class TestHmevModel:
                 log_delta,
             ]
         )
-        hparts = htarget.parts(hv)
+        hparts = kernel_parts(htarget, hv)
 
         sites = [SiteCovariates(wei_small.train.sites[0].station, np.array([1.0]))]
         sdataset = Dataset(sites, wei_small.train.blocks, [site_events], trials_per_block=trials)
@@ -343,7 +345,7 @@ class TestHmevModel:
         sv = np.concatenate(
             [[mu_g], [mu_d], [np.log(lam / (1 - lam))], [np.log(sig_g), np.log(sig_d)], log_gamma, log_delta]
         )
-        sparts = starget.parts(sv)
+        sparts = kernel_parts(starget, sv)
         for key in ("weibull", "binomial", "latent_gumbel", "latent_jacobian"):
             assert hparts[key] == pytest.approx(sparts[key], rel=1e-10)
 
@@ -356,9 +358,9 @@ class TestHmevModel:
             + prior.sigma_gamma.log_density_unconstrained(v[1])
             + prior.mu_delta.log_density_unconstrained(v[2])
             + prior.sigma_delta.log_density_unconstrained(v[3])
-            + prior.event_rate.log_density_unconstrained(v[4])
+            + beta_log_density_unconstrained(prior.event_rate, v[4])
         )
-        assert target.value(v) == pytest.approx(expected, abs=1e-12)
+        assert target(v)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_naive_oracle(self, wei_small, rng):
         site_events = wei_small.train.events[1]
@@ -369,7 +371,7 @@ class TestHmevModel:
         for _ in range(5):
             v = target.initial_vector() + 0.1 * rng.standard_normal(target.layout.dim)
             params = hmev_params_view(target.layout, v)
-            fast = HmevTarget(site_events, trials, prior).value(v)
+            fast = HmevTarget(site_events, trials, prior)(v)[0]
             slow = naive_hmev_log_posterior(params, site_events, trials, prior)
             assert fast == pytest.approx(slow, rel=1e-10)
 
@@ -386,7 +388,7 @@ class TestHmevModel:
                 vp, vm = v.copy(), v.copy()
                 vp[k] += h
                 vm[k] -= h
-                fd = (target.value(vp) - target.value(vm)) / (2 * h)
+                fd = (target(vp)[0] - target(vm)[0]) / (2 * h)
                 assert abs(grad[k] - fd) / max(1.0, abs(fd)) < 1e-5
 
 
@@ -395,7 +397,7 @@ class TestModelInvariants:
         dataset = wei_small.train
         target = ShmevTarget(dataset, wei_small_prior)
         v = _random_params(target.layout, rng, spread=0.05)
-        base = target.value(v)
+        base = target(v)[0]
 
         # permute sites (and the matching latent columns)
         perm = rng.permutation(dataset.n_sites)
@@ -405,7 +407,7 @@ class TestModelInvariants:
         L, pv = target.layout, v.copy()
         for latents in (L.log_gamma, L.log_delta):  # site-major: one row of J per site
             pv[latents] = v[latents].reshape(L.n_sites, L.n_blocks)[perm].ravel()
-        assert ShmevTarget(permuted, wei_small_prior).value(pv) == pytest.approx(base, rel=1e-12)
+        assert ShmevTarget(permuted, wei_small_prior)(pv)[0] == pytest.approx(base, rel=1e-12)
 
         # permute events within one block
         events2 = [list(row) for row in dataset.events]
@@ -413,13 +415,13 @@ class TestModelInvariants:
         rng.shuffle(shuffled)
         events2[0][0] = shuffled
         permuted2 = Dataset(dataset.sites, dataset.blocks, events2, dataset.trials_per_block)
-        assert ShmevTarget(permuted2, wei_small_prior).value(v) == pytest.approx(base, rel=1e-12)
+        assert ShmevTarget(permuted2, wei_small_prior)(v)[0] == pytest.approx(base, rel=1e-12)
 
     def test_zero_covariate_column_shifts_by_its_prior_only(self, wei_small, wei_small_prior, rng):
         dataset = wei_small.train
         target = ShmevTarget(dataset, wei_small_prior)
         v = _random_params(target.layout, rng, spread=0.05)
-        base = target.value(v)
+        base = target(v)[0]
 
         extra = NormalPrior(0.0, 1.3)
         prior2 = ShmevPriorSpec(
@@ -437,36 +439,36 @@ class TestModelInvariants:
         p1 = target.layout.n_covariates + 1
         v2 = np.insert(v, [p1, 2 * p1, 3 * p1], 0.0)
         expected = base + 3 * extra.logpdf(0.0)
-        assert ShmevTarget(dataset2, prior2).value(v2) == pytest.approx(expected, rel=1e-12)
+        assert ShmevTarget(dataset2, prior2)(v2)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_tail_magnitude_decreases_all_log_posteriors(self, wei_small, wei_small_prior, rng):
         dataset = wei_small.train
         target = ShmevTarget(dataset, wei_small_prior)
         v = _random_params(target.layout, rng, spread=0.02)
-        base = target.value(v)
+        base = target(v)[0]
         events2 = [list(row) for row in dataset.events]
         moved = events2[0][0].copy()
         moved[-1] = moved[-1] * 50.0  # far into the Weibull tail
         events2[0][0] = moved
         dataset2 = Dataset(dataset.sites, dataset.blocks, events2, dataset.trials_per_block)
-        assert ShmevTarget(dataset2, wei_small_prior).value(v) < base
+        assert ShmevTarget(dataset2, wei_small_prior)(v)[0] < base
 
         site_events = dataset.events[0]
         trials = dataset.trials_per_block
         hprior = elicit_hmev_priors(site_events, trials)
         htarget = HmevTarget(site_events, trials, hprior)
         hv = htarget.initial_vector()
-        hbase = htarget.value(hv)
+        hbase = htarget(hv)[0]
         h2 = HmevTarget(events2[0], trials, hprior)
-        assert h2.value(hv) < hbase
+        assert h2(hv)[0] < hbase
 
         maxima = np.array([b.max() for b in site_events if b.size])
         gprior = GevPriorSpec.from_maxima(maxima)
         gtheta = np.array([maxima.mean(), np.log(maxima.std(ddof=1)), 0.1])
-        gbase = GevTarget(maxima, gprior).value(gtheta)
+        gbase = GevTarget(maxima, gprior)(gtheta)[0]
         maxima2 = maxima.copy()
         maxima2[-1] *= 50.0
-        assert GevTarget(maxima2, gprior).value(gtheta) < gbase
+        assert GevTarget(maxima2, gprior)(gtheta)[0] < gbase
 
 
 def _same_bits(a, b):
@@ -607,7 +609,7 @@ class TestRowBatchedKernels:
         target = stations[kind == "gev"][0][0]
         v = target.initial_vector()
         for wrong in (v[:-1], np.append(v, 0.5), np.zeros(5 if kind == "gev" else 3)):
-            for call in (target, target.value):
+            for call in (target, lambda u: kernel_parts(target, u)):
                 with pytest.raises(ValueError, match=f"vector length {wrong.size} and target dimension {v.size} do not match"):
                     call(wrong)
 
@@ -620,16 +622,15 @@ class TestRowBatchedKernels:
         assert kernel.events.d_e is target._events.d_e
 
     def test_value_and_parts_come_from_the_same_kernel(self, stations, rng):
-        hmev, gev = stations
+        hmev, _ = stations
         target, _ = hmev[1]
         v = target.initial_vector() + 0.1 * rng.standard_normal(target.layout.dim)
-        assert _same_bits(target.value(v), target(v)[0])
-        parts = target.parts(v)
+        parts = kernel_parts(target, v)
         assert set(parts) == {"weibull", "binomial", "latent_gumbel", "latent_jacobian", "prior"}
         assert all(isinstance(x, float) for x in parts.values())
-        gtarget, _ = gev[0]
-        theta = gtarget.initial_vector()
-        assert _same_bits(gtarget.value(theta), gtarget(theta)[0])
+        # the kernel's own sum, term for term
+        total = parts["weibull"] + parts["latent_gumbel"] + parts["binomial"] + parts["prior"]
+        assert _same_bits(target(v)[0], total + parts["latent_jacobian"])
 
 
 def test_gamma_prior_cached_constants_give_the_same_bits(rng):

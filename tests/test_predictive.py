@@ -39,7 +39,7 @@ def degenerate_params(n_draws, shape=0.86, scale=10.5, event_prob=0.283):
 
 def grid_cdf(est):
     """Per-draw cdf at every point of the estimate's grid, (B, len(y))."""
-    return np.column_stack([est.cdf_at(y) for y in est.y])
+    return np.column_stack([est.blocks.cdf_at(np.full(est.n_draws, y)) for y in est.y])
 
 
 def estimate_from_blocks(gamma, delta, n, y):
@@ -84,7 +84,7 @@ class TestPredictiveCdf:
         maxima = np.maximum.reduceat(events, starts)
         qs = np.quantile(maxima, np.linspace(0.001, 0.999, 500))
         ecdf = np.searchsorted(np.sort(maxima), qs, side="right") / maxima.size
-        pooled = np.array([est.cdf_at(float(q)).mean() for q in qs])
+        pooled = np.array([est.blocks.cdf_at(np.full(est.n_draws, q)).mean() for q in qs])
         assert np.max(np.abs(pooled - ecdf)) < 0.01
 
     def test_grid_validation(self, rng):
@@ -142,7 +142,7 @@ class TestPredictiveQuantile:
         y = np.geomspace(1.0, 300.0, 128)
         est = predictive_cdf(params, y, PredictiveConfig(blocks_per_draw=200), rng)
         mean_q, _, _ = predictive_quantile(est, 0.9)
-        assert abs(float(est.cdf_at(mean_q).mean()) - 0.9) < 0.002
+        assert abs(float(est.blocks.cdf_at(np.full(est.n_draws, mean_q)).mean()) - 0.9) < 0.002
 
     def test_degenerate_closed_form(self, monkeypatch):
         y = np.geomspace(1.0, 200.0, 64)

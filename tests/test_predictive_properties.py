@@ -47,7 +47,7 @@ def test_per_draw_quantiles_properties(est, probs, data):
     assert q.shape == (est.n_draws, probs.size)
 
     for i, p in enumerate(probs):
-        g = est.cdf_at(q[:, i])
+        g = est.blocks.cdf_at(q[:, i])
         # the bracket collapses onto 0 only where the cdf never falls to p:
         # dry blocks hold it at or above their share of the draw
         collapsed = (q[:, i] <= 1e-12) & (g >= p)
